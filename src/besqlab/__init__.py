@@ -3,7 +3,7 @@
 Modules
 -------
 specfun
-    Log-gamma and the scaled modified Bessel function.
+    Log-gamma and the log of the scaled modified Bessel function (scipy-backed).
 quadrature
     Tanh-sinh quadrature with endpoint-singularity support and nesting.
 besq

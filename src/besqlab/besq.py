@@ -86,10 +86,12 @@ def log_transition_density(p: BesqParams, t: float, x, y):
 
         (1/(2t)) (y/x)^{nu/2} exp(-(x+y)/(2t)) I_nu(sqrt(xy)/t),
 
-    assembled here as ``-(sqrt x - sqrt y)^2 / (2t)`` plus the log of the
-    scaled Bessel function, which keeps the exponential terms from
-    overflowing for any representable ``x, y``.  At ``x = 0`` the kernel is
-    the Gamma density with shape ``delta/2`` and scale ``2t``.
+    assembled here as ``-(sqrt x - sqrt y)^2 / (2t)`` plus
+    :func:`~besqlab.specfun.log_ive`, the log of the scaled Bessel function,
+    which keeps the exponential terms from overflowing and the Bessel factor
+    from underflowing for any representable ``x, y`` and any dimension.  At
+    ``x = 0``, or where ``sqrt(xy)/t`` underflows to 0, the kernel is the
+    Gamma density with shape ``delta/2`` and scale ``2t``.
 
     ``x`` and ``y`` broadcast; ``y`` must be strictly positive.
     """
@@ -126,14 +128,11 @@ def log_transition_density(p: BesqParams, t: float, x, y):
         yi = y_b[interior]
         sx = np.sqrt(xi)
         sy = np.sqrt(yi)
-        scaled = specfun.bessel_i_scaled(nu, np.atleast_1d(sx * sy / t))
-        with np.errstate(divide="ignore"):
-            log_bessel = np.log(scaled)
         out[interior] = (
             -np.log(2.0 * t)
             + 0.5 * nu * (np.log(yi) - np.log(xi))
             - (sx - sy) ** 2 / (2.0 * t)
-            + log_bessel
+            + specfun.log_ive(nu, sx * sy / t)
         )
 
     if np.ndim(x) == 0 and np.ndim(y) == 0:

@@ -37,7 +37,7 @@ import numpy as np
 from . import besq, quadrature, specfun
 from .besq import BesqParams
 from .errors import ConvergenceError, DomainError, UnreliableRatioError
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureResult, QuadratureSpec
 
 # Below this log value a pair density cannot be divided through reliably.
 _LOG_FLOOR = math.log(1e-300)
@@ -206,7 +206,7 @@ def _upper_support(z: float, c: float) -> float:
     return b
 
 
-def _scenario_specs(delta1: float, delta2: float, c: float) -> dict:
+def _scenario_specs(delta1: float, delta2: float) -> dict:
     left = min(0.5 * delta1, 1.0)
     # every x_i integral runs to z_i/c, where the companion argument
     # z_i - c x_i closes down to zero; for delta2 < 2 that endpoint is
@@ -237,34 +237,8 @@ class _LogIntegral:
     converged: bool
 
 
-def _pair_log(s: ScenarioParams, use_eps: bool) -> _LogIntegral:
-    # each hidden coordinate ranges over the full support 0 < x_i < z_i / c
-    # where both kernel factors are positive; stopping at z_i would discard
-    # real mass whenever c < 1
-    specs = _scenario_specs(s.delta1, s.delta2, s.c)
-    b1 = _upper_support(s.z1, s.c)
-    b2 = _upper_support(s.z2, s.c)
-    if use_eps:
-        shift = _probe_max_2d(
-            lambda x1, x2: log_kernel_a11(s, x1) + _log_a12(s, x1, x2), b1, b2
-        )
-
-        def integrand(x1, x2):
-            return _shifted_exp(log_kernel_a11(s, np.asarray([x1])) + _log_a12(s, x1, x2) - shift)
-
-        res = quadrature.integrate_iterated(
-            integrand, [(0.0, b1), (0.0, b2)], [specs["x1"], specs["x2"]]
-        )
-    else:
-        shift = _probe_max_1d(
-            lambda x2: _log_a21(s.c, s.delta1, s.delta2, s.z1, s.z2, x2), b2
-        )
-
-        def integrand(x2):
-            return _shifted_exp(_log_a21(s.c, s.delta1, s.delta2, s.z1, s.z2, x2) - shift)
-
-        res = quadrature.integrate(integrand, 0.0, b2, specs["limit"])
-
+def _log_result(shift: float, res: QuadratureResult) -> _LogIntegral:
+    # undo the probe shift: log of the integral and its relative error
     if res.value <= 0.0:
         return _LogIntegral(-math.inf, math.inf, res.evaluations, res.converged)
     return _LogIntegral(
@@ -275,8 +249,41 @@ def _pair_log(s: ScenarioParams, use_eps: bool) -> _LogIntegral:
     )
 
 
+def _log_integral(
+    log_f: Callable[[np.ndarray], np.ndarray], hi: float, spec: QuadratureSpec
+) -> _LogIntegral:
+    """Log of ``int_0^hi exp(log_f(x)) dx``, integrated under a probed shift."""
+    shift = _probe_max_1d(log_f, hi)
+    res = quadrature.integrate(lambda x: _shifted_exp(log_f(x) - shift), 0.0, hi, spec)
+    return _log_result(shift, res)
+
+
+def _pair_log(s: ScenarioParams, use_eps: bool) -> _LogIntegral:
+    # each hidden coordinate ranges over the full support 0 < x_i < z_i / c
+    # where both kernel factors are positive; stopping at z_i would discard
+    # real mass whenever c < 1
+    specs = _scenario_specs(s.delta1, s.delta2)
+    b1 = _upper_support(s.z1, s.c)
+    b2 = _upper_support(s.z2, s.c)
+    if not use_eps:
+        return _log_integral(
+            lambda x2: _log_a21(s.c, s.delta1, s.delta2, s.z1, s.z2, x2), b2, specs["limit"]
+        )
+    shift = _probe_max_2d(
+        lambda x1, x2: log_kernel_a11(s, x1) + _log_a12(s, x1, x2), b1, b2
+    )
+
+    def integrand(x1, x2):
+        return _shifted_exp(log_kernel_a11(s, np.asarray([x1])) + _log_a12(s, x1, x2) - shift)
+
+    res = quadrature.integrate_iterated(
+        integrand, [(0.0, b1), (0.0, b2)], [specs["x1"], specs["x2"]]
+    )
+    return _log_result(shift, res)
+
+
 def _triple_log(s: ScenarioParams, use_eps: bool) -> _LogIntegral:
-    specs = _scenario_specs(s.delta1, s.delta2, s.c)
+    specs = _scenario_specs(s.delta1, s.delta2)
     b1 = _upper_support(s.z1, s.c)
     b2 = _upper_support(s.z2, s.c)
     b3 = _upper_support(s.z3, s.c)
@@ -289,22 +296,14 @@ def _triple_log(s: ScenarioParams, use_eps: bool) -> _LogIntegral:
         cached = h_cache.get(x2)
         if cached is not None:
             return cached
-
-        def log_inner(x3):
-            return _log_a13(s, x2, x3)
-
-        shift = _probe_max_1d(log_inner, b3)
-        res = quadrature.integrate(
-            lambda x3: _shifted_exp(log_inner(x3) - shift), 0.0, b3, specs["x3"]
-        )
-        h_stats["evals"] += res.evaluations
-        if not res.converged:
+        inner = _log_integral(lambda x3: _log_a13(s, x2, x3), b3, specs["x3"])
+        h_stats["evals"] += inner.evaluations
+        if not inner.converged:
             h_stats["converged"] = False
-        if res.value > 0.0:
-            h_stats["rel"] = max(h_stats["rel"], res.error_estimate / res.value)
-        out = shift + math.log(res.value) if res.value > 0.0 else -math.inf
-        h_cache[x2] = out
-        return out
+        if inner.log_value > -math.inf:
+            h_stats["rel"] = max(h_stats["rel"], inner.rel_error)
+        h_cache[x2] = inner.log_value
+        return inner.log_value
 
     def h_log_array(x2) -> np.ndarray:
         arr = np.atleast_1d(np.asarray(x2, dtype=float))
@@ -322,26 +321,19 @@ def _triple_log(s: ScenarioParams, use_eps: bool) -> _LogIntegral:
         res = quadrature.integrate_iterated(
             integrand, [(0.0, b1), (0.0, b2)], [specs["x1"], specs["x2"]]
         )
+        outer = _log_result(shift, res)
     else:
-        def log_total_lim(x2):
-            return _log_a21(s.c, s.delta1, s.delta2, s.z1, s.z2, x2) + h_log_array(x2)
+        outer = _log_integral(
+            lambda x2: _log_a21(s.c, s.delta1, s.delta2, s.z1, s.z2, x2) + h_log_array(x2),
+            b2,
+            specs["limit"],
+        )
 
-        shift = _probe_max_1d(log_total_lim, b2)
-
-        def integrand(x2):
-            return _shifted_exp(log_total_lim(x2) - shift)
-
-        res = quadrature.integrate(integrand, 0.0, b2, specs["limit"])
-
-    evaluations = res.evaluations + h_stats["evals"]
-    converged = res.converged and h_stats["converged"]
-    if res.value <= 0.0:
-        return _LogIntegral(-math.inf, math.inf, evaluations, converged)
     return _LogIntegral(
-        shift + math.log(res.value),
-        res.error_estimate / res.value + h_stats["rel"],
-        evaluations,
-        converged,
+        outer.log_value,
+        outer.rel_error + h_stats["rel"],
+        outer.evaluations + h_stats["evals"],
+        outer.converged and h_stats["converged"],
     )
 
 
@@ -434,30 +426,10 @@ def c1_constant(c: float, delta1: float, delta2: float) -> float:
 
 
 def _log_q_tilde(c, delta1, delta2, z1, z2, spec) -> _LogIntegral:
-    def log_f(x2):
-        return _log_a21(c, delta1, delta2, z1, z2, x2) + _log_a32(c, delta1, delta2, z2, x2)
-
-    b2 = _upper_support(z2, c)
-    shift = _probe_max_1d(log_f, b2)
-    res = quadrature.integrate(lambda x2: _shifted_exp(log_f(x2) - shift), 0.0, b2, spec)
-    if res.value <= 0.0:
-        return _LogIntegral(-math.inf, math.inf, res.evaluations, res.converged)
-    return _LogIntegral(
-        shift + math.log(res.value), res.error_estimate / res.value, res.evaluations, res.converged
-    )
-
-
-def _log_q_pair_limit(c, delta1, delta2, z1, z2, spec) -> _LogIntegral:
-    def log_f(x2):
-        return _log_a21(c, delta1, delta2, z1, z2, x2)
-
-    b2 = _upper_support(z2, c)
-    shift = _probe_max_1d(log_f, b2)
-    res = quadrature.integrate(lambda x2: _shifted_exp(log_f(x2) - shift), 0.0, b2, spec)
-    if res.value <= 0.0:
-        return _LogIntegral(-math.inf, math.inf, res.evaluations, res.converged)
-    return _LogIntegral(
-        shift + math.log(res.value), res.error_estimate / res.value, res.evaluations, res.converged
+    return _log_integral(
+        lambda x2: _log_a21(c, delta1, delta2, z1, z2, x2) + _log_a32(c, delta1, delta2, z2, x2),
+        _upper_support(z2, c),
+        spec,
     )
 
 
@@ -469,7 +441,7 @@ def zero_limit_weighted_triple(s: ScenarioParams) -> float:
     pairs the A21 kernel with the product of weighted zero-limits (A32);
     ``s.z3`` plays no role here and ``s.eps`` refers to the limit object.
     """
-    specs = _scenario_specs(s.delta1, s.delta2, s.c)
+    specs = _scenario_specs(s.delta1, s.delta2)
     qt = _log_q_tilde(s.c, s.delta1, s.delta2, s.z1, s.z2, specs["limit"])
     if not qt.converged:
         raise ConvergenceError("weighted zero-limit quadrature did not converge")
@@ -511,12 +483,14 @@ def lemma3_ratio_check(
         raise DomainError("z2 must be positive")
     if not (delta1 > 0.0 and delta2 > 0.0):
         raise DomainError("dimensions must be positive")
-    spec = _scenario_specs(delta1, delta2, c)["limit"]
+    spec = _scenario_specs(delta1, delta2)["limit"]
 
     logs = {}
     for r in (r1, r2):
         qt = _log_q_tilde(c, delta1, delta2, z2 * r, z2, spec)
-        qp = _log_q_pair_limit(c, delta1, delta2, z2 * r, z2, spec)
+        qp = _log_integral(
+            lambda x2: _log_a21(c, delta1, delta2, z2 * r, z2, x2), _upper_support(z2, c), spec
+        )
         if not (qt.converged and qp.converged):
             raise ConvergenceError("ratio-law quadrature did not converge")
         if qp.log_value < _LOG_FLOOR:

@@ -1,51 +1,25 @@
-"""Log-gamma and the scaled modified Bessel function of the first kind.
+"""Log-gamma and the log of the scaled modified Bessel function of the first kind.
 
 Every density downstream is assembled in log space, so the modified Bessel
-function is only ever needed in its overflow-safe form ``exp(-x) I_nu(x)``.
-Both public functions are pure, accept scalars or arrays, and raise
-:class:`~besqlab.errors.DomainError` outside their mathematical domain.
+function is needed as ``log(exp(-x) I_nu(x))``: :func:`log_ive` is its one
+home.  It takes ``scipy.special.ive`` (Amos's algorithm, ACM TOMS 644, which
+covers the uniform large-order regime of DLMF 10.41) wherever that value is
+a normal double, and the small-argument power series summed in log space
+where ``ive`` underflows or gives up.  All public functions are pure, accept
+scalars or arrays, and raise :class:`~besqlab.errors.DomainError` outside
+their mathematical domain.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError
 
-# Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
-# Relative accuracy of the reconstructed Gamma is ~1e-15 over the positive axis.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = np.array(
-    [
-        0.99999999999999709182,
-        57.156235665862923517,
-        -59.597960355475491248,
-        14.136097974741747174,
-        -0.49191381609762019978,
-        0.33994649984811888699e-4,
-        0.46523628927048575665e-4,
-        -0.98374475304879564677e-4,
-        0.15808870322491248884e-3,
-        -0.21026444172410488319e-3,
-        0.21743961811521264320e-3,
-        -0.16431810653676389022e-3,
-        0.84418223983852743293e-4,
-        -0.26190838401581408670e-4,
-        0.36899182659531622704e-5,
-    ]
-)
-_HALF_LOG_TWO_PI = 0.5 * np.log(2.0 * np.pi)
+_TINY = np.finfo(float).tiny
 _LOG_TWO = np.log(2.0)
-
-# Series vs asymptotic switch for bessel_i_scaled.  The asymptotic expansion
-# in 1/x needs x comfortably above nu^2 before its terms decay.
-_SERIES_MAX_TERMS = 500
-_ASYMPTOTIC_MAX_TERMS = 40
-_TERM_CUTOFF = 1e-17
-
-
-def _crossover(nu: float) -> float:
-    return max(30.0, nu * nu)
+_LOG_EPS = np.log(np.finfo(float).eps)
 
 
 def ln_gamma(x):
@@ -64,56 +38,83 @@ def ln_gamma(x):
     arr = np.asarray(x, dtype=float)
     if arr.size and not np.all(arr > 0.0):
         raise DomainError("ln_gamma requires x > 0")
-    t = arr + (_LANCZOS_G - 0.5)
-    series = np.full_like(arr, _LANCZOS_C[0])
-    for k in range(1, len(_LANCZOS_C)):
-        series = series + _LANCZOS_C[k] / (arr + (k - 1.0))
-    out = _HALF_LOG_TWO_PI + (arr - 0.5) * np.log(t) - t + np.log(series)
+    out = special.gammaln(arr)
     if np.ndim(x) == 0:
         return float(out)
     return out
 
 
-def _series_scaled(nu: float, x: np.ndarray) -> np.ndarray:
-    # exp(-x) * (x/2)^nu / Gamma(nu+1) * sum_k (x^2/4)^k / (k! (nu+1)_k)
-    q = 0.25 * x * x
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(_SERIES_MAX_TERMS):
-        term = term * q / ((k + 1.0) * (nu + k + 1.0))
-        total = total + term
-        if np.max(term / total) < _TERM_CUTOFF:
-            break
-    # log(x) - log 2 rather than log(x/2): the halving can underflow to zero
-    # for subnormal x even though log(x) itself is still finite
-    prefactor = np.exp(nu * (np.log(x) - _LOG_TWO) - ln_gamma(nu + 1.0) - x)
-    return prefactor * total
+def _log_series(nu: float, x: np.ndarray) -> np.ndarray:
+    # nu (log x - log 2) - log Gamma(nu+1) - x + log sum_k (x^2/4)^k / (k! (nu+1)_k).
+    # log x - log 2 rather than log(x/2): the halving can underflow to zero
+    # for subnormal x.  The sum is kept in log space because for large nu its
+    # terms rise by many orders before they fall; the ratio of consecutive
+    # terms decreases in k, so once a term is below eps of the running sum
+    # every later term is too.
+    log_q = 2.0 * (np.log(x) - _LOG_TWO)
+    log_term = np.zeros_like(x)
+    log_sum = np.zeros_like(x)
+    k = 0
+    while np.max(log_term - log_sum) >= _LOG_EPS:
+        k += 1
+        log_term = log_term + log_q - np.log(k * (nu + k))
+        log_sum = np.logaddexp(log_sum, log_term)
+    return nu * (np.log(x) - _LOG_TWO) - special.gammaln(nu + 1.0) - x + log_sum
 
 
-def _asymptotic_scaled(nu: float, x: np.ndarray) -> np.ndarray:
-    # exp(-x) I_nu(x) ~ (2 pi x)^{-1/2} sum_k (-1)^k a_k(nu) / x^k
-    mu = 4.0 * nu * nu
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    active = np.ones_like(x, dtype=bool)
-    for k in range(1, _ASYMPTOTIC_MAX_TERMS):
-        factor = -(mu - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
-        candidate = term * factor
-        # freeze lanes whose terms stopped shrinking: the expansion is divergent
-        active = active & (np.abs(candidate) < np.abs(term))
-        term = np.where(active, candidate, 0.0)
-        total = total + term
-        if not np.any(active) or np.max(np.abs(term) / total) < _TERM_CUTOFF:
-            break
-    return total / np.sqrt(2.0 * np.pi * x)
+def log_ive(nu: float, x):
+    """Log of the scaled modified Bessel function, ``log(exp(-x) I_nu(x))``.
+
+    Finite for every positive representable ``x`` and every order, including
+    subnormal ``x`` and orders far beyond the point where ``exp(-x) I_nu(x)``
+    itself underflows.
+
+    Parameters
+    ----------
+    nu : float
+        Order, must satisfy ``nu > -1``.
+    x : float or array_like
+        Nonnegative argument(s).
+
+    Returns
+    -------
+    float or ndarray
+        ``log(exp(-x) I_nu(x))`` elementwise.  At ``x = 0`` the value is 0
+        for ``nu = 0``, ``-inf`` for ``nu > 0`` and ``inf`` for
+        ``-1 < nu < 0``; at ``x = inf`` it is ``-inf``.
+    """
+    nu = float(nu)
+    if not nu > -1.0:
+        raise DomainError("the Bessel order nu must exceed -1")
+    arr = np.asarray(x, dtype=float)
+    if arr.size and not np.all(arr >= 0.0):
+        raise DomainError("the Bessel argument x must be nonnegative")
+
+    flat = np.atleast_1d(arr).ravel()
+    v = special.ive(nu, flat)
+    # NaN, which scipy returns for negative orders at subnormal x, must take
+    # the series too, hence a test for normal values rather than for small ones
+    normal = v >= _TINY
+    out = np.log(v, out=np.empty_like(flat), where=normal)
+    out[flat == 0.0] = 0.0 if nu == 0.0 else (-np.inf if nu > 0.0 else np.inf)
+    # the limit of -log(2 pi x) / 2; scipy gives NaN there
+    out[flat == np.inf] = -np.inf
+    series = ~normal & (flat > 0.0) & (flat < np.inf)
+    if np.any(series):
+        out[series] = _log_series(nu, flat[series])
+
+    if np.ndim(x) == 0:
+        return float(out[0])
+    return out.reshape(arr.shape)
 
 
 def bessel_i_scaled(nu: float, x):
     """Scaled modified Bessel function ``exp(-x) I_nu(x)`` for ``x >= 0``.
 
-    The scaling keeps the value representable for arguments far beyond the
-    overflow point of the bare ``I_nu``.  Power series below
-    ``max(30, nu^2)``, large-argument asymptotic expansion above.
+    The exponential of :func:`log_ive`.  The scaling keeps the value
+    representable for arguments far beyond the overflow point of the bare
+    ``I_nu``; it underflows to 0 where :func:`log_ive` is below the log of
+    the smallest double.
 
     Parameters
     ----------
@@ -128,33 +129,7 @@ def bessel_i_scaled(nu: float, x):
         ``exp(-x) I_nu(x)`` elementwise.  At ``x = 0`` the value is 1 for
         ``nu = 0``, 0 for ``nu > 0`` and ``inf`` for ``-1 < nu < 0``.
     """
-    nu = float(nu)
-    if not nu > -1.0:
-        raise DomainError("bessel_i_scaled requires nu > -1")
-    arr = np.asarray(x, dtype=float)
-    if arr.size and not np.all(arr >= 0.0):
-        raise DomainError("bessel_i_scaled requires x >= 0")
-
-    flat = np.atleast_1d(arr).astype(float).ravel()
-    out = np.empty_like(flat)
-
-    zero = flat == 0.0
-    if np.any(zero):
-        if nu == 0.0:
-            out[zero] = 1.0
-        elif nu > 0.0:
-            out[zero] = 0.0
-        else:
-            out[zero] = np.inf
-
-    cut = _crossover(nu)
-    small = ~zero & (flat < cut)
-    large = flat >= cut
-    if np.any(small):
-        out[small] = _series_scaled(nu, flat[small])
-    if np.any(large):
-        out[large] = _asymptotic_scaled(nu, flat[large])
-
+    out = np.exp(log_ive(nu, x))
     if np.ndim(x) == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+        return float(out)
+    return out

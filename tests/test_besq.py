@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from besqlab import besq, stattest
+from besqlab import besq, specfun, stattest
 from besqlab.besq import BesqParams, PathSample
 from besqlab.errors import DomainError
 from besqlab.quadrature import QuadratureSpec, integrate_to_inf
@@ -12,6 +12,13 @@ from besqlab.quadrature import QuadratureSpec, integrate_to_inf
 # mpmath oracle (30 digits): (1/2t) (y/x)^{nu/2} e^{-(x+y)/2t} I_nu(sqrt(xy)/t)
 P_3_07_12_08 = 0.19858315741551859
 P_07_1_3_05 = 0.18724025235478516
+# mpmath oracle (40 digits) for the log-density at large orders and a tiny
+# start, where exp(-x) I_nu(x) under- or overflows in linear space, and for
+# log(exp(-x) I_nu(x)) itself at an order far above the argument
+LOG_P_82_1_900_900 = -5.9023807196519532
+LOG_P_2002_1_500_500 = -830.72327296778844
+LOG_P_8_1_1EM300_4 = -2.4054651081081644
+LOG_IVE_1000_500 = -830.03012578722849
 
 rng = np.random.default_rng
 
@@ -30,6 +37,14 @@ def test_density_matches_high_precision_points():
     assert besq.transition_density(BesqParams(0.7), 1.0, 3.0, 0.5) == pytest.approx(
         P_07_1_3_05, rel=1e-12
     )
+    for (delta, t, x, y), ref in (
+        ((82.0, 1.0, 900.0, 900.0), LOG_P_82_1_900_900),
+        ((2002.0, 1.0, 500.0, 500.0), LOG_P_2002_1_500_500),
+        ((8.0, 1.0, 1e-300, 4.0), LOG_P_8_1_1EM300_4),
+    ):
+        v = besq.log_transition_density(BesqParams(delta), t, x, y)
+        assert v == pytest.approx(ref, rel=1e-12)
+    assert specfun.log_ive(1000.0, 500.0) == pytest.approx(LOG_IVE_1000_500, rel=1e-12)
 
 
 def test_from_zero_is_gamma():
@@ -102,10 +117,15 @@ def test_detailed_balance_symmetry():
 
 
 def test_log_density_finite_at_tiny_start():
-    # sqrt(x) sqrt(y) / t can underflow; the log must not emit inf
-    p = BesqParams(0.7)
-    v = besq.log_transition_density(p, 1.0, 1e-310, 0.5)
-    assert np.isfinite(v)
+    # sqrt(x) sqrt(y) / t can underflow, and exp(-x) I_nu(x) underflows for
+    # large orders; the log must not emit inf and must meet the x = 0 value
+    for delta in (0.7, 8.0, 12.0):
+        p = BesqParams(delta)
+        at_zero = besq.log_transition_density(p, 1.0, 0.0, 0.5)
+        for x in (1e-310, 1e-300, 1e-200):
+            v = besq.log_transition_density(p, 1.0, x, 0.5)
+            assert np.isfinite(v)
+            assert v == pytest.approx(at_zero, rel=1e-12)
 
 
 def test_sampler_moments_from_zero():
