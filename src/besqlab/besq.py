@@ -11,7 +11,6 @@ representation of the noncentral chi-square law.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,26 +49,6 @@ class PathSample:
             raise DomainError("times and values must be 1-D arrays of equal length")
         if self.times.size and not np.all(np.diff(self.times) > 0.0):
             raise DomainError("times must be strictly increasing")
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "value"])
-            for t, v in zip(self.times, self.values):
-                writer.writerow([repr(float(t)), repr(float(v))])
-
-    @classmethod
-    def from_csv(cls, path) -> "PathSample":
-        times, values = [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header[:2] != ["t", "value"]:
-                raise DomainError("expected header 't,value'")
-            for row in reader:
-                times.append(float(row[0]))
-                values.append(float(row[1]))
-        return cls(np.array(times), np.array(values))
 
 
 def _validate_t(t: float) -> float:
@@ -201,15 +180,6 @@ def _step(rng: np.random.Generator, delta: float, t: float, x: np.ndarray) -> np
     # X_t | X_0 = x is 2t * W with W noncentral chi-square: Poisson-mixed Gamma.
     n = rng.poisson(x / (2.0 * t))
     return rng.gamma(0.5 * delta + n, 2.0 * t)
-
-
-def sample_transition(rng: np.random.Generator, p: BesqParams, t: float, x: float) -> float:
-    """Draw one exact transition of length ``t`` started from ``x >= 0``."""
-    t = _validate_t(t)
-    x = float(x)
-    if not x >= 0.0:
-        raise DomainError("x must be nonnegative")
-    return float(_step(rng, p.delta, t, np.asarray([x]))[0])
 
 
 def sample_transitions(rng: np.random.Generator, p: BesqParams, t: float, x) -> np.ndarray:

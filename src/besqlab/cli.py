@@ -140,8 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "markov-test":
             p.add_argument("--delta1", type=float, default=1.0)
             p.add_argument("--delta2", type=float, default=1.0)
-        else:
-            p.add_argument("--refine", type=int, default=100)
         common(p, "json")
 
     return parser
@@ -372,8 +370,6 @@ def _run_markov(config: RunConfig, process: str) -> int:
     if process == "zc":
         kwargs["delta1"] = float(config.params.get("delta1", 1.0))
         kwargs["delta2"] = float(config.params.get("delta2", 1.0))
-    else:
-        kwargs["refine"] = int(config.params.get("refine", 100))
     n_ref = int(config.params.get("n_ref", n_target))
     n_alt = int(config.params.get("n_alt", n_target))
     ref = stattest.ArmSpec(

@@ -204,15 +204,6 @@ def test_bessel_path_is_sqrt_of_besq():
     assert np.allclose(root.values, np.sqrt(sq.values))
 
 
-def test_path_sample_csv_roundtrip(tmp_path):
-    ps = PathSample(np.array([0.1, 0.7, 1.9]), np.array([0.0, 2.5, 1.25e-9]))
-    f = tmp_path / "path.csv"
-    ps.to_csv(f)
-    back = PathSample.from_csv(f)
-    assert np.array_equal(back.times, ps.times)
-    assert np.array_equal(back.values, ps.values)
-
-
 def test_validation_errors():
     with pytest.raises(DomainError):
         BesqParams(0.0)

@@ -208,4 +208,7 @@ def test_cmx_probe_small_run(tmp_path):
     ) == 0
     payload = json.loads(out.read_text())
     assert payload["cells"][0]["process"] == "cmx"
+    # sampler counts reach the CLI report
+    assert payload["cells"][0]["proposed_ref"] >= 200
+    assert 0.0 < payload["cells"][0]["accept_alt"] <= 1.0
     assert payload["summary"][0]["verdict"] == "consistent"
