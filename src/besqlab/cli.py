@@ -12,9 +12,13 @@ Eight subcommands map onto the library modules:
     cmx-test     the same probe for c*max - Brownian motion
 
 Configuration can come from ``--config`` (a JSON file whose keys mirror the
-long-form flags with underscores); explicit flags override file values.
-Stochastic commands require an explicit ``--seed``.  Exit codes: 0 success,
+subcommand's long-form flags with underscores; any other key is a
+configuration error); explicit flags override file values.  Stochastic
+commands require an explicit ``--seed``.  Exit codes: 0 success,
 2 configuration error, 3 numeric non-convergence, 4 inconclusive statistics.
+With ``--output``, a ``.meta.json`` sidecar records the parameters, the exit
+status and the wall time on exits 0, 3 and 4; on exit 3 it also carries the
+error message.
 
 Couplings ``c >= 1`` for ``ratio`` are reduced to ``c' = 1/c`` with the two
 dimensions swapped and levels divided by ``c`` (the law of ``Z/c``); the
@@ -128,6 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help="Monte Carlo Markov probe")
         p.add_argument("--c-values", help="comma-separated couplings")
         p.add_argument("--n-target", type=int)
+        p.add_argument("--n-ref", type=int, help="reference arm size (default --n-target)")
+        p.add_argument("--n-alt", type=int, help="alternative arm size (default --n-target)")
         p.add_argument("--alpha", type=float, default=0.001)
         p.add_argument("--eps-ref", type=float, default=0.5)
         p.add_argument("--eps-alt", type=float, default=0.5)
@@ -147,15 +153,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     merged: dict = {}
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
                 merged.update(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, TypeError, ValueError) as exc:
             raise _ConfigError(f"cannot read config file: {exc}") from exc
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
+        unknown = sorted(set(merged) - set(flags))
+        if unknown:
+            # a mistyped key would otherwise fall back to its default silently
+            raise _ConfigError(
+                f"unknown config key(s) for '{args.command}': {', '.join(map(repr, unknown))}"
+            )
+    for key, value in flags.items():
         if value is not None:
             merged[key] = value
     command = args.command
@@ -196,17 +207,20 @@ def _write_json(path, payload: dict) -> None:
             fh.write(text)
 
 
-def _sidecar(config: RunConfig, started: float) -> None:
+def _sidecar(config: RunConfig, started: float, status: int, error: str | None = None) -> None:
     if config.output_path is None:
         return
     meta = {
         "command": config.command,
         "params": {k: v for k, v in sorted(config.params.items())},
         "seed": config.seed,
+        "status": status,
         "version": __version__,
         "wall_time_s": time.time() - started,
-        "outputs": [config.output_path],
+        "outputs": [] if error is not None else [config.output_path],
     }
+    if error is not None:
+        meta["error"] = error
     with open(config.output_path + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
@@ -406,9 +420,14 @@ def run(config: RunConfig) -> int:
         "markov-test": lambda cfg: _run_markov(cfg, "zc"),
         "cmx-test": lambda cfg: _run_markov(cfg, "cmx"),
     }
-    status = handlers[config.command](config)
+    try:
+        status = handlers[config.command](config)
+    except (ConvergenceError, UnreliableRatioError) as exc:
+        # a numeric failure leaves its evidence; main turns it into exit 3
+        _sidecar(config, started, 3, str(exc))
+        raise
     if status == 0 or status == 4:
-        _sidecar(config, started)
+        _sidecar(config, started, status)
     return status
 
 

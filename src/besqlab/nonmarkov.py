@@ -21,9 +21,16 @@ kernel (A21), the ``z3 -> 0`` weighted limit with its beta-type constant
 ``r = z1/z2`` dependence is the factor ``D(r)^(-delta1/2)``.
 
 All kernels are assembled in log space and exponentiated only inside the
-innermost quadrature evaluations, with a scenario-wide shift chosen by
+innermost quadrature evaluations, with a shift per integral chosen by
 probing the log-integrand; products of three transition densities underflow
 raw arithmetic long before the ratios of interest become ill-defined.
+
+The integrals run level-batched on :func:`quadrature.integrate_rows`: the
+inner x2 integrals of all x1 nodes of one outer level form one batch of
+rows, the x3 integrals ``h(x2)`` of all x2 nodes not yet seen form another,
+and the four integrals of :func:`lemma3_ratio_check` form a third.  Each
+refinement level of a batch is one array call of the kernels, so the cost is
+set by the number of points rather than by Python calls per node.
 """
 
 from __future__ import annotations
@@ -181,20 +188,6 @@ def _shifted_exp(u) -> np.ndarray:
     return np.exp(np.minimum(u, _EXP_CLAMP))
 
 
-def _probe_max_1d(log_f: Callable[[np.ndarray], np.ndarray], hi: float) -> float:
-    values = log_f(hi * _PROBE)
-    peak = float(np.max(values[np.isfinite(values)]))
-    return peak
-
-
-def _probe_max_2d(log_f, hi1: float, hi2: float) -> float:
-    g1 = (hi1 * _PROBE)[:, None]
-    g2 = (hi2 * _PROBE)[None, :]
-    values = log_f(g1, g2)
-    peak = float(np.max(values[np.isfinite(values)]))
-    return peak
-
-
 def _upper_support(z: float, c: float) -> float:
     # largest float b with fl(c * b) < z: rounding is monotone, so every
     # quadrature node x < b then keeps fl(z - c * x) > 0; the raw z / c can
@@ -250,85 +243,120 @@ def _log_result(shift: float, res: QuadratureResult) -> _LogIntegral:
 
 
 def _log_integral(
-    log_f: Callable[[np.ndarray], np.ndarray], hi: float, spec: QuadratureSpec
+    log_f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    n_rows: int,
+    hi: float,
+    spec: QuadratureSpec,
+) -> list[_LogIntegral]:
+    """Log of ``int_0^hi exp(log_f(row, x)) dx`` for each of ``n_rows`` rows.
+
+    ``log_f(rows, x)`` returns the ``(rows.size, x.size)`` log-integrand grid
+    (a 1-D result serves a single row).  Each row gets its own shift from the
+    probe grid, and all rows run as one :func:`quadrature.integrate_rows`
+    batch.
+    """
+    probe = np.reshape(log_f(np.arange(n_rows), hi * _PROBE), (n_rows, _PROBE.size))
+    shift = np.max(probe, axis=1, where=np.isfinite(probe), initial=-np.inf)
+    if not np.all(np.isfinite(shift)):
+        raise ConvergenceError("log-integrand is not finite anywhere on the probe grid")
+    rows = quadrature.integrate_rows(
+        lambda r, x: _shifted_exp(log_f(r, x) - shift[r, None]), n_rows, 0.0, hi, spec
+    )
+    return [_log_result(float(shift[i]), rows.row(i)) for i in range(n_rows)]
+
+
+def _kernel_log_integral(
+    s: ScenarioParams, log_h: Callable[[np.ndarray], np.ndarray] | None = None
 ) -> _LogIntegral:
-    """Log of ``int_0^hi exp(log_f(x)) dx``, integrated under a probed shift."""
-    shift = _probe_max_1d(log_f, hi)
-    res = quadrature.integrate(lambda x: _shifted_exp(log_f(x) - shift), 0.0, hi, spec)
-    return _log_result(shift, res)
+    """Log of ``int_0^b1 int_0^b2 A11 A12 exp(log_h(x2)) dx2 dx1``.
 
-
-def _pair_log(s: ScenarioParams, use_eps: bool) -> _LogIntegral:
-    # each hidden coordinate ranges over the full support 0 < x_i < z_i / c
-    # where both kernel factors are positive; stopping at z_i would discard
-    # real mass whenever c < 1
+    Without ``log_h`` this is the pair integral; with the x3 integral
+    ``log_h`` it is the triple.  Each hidden coordinate ranges over the full
+    support ``0 < x_i < z_i/c`` where both kernel factors are positive;
+    stopping at ``z_i`` would discard real mass whenever ``c < 1``.  The x1
+    axis runs through :func:`quadrature.integrate`; each of its levels hands
+    all its nodes to the x2 axis as the rows of one
+    :func:`quadrature.integrate_rows` call, with A11 evaluated once per row.
+    As in :func:`quadrature.integrate_iterated`, the error adds
+    :func:`quadrature.propagated_error` of the x2 rows and ``evaluations``
+    counts x2 points.
+    """
     specs = _scenario_specs(s.delta1, s.delta2)
     b1 = _upper_support(s.z1, s.c)
     b2 = _upper_support(s.z2, s.c)
-    if not use_eps:
-        return _log_integral(
-            lambda x2: _log_a21(s.c, s.delta1, s.delta2, s.z1, s.z2, x2), b2, specs["limit"]
+
+    def log_f(x1, x2, a11):
+        out = a11 + _log_a12(s, x1, x2)
+        return out if log_h is None else out + log_h(x2)
+
+    g1 = (b1 * _PROBE)[:, None]
+    probe = log_f(g1, b2 * _PROBE, log_kernel_a11(s, g1))
+    shift = float(np.max(probe[np.isfinite(probe)]))
+    inner: list[tuple[float, float]] = []
+    stats = {"evals": 0, "converged": True}
+
+    def layer(x1: np.ndarray) -> np.ndarray:
+        a11 = log_kernel_a11(s, x1)[:, None]
+        rows = quadrature.integrate_rows(
+            lambda r, x2: _shifted_exp(log_f(x1[r, None], x2, a11[r]) - shift),
+            x1.size, 0.0, b2, specs["x2"],
         )
-    shift = _probe_max_2d(
-        lambda x1, x2: log_kernel_a11(s, x1) + _log_a12(s, x1, x2), b1, b2
+        inner.extend(zip(rows.values.tolist(), rows.errors.tolist()))
+        stats["evals"] += int(rows.evaluations.sum())
+        stats["converged"] = stats["converged"] and bool(rows.converged.all())
+        return rows.values
+
+    outer = quadrature.integrate(layer, 0.0, b1, specs["x1"])
+    error = outer.error_estimate + quadrature.propagated_error(inner, outer.value, b1)
+    return _log_result(
+        shift,
+        QuadratureResult(outer.value, error, stats["evals"], outer.converged and stats["converged"]),
     )
 
-    def integrand(x1, x2):
-        return _shifted_exp(log_kernel_a11(s, np.asarray([x1])) + _log_a12(s, x1, x2) - shift)
 
-    res = quadrature.integrate_iterated(
-        integrand, [(0.0, b1), (0.0, b2)], [specs["x1"], specs["x2"]]
-    )
-    return _log_result(shift, res)
+def _limit_log_integral(
+    s: ScenarioParams, log_g: Callable[[np.ndarray], np.ndarray] | None = None
+) -> _LogIntegral:
+    """Log of ``int_0^b2 A21 exp(log_g(x2)) dx2``, the ``eps -> 0`` x2 axis."""
+
+    def log_f(rows, x2):
+        out = _log_a21(s.c, s.delta1, s.delta2, s.z1, s.z2, x2)
+        return out if log_g is None else out + log_g(x2)
+
+    return _log_integral(
+        log_f, 1, _upper_support(s.z2, s.c), _scenario_specs(s.delta1, s.delta2)["limit"]
+    )[0]
+
+
+def _pair_log(s: ScenarioParams, use_eps: bool) -> _LogIntegral:
+    return _kernel_log_integral(s) if use_eps else _limit_log_integral(s)
 
 
 def _triple_log(s: ScenarioParams, use_eps: bool) -> _LogIntegral:
     specs = _scenario_specs(s.delta1, s.delta2)
-    b1 = _upper_support(s.z1, s.c)
-    b2 = _upper_support(s.z2, s.c)
     b3 = _upper_support(s.z3, s.c)
     h_cache: dict[float, float] = {}
     h_stats = {"rel": 0.0, "evals": 0, "converged": True}
 
-    def h_log(x2: float) -> float:
+    def log_h(x2: np.ndarray) -> np.ndarray:
         # innermost x3 integral, kept in log space end to end: near z3 -> 0
-        # its integrable endpoint blowup overflows any linear-space value
-        cached = h_cache.get(x2)
-        if cached is not None:
-            return cached
-        inner = _log_integral(lambda x3: _log_a13(s, x2, x3), b3, specs["x3"])
-        h_stats["evals"] += inner.evaluations
-        if not inner.converged:
-            h_stats["converged"] = False
-        if inner.log_value > -math.inf:
-            h_stats["rel"] = max(h_stats["rel"], inner.rel_error)
-        h_cache[x2] = inner.log_value
-        return inner.log_value
+        # its integrable endpoint blowup overflows any linear-space value.
+        # The x2 nodes not seen before run as the rows of one batch.
+        new = np.array([v for v in dict.fromkeys(x2.tolist()) if v not in h_cache])
+        if new.size:
+            batch = _log_integral(
+                lambda rows, x3: _log_a13(s, new[rows, None], x3), new.size, b3, specs["x3"]
+            )
+            for v, inner in zip(new.tolist(), batch):
+                h_stats["evals"] += inner.evaluations
+                if not inner.converged:
+                    h_stats["converged"] = False
+                if inner.log_value > -math.inf:
+                    h_stats["rel"] = max(h_stats["rel"], inner.rel_error)
+                h_cache[v] = inner.log_value
+        return np.array([h_cache[v] for v in x2.tolist()])
 
-    def h_log_array(x2) -> np.ndarray:
-        arr = np.atleast_1d(np.asarray(x2, dtype=float))
-        return np.array([h_log(float(v)) for v in arr.ravel()]).reshape(arr.shape)
-
-    if use_eps:
-        def log_total(x1, x2):
-            return log_kernel_a11(s, np.asarray(x1)) + _log_a12(s, x1, x2) + h_log_array(x2)
-
-        shift = _probe_max_2d(log_total, b1, b2)
-
-        def integrand(x1, x2):
-            return _shifted_exp(log_total(np.asarray([x1]), x2) - shift)
-
-        res = quadrature.integrate_iterated(
-            integrand, [(0.0, b1), (0.0, b2)], [specs["x1"], specs["x2"]]
-        )
-        outer = _log_result(shift, res)
-    else:
-        outer = _log_integral(
-            lambda x2: _log_a21(s.c, s.delta1, s.delta2, s.z1, s.z2, x2) + h_log_array(x2),
-            b2,
-            specs["limit"],
-        )
-
+    outer = _kernel_log_integral(s, log_h) if use_eps else _limit_log_integral(s, log_h)
     return _LogIntegral(
         outer.log_value,
         outer.rel_error + h_stats["rel"],
@@ -425,14 +453,6 @@ def c1_constant(c: float, delta1: float, delta2: float) -> float:
     return res.value
 
 
-def _log_q_tilde(c, delta1, delta2, z1, z2, spec) -> _LogIntegral:
-    return _log_integral(
-        lambda x2: _log_a21(c, delta1, delta2, z1, z2, x2) + _log_a32(c, delta1, delta2, z2, x2),
-        _upper_support(z2, c),
-        spec,
-    )
-
-
 def zero_limit_weighted_triple(s: ScenarioParams) -> float:
     """The ``z3 -> 0`` limit of ``z3^{1-(d1+d2)/2}`` times the triple integral.
 
@@ -441,8 +461,7 @@ def zero_limit_weighted_triple(s: ScenarioParams) -> float:
     pairs the A21 kernel with the product of weighted zero-limits (A32);
     ``s.z3`` plays no role here and ``s.eps`` refers to the limit object.
     """
-    specs = _scenario_specs(s.delta1, s.delta2)
-    qt = _log_q_tilde(s.c, s.delta1, s.delta2, s.z1, s.z2, specs["limit"])
+    qt = _limit_log_integral(s, lambda x2: _log_a32(s.c, s.delta1, s.delta2, s.z2, x2))
     if not qt.converged:
         raise ConvergenceError("weighted zero-limit quadrature did not converge")
     log_beta = (
@@ -483,20 +502,25 @@ def lemma3_ratio_check(
         raise DomainError("z2 must be positive")
     if not (delta1 > 0.0 and delta2 > 0.0):
         raise DomainError("dimensions must be positive")
-    spec = _scenario_specs(delta1, delta2)["limit"]
+    # rows: q_tilde and q at r1, then at r2, sharing (0, z2/c) and one spec
+    z1 = z2 * np.array([r1, r1, r2, r2])[:, None]
+    tilde = np.array([True, False, True, False])[:, None]
 
-    logs = {}
-    for r in (r1, r2):
-        qt = _log_q_tilde(c, delta1, delta2, z2 * r, z2, spec)
-        qp = _log_integral(
-            lambda x2: _log_a21(c, delta1, delta2, z2 * r, z2, x2), _upper_support(z2, c), spec
-        )
+    def log_f(rows, x2):
+        a21 = _log_a21(c, delta1, delta2, z1[rows], z2, x2)
+        return np.where(tilde[rows], a21 + _log_a32(c, delta1, delta2, z2, x2), a21)
+
+    results = _log_integral(
+        log_f, 4, _upper_support(z2, c), _scenario_specs(delta1, delta2)["limit"]
+    )
+    logs = []
+    for qt, qp in (results[:2], results[2:]):
         if not (qt.converged and qp.converged):
             raise ConvergenceError("ratio-law quadrature did not converge")
         if qp.log_value < _LOG_FLOOR:
             raise UnreliableRatioError("pair integral below 1e-300 in the ratio law")
-        logs[r] = qt.log_value - qp.log_value
-    double_ratio = math.exp(logs[r1] - logs[r2])
+        logs.append(qt.log_value - qp.log_value)
+    double_ratio = math.exp(logs[0] - logs[1])
     predicted = (d_of_r(r1, c) / d_of_r(r2, c)) ** (-0.5 * delta1)
     return double_ratio - predicted
 

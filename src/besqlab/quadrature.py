@@ -6,9 +6,15 @@ singularities like ``x**(alpha-1)`` cost nothing special: node weights decay
 faster than any power of the distance to the endpoint.  Refinement halves the
 step in ``t`` and reuses every previously evaluated node.
 
-Integrands must be vectorized: they are called once per refinement level with
-a 1-D array of abscissae and must return an array of the same shape.
-Integrands are never evaluated at the endpoints themselves.
+One level loop, :func:`integrate_rows`, drives every integral.  It
+integrates a batch of rows that share the interval and the spec: at each
+refinement level the integrand receives the indices of the rows still
+refining and the level's 1-D array of abscissae, and returns one
+rows x nodes grid in a single call.  Each row keeps the scalar rule (its own
+error estimate and stopping level).  :func:`integrate` is the one-row case,
+whose integrand maps a 1-D array of abscissae to an array of the same shape;
+:func:`integrate_iterated` nests it once per outer node.  Integrands are
+never evaluated at the endpoints themselves.
 """
 
 from __future__ import annotations
@@ -86,6 +92,140 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return result
 
 
+@dataclass
+class QuadratureRows:
+    """Results of :func:`integrate_rows`, one array entry per row."""
+
+    values: np.ndarray
+    errors: np.ndarray
+    evaluations: np.ndarray
+    converged: np.ndarray
+
+    def row(self, i: int) -> QuadratureResult:
+        return QuadratureResult(
+            float(self.values[i]),
+            float(self.errors[i]),
+            int(self.evaluations[i]),
+            bool(self.converged[i]),
+        )
+
+
+# Largest rows x nodes grid handed to an integrand in one call.  A deep level
+# has ~25k nodes, so an axis with many unconverged rows would otherwise
+# allocate rows x nodes without limit; larger batches are split into chunks.
+_GRID_BUDGET = 1 << 16
+
+
+def _evaluate(f, rows: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    step = max(1, _GRID_BUDGET // xs.size)
+    chunks = []
+    for start in range(0, rows.size, step):
+        part = rows[start : start + step]
+        chunks.append(np.asarray(f(part, xs), dtype=float).reshape(part.size, xs.size))
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
+def integrate_rows(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    n_rows: int,
+    a: float,
+    b: float,
+    spec: QuadratureSpec | None = None,
+) -> QuadratureRows:
+    """Integrate ``n_rows`` vectorized integrands over one open interval ``(a, b)``.
+
+    Parameters
+    ----------
+    f : callable
+        ``f(rows, xs)`` receives the integer indices of the rows still
+        refining and the 1-D abscissae of one level, and returns their
+        ``(rows.size, xs.size)`` grid of integrand values.  The same rules as
+        for :func:`integrate` hold per row.
+    n_rows : int
+        Number of integrands; they share the limits and ``spec``.
+    a, b : float
+        Finite limits with ``a < b``.
+    spec : QuadratureSpec, optional
+        Tolerances and budget; defaults to ``QuadratureSpec()``.
+
+    Returns
+    -------
+    QuadratureRows
+        Each row follows the rule of :func:`integrate` on its own: it stops
+        refining once its successive-level difference meets the tolerance,
+        or with ``error = inf`` and ``converged`` False once its value is not
+        finite.  ``evaluations`` counts each row's points.
+    """
+    if spec is None:
+        spec = QuadratureSpec()
+    a = float(a)
+    b = float(b)
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise DomainError("integrate requires finite limits with a < b")
+
+    m = 0.5 * (a + b)
+    r = 0.5 * (b - a)
+
+    # A singular endpoint that is not exactly 0.0 cannot be approached closer
+    # than its ulp, and the mass inside that band is lost to double precision
+    # no matter how deep the refinement goes.  Fold that floor into the error
+    # estimate so convergence is never claimed below what is representable.
+    rep_floor = 0.0
+    for endpoint, alpha in ((a, spec.left_exponent), (b, spec.right_exponent)):
+        if alpha < 1.0 and endpoint != 0.0:
+            gap = 0.5 * math.ulp(abs(endpoint)) / (b - a)
+            rep_floor = max(rep_floor, gap**alpha / alpha)
+
+    evaluations = np.zeros(n_rows, dtype=np.int64)
+    weighted_sum = np.zeros(n_rows)
+    values = np.full(n_rows, math.nan)
+    errors = np.full(n_rows, math.inf)
+    converged = np.zeros(n_rows, dtype=bool)
+    active = np.arange(n_rows)
+
+    for level in range(spec.max_levels + 1):
+        if active.size == 0:
+            break
+        if level == 0:
+            center = _evaluate(f, active, np.array([m]))[:, 0]
+            evaluations += 1
+            weighted_sum += 0.5 * math.pi * center
+        delta, weight = _nodes(level)
+        x_left = a + r * delta
+        x_right = b - r * delta
+        # mask each side on its own: near a singular endpoint one side keeps
+        # representable nodes long after the other has rounded onto its limit
+        left_ok = x_left > a
+        right_ok = x_right < b
+        xs = np.concatenate([x_left[left_ok], x_right[right_ok]])
+        if xs.size:
+            fv = _evaluate(f, active, xs)
+            evaluations[active] += xs.size
+            n = int(left_ok.sum())
+            # vecdot takes each row's dot product exactly as np.dot would; a
+            # row whose sum overflows or meets inf - inf is stopped below
+            with np.errstate(over="ignore", invalid="ignore"):
+                weighted_sum[active] += np.vecdot(fv[:, :n], weight[left_ok])
+                weighted_sum[active] += np.vecdot(fv[:, n:], weight[right_ok])
+        h = 2.0 ** (-level)
+        value = r * h * weighted_sum[active]
+        # an inf or nan never refines away, and rel_tol * |value| would
+        # otherwise accept it as converged
+        finite = np.isfinite(value)
+        errors[active[~finite]] = math.inf
+        if level >= 1:
+            ok = active[finite]
+            v = value[finite]
+            error = np.maximum(np.abs(v - values[ok]), rep_floor * np.abs(v))
+            errors[ok] = error
+            if level >= 2:
+                converged[ok] = error <= np.maximum(spec.rel_tol * np.abs(v), spec.abs_tol)
+        values[active] = value
+        active = active[finite & ~converged[active]]
+
+    return QuadratureRows(values, errors, evaluations, converged)
+
+
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -110,68 +250,10 @@ def integrate(
     QuadratureResult
         ``converged`` is False if the refinement budget ran out before the
         successive-level difference met the tolerance; no exception is raised
-        so the caller can inspect the partial value.
+        so the caller can inspect the partial value.  This is the one-row
+        case of :func:`integrate_rows`.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError("integrate requires finite limits with a < b")
-
-    m = 0.5 * (a + b)
-    r = 0.5 * (b - a)
-
-    # A singular endpoint that is not exactly 0.0 cannot be approached closer
-    # than its ulp, and the mass inside that band is lost to double precision
-    # no matter how deep the refinement goes.  Fold that floor into the error
-    # estimate so convergence is never claimed below what is representable.
-    rep_floor = 0.0
-    for endpoint, alpha in ((a, spec.left_exponent), (b, spec.right_exponent)):
-        if alpha < 1.0 and endpoint != 0.0:
-            gap = 0.5 * math.ulp(abs(endpoint)) / (b - a)
-            rep_floor = max(rep_floor, gap**alpha / alpha)
-
-    evaluations = 0
-    weighted_sum = 0.0
-    previous = math.nan
-    value = math.nan
-    error = math.inf
-    converged = False
-
-    for level in range(spec.max_levels + 1):
-        if level == 0:
-            center = float(f(np.array([m]))[0])
-            evaluations += 1
-            weighted_sum += 0.5 * math.pi * center
-        delta, weight = _nodes(level)
-        x_left = a + r * delta
-        x_right = b - r * delta
-        # mask each side on its own: near a singular endpoint one side keeps
-        # representable nodes long after the other has rounded onto its limit
-        left_ok = x_left > a
-        right_ok = x_right < b
-        xs = np.concatenate([x_left[left_ok], x_right[right_ok]])
-        if xs.size:
-            fv = np.asarray(f(xs), dtype=float)
-            evaluations += xs.size
-            n = int(left_ok.sum())
-            weighted_sum += float(np.dot(weight[left_ok], fv[:n]))
-            weighted_sum += float(np.dot(weight[right_ok], fv[n:]))
-        h = 2.0 ** (-level)
-        value = r * h * weighted_sum
-        if not math.isfinite(value):
-            # an inf or nan never refines away, and rel_tol * |value| would
-            # otherwise accept it as converged
-            return QuadratureResult(value, math.inf, evaluations, False)
-        if level >= 1:
-            error = max(abs(value - previous), rep_floor * abs(value))
-            if level >= 2 and error <= max(spec.rel_tol * abs(value), spec.abs_tol):
-                converged = True
-                break
-        previous = value
-
-    return QuadratureResult(value, error, evaluations, converged)
+    return integrate_rows(lambda rows, xs: f(xs), 1, a, b, spec).row(0)
 
 
 def integrate_to_inf(
@@ -209,6 +291,22 @@ def integrate_to_inf(
     return integrate(transformed, 0.0, 1.0, spec)
 
 
+def propagated_error(
+    inner: Sequence[tuple[float, float]], outer_value: float, length: float
+) -> float:
+    """Error that inner integrals add to an outer integral over their values.
+
+    ``inner`` holds the ``(value, error_estimate)`` of every inner integral
+    the outer rule evaluated.  For nonnegative integrands
+    ``sum_j w_j e_j <= max_j(e_j / v_j) * sum_j w_j v_j``, so the worst inner
+    relative error scales the outer value; inner values that underflowed to
+    zero contribute their absolute estimate times the interval length.
+    """
+    rel = max((e / abs(v) for v, e in inner if v != 0.0), default=0.0)
+    zero_abs = max((e for v, e in inner if v == 0.0), default=0.0)
+    return rel * abs(outer_value) + zero_abs * length
+
+
 def integrate_iterated(
     f: Callable[..., np.ndarray],
     boxes: Sequence[tuple],
@@ -232,9 +330,7 @@ def integrate_iterated(
     QuadratureResult
         ``evaluations`` counts innermost integrand evaluations.  The error
         estimate composes for nonnegative integrands: each axis adds its own
-        quadrature error plus the worst inner relative error scaled by the
-        axis value (inner nodes that underflowed to zero contribute their
-        absolute estimate times the interval length instead).
+        quadrature error plus :func:`propagated_error` of its inner integrals.
     """
     d = len(boxes)
     if d < 1 or d > 3:
@@ -276,10 +372,7 @@ def integrate_iterated(
         res = integrate(layer, lo, hi, specs[axis])
         if not res.converged:
             all_converged[0] = False
-        # sum_j w_j e_j <= max_j(e_j / v_j) * sum_j w_j v_j for v_j >= 0
-        rel = max((e / abs(v) for v, e in inner_pairs if v != 0.0), default=0.0)
-        zero_abs = max((e for v, e in inner_pairs if v == 0.0), default=0.0)
-        propagated = rel * abs(res.value) + zero_abs * (hi - lo)
+        propagated = propagated_error(inner_pairs, res.value, hi - lo)
         return QuadratureResult(
             res.value, res.error_estimate + propagated, res.evaluations, res.converged
         )

@@ -110,6 +110,39 @@ def test_config_file_unreadable(capsys):
     assert run_cli("density", "--config", "/nonexistent.json") == 2
 
 
+@pytest.mark.parametrize(
+    "command,cfg,key",
+    [
+        ("density", {"delta": 2, "t": 1, "x": 1, "y": 1, "dleta": 5}, "dleta"),
+        ("cmx-test", {"c_values": "1", "n_target": 3, "refine": 5}, "refine"),
+    ],
+)
+def test_config_file_unknown_key_is_config_error(tmp_path, capsys, command, cfg, key):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--config", str(path), "--seed", "1", "--output", str(out)) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "out.csv.meta.json").exists()
+
+
+def test_config_file_sets_arm_sizes(tmp_path):
+    # n_ref / n_alt are flags too, so a config file may set them
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps({"n_ref": 150, "n_alt": 120}))
+    out = tmp_path / "probe.json.out"
+    assert run_cli(
+        "markov-test", "--config", str(path), "--c-values", "1", "--n-target", "200",
+        "--seed", "5", "--eps-ref", "0.3", "--eps-alt", "0.7",
+        "--w1-ref-center", "0.6", "--w1-ref-halfwidth", "0.06",
+        "--w1-alt-center", "1.4", "--w1-alt-halfwidth", "0.14",
+        "--w2-center", "2.0", "--w2-halfwidth", "0.2",
+        "--output", str(out),
+    ) == 0
+    cell = json.loads(out.read_text())["cells"][0]
+    assert (cell["n_ref"], cell["n_alt"]) == (150, 120)
+
+
 def test_rescaled_coupling_matches_reduced_scenario(capsys):
     # c=2 runs as the law of Z/2: coupling 1/2, swapped dimensions, scaled
     # levels, and a 1/2 density Jacobian
@@ -123,12 +156,22 @@ def test_rescaled_coupling_matches_reduced_scenario(capsys):
     assert got == pytest.approx(want, rel=1e-9)
 
 
-def test_ratio_unreliable_is_numeric_failure(capsys):
+def test_ratio_unreliable_is_numeric_failure(tmp_path, capsys):
+    out = tmp_path / "ratio.csv"
     assert run_cli(
         "ratio", "--c", "0.5", "--delta1", "1", "--delta2", "1",
-        "--eps", "0.5", "--z1", "4000", "--z2", "4", "--z3", "1",
+        "--eps", "0.5", "--z1", "4000", "--z2", "4", "--z3", "1", "--output", str(out),
     ) == 3
     assert "numeric" in capsys.readouterr().err
+    # the sidecar is evidence of the failure; no data file was written
+    assert not out.exists()
+    meta = json.loads((tmp_path / "ratio.csv.meta.json").read_text())
+    assert meta["command"] == "ratio"
+    assert meta["status"] == 3
+    assert "1e-300" in meta["error"]
+    assert meta["params"]["z1"] == 4000.0
+    assert meta["outputs"] == []
+    assert meta["wall_time_s"] >= 0.0
 
 
 def test_ratio_csv_schema(tmp_path, capsys):
@@ -180,6 +223,7 @@ def test_markov_probe_json_and_exit_codes(tmp_path):
     assert payload["cells"][0]["n_ref"] == 200
     meta = json.loads((tmp_path / "probe.json.meta.json").read_text())
     assert meta["seed"] == 5
+    assert meta["status"] == 0 and "error" not in meta
 
 
 def test_markov_probe_inconclusive_exit(tmp_path):

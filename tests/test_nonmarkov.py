@@ -121,6 +121,83 @@ def test_triple_marginalizes_to_pair(c, d1, d2, eps, z1, z2):
     assert total == pytest.approx(pair, rel=1e-4)
 
 
+def _recursive_kernel_log(s, with_h):
+    """Pair (or triple) kernel integral by per-node recursion, as the batched code's oracle.
+
+    Same shifted integrand as nonmarkov's batched path, but the x2 axis runs
+    through quadrature.integrate_iterated and every x3 integral through its
+    own quadrature.integrate call.  Returns (log value, evaluations).
+    """
+    specs = nonmarkov._scenario_specs(s.delta1, s.delta2)
+    b1, b2, b3 = (nonmarkov._upper_support(z, s.c) for z in (s.z1, s.z2, s.z3))
+    h_cache = {}
+
+    def h_log(x2):
+        if x2 not in h_cache:
+            log_g = lambda x3: nonmarkov._log_a13(s, x2, x3)
+            probe = log_g(b3 * nonmarkov._PROBE)
+            shift = float(np.max(probe[np.isfinite(probe)]))
+            res = quadrature.integrate(
+                lambda x3: nonmarkov._shifted_exp(log_g(x3) - shift), 0.0, b3, specs["x3"]
+            )
+            h_cache[x2] = (shift + math.log(res.value), res.evaluations)
+        return h_cache[x2][0]
+
+    def log_f(x1, x2):
+        out = nonmarkov.log_kernel_a11(s, x1) + nonmarkov._log_a12(s, x1, x2)
+        if with_h:
+            out = out + np.array([h_log(v) for v in np.ravel(x2).tolist()]).reshape(np.shape(x2))
+        return out
+
+    probe = log_f((b1 * nonmarkov._PROBE)[:, None], b2 * nonmarkov._PROBE)
+    shift = float(np.max(probe[np.isfinite(probe)]))
+    res = quadrature.integrate_iterated(
+        lambda x1, x2: nonmarkov._shifted_exp(log_f(np.asarray([x1]), x2) - shift),
+        [(0.0, b1), (0.0, b2)],
+        [specs["x1"], specs["x2"]],
+    )
+    assert res.converged
+    return shift + math.log(res.value), res.evaluations + sum(e for _, e in h_cache.values())
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        witness_scenario(0.5, 1.0),
+        ScenarioParams(c=0.5, delta1=2.0, delta2=3.0, eps=0.5, z1=1.0, z2=4.0, z3=4.0),
+    ],
+    ids=["delta2<2", "delta2>=2"],
+)
+def test_batched_kernel_integrals_match_recursive_oracle(s):
+    for batched, with_h in ((nonmarkov._pair_log(s, True), False), (nonmarkov._triple_log(s, True), True)):
+        log_value, evaluations = _recursive_kernel_log(s, with_h)
+        assert batched.converged
+        assert math.exp(batched.log_value - log_value) == pytest.approx(1.0, abs=1e-12)
+        assert batched.evaluations == evaluations
+
+
+# Innermost evaluation counts of the twelve conditional ratios at c=0.5,
+# eps=0.5, z1=1, z2=4, frozen from the per-node recursive implementation:
+# (delta1, delta2, z3) -> (finite eps, eps -> 0 limit kernel).
+RATIO_EVALUATIONS = {
+    (1.0, 1.0, 1.0): (13311, 8025),
+    (1.0, 1.0, 4.0): (13349, 8025),
+    (1.0, 1.0, 8.0): (13349, 8025),
+    (2.0, 3.0, 1.0): (35331, 13723),
+    (2.0, 3.0, 4.0): (45395, 15647),
+    (2.0, 3.0, 8.0): (44507, 26969),
+}
+
+
+@pytest.mark.parametrize("d1,d2,z3", list(RATIO_EVALUATIONS))
+def test_ratio_evaluation_counts_frozen(d1, d2, z3):
+    s = ScenarioParams(c=0.5, delta1=d1, delta2=d2, eps=0.5, z1=1.0, z2=4.0, z3=z3)
+    for use_eps, want in zip((True, False), RATIO_EVALUATIONS[(d1, d2, z3)]):
+        detail = nonmarkov.conditional_ratio_detail(s, use_eps=use_eps)
+        assert detail.converged
+        assert detail.evaluations == want
+
+
 def test_conditional_ratio_normalizes():
     # the ratio is a conditional density in z3; its total mass is 1
     s = witness_scenario(0.5, 1.0)

@@ -1,14 +1,17 @@
 """Tanh-sinh integration on smooth, singular, and nested problems."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from besqlab import quadrature
 from besqlab.quadrature import (
     QuadratureSpec,
     integrate,
     integrate_iterated,
+    integrate_rows,
     integrate_to_inf,
 )
 
@@ -72,6 +75,52 @@ def test_infinite_integrand_value_never_converges():
     r = integrate(lambda x: np.log(1.0 / x), 0.0, 1.0, TIGHT)
     assert np.isinf(r.value)
     assert not r.converged
+
+
+def _log_reciprocal(x):
+    with np.errstate(over="ignore"):
+        return np.log(1.0 / x)
+
+
+# One batch whose rows stop at different levels for different reasons:
+# smooth, singular at the nonzero endpoint b=1 (so the representability
+# floor enters every error), non-finite at the denormal nodes, and out of
+# levels before it resolves cos(40 x).
+MIXED_ROWS = [
+    lambda x: x * x,
+    lambda x: (1.0 - x) ** -0.5,
+    _log_reciprocal,
+    lambda x: np.cos(40.0 * x),
+]
+MIXED_SPEC = QuadratureSpec(1e-7, 1e-15, 4, right_exponent=0.5)
+
+
+@pytest.mark.parametrize("budget", [None, 7])
+def test_rows_match_scalar_integrate(monkeypatch, budget):
+    if budget is not None:
+        # below one level's node count: every grid is split into single rows
+        monkeypatch.setattr(quadrature, "_GRID_BUDGET", budget)
+    sizes = []
+
+    def f(rows, xs):
+        sizes.append((rows.size, xs.size))
+        return np.stack([MIXED_ROWS[i](xs) for i in rows])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = integrate_rows(f, len(MIXED_ROWS), 0.0, 1.0, MIXED_SPEC)
+    if budget is not None:
+        assert all(rows == 1 or rows * n <= budget for rows, n in sizes)
+    for i, g in enumerate(MIXED_ROWS):
+        want = integrate(g, 0.0, 1.0, MIXED_SPEC)
+        row = got.row(i)
+        assert row.evaluations == want.evaluations
+        assert row.converged == want.converged
+        assert row.value == pytest.approx(want.value, rel=1e-14)
+        assert row.error_estimate == pytest.approx(want.error_estimate, rel=1e-14)
+    assert [r.converged for r in map(got.row, range(4))] == [True, True, False, False]
+    assert math.isinf(got.values[2]) and math.isinf(got.errors[2])
+    assert got.evaluations[3] > got.evaluations[0]
 
 
 def test_singular_interval_not_at_origin():
