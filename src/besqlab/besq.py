@@ -7,6 +7,11 @@ closed form through the modified Bessel function of order
 regimes (interior, started at zero, weighted zero-target limit, far field)
 and samples transitions exactly through the Poisson-Gamma mixture
 representation of the noncentral chi-square law.
+
+Paths are sampled on an observation grid checked by :func:`time_grid`, the
+one grid check of the package.  :func:`sample_path` is the one grid loop: a
+scalar start gives one path, ``values`` of shape ``(T,)``, and a start of
+shape ``(n,)`` gives ``n`` independent paths, ``values`` of shape ``(n, T)``.
 """
 
 from __future__ import annotations
@@ -35,20 +40,35 @@ class BesqParams:
         return 0.5 * self.delta - 1.0
 
 
+def time_grid(times) -> tuple[np.ndarray, np.ndarray]:
+    """Check an observation grid and return it with its step lengths.
+
+    The grid must be 1-D, finite, strictly increasing and positive; the first
+    step runs from time 0.  An empty grid passes, with no steps.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise DomainError("times must be a 1-D grid")
+    # the steps of np.diff(times, prepend=0.0), without its per-call overhead
+    steps = times.copy()
+    steps[1:] -= times[:-1]
+    if not (np.isfinite(times).all() and (steps > 0.0).all()):
+        raise DomainError("times must be finite, strictly increasing and positive")
+    return times, steps
+
+
 @dataclass
 class PathSample:
-    """A discretely observed path: strictly increasing times and values."""
+    """Paths observed on a :func:`time_grid`: ``values`` of shape ``(T,)`` or ``(n, T)``."""
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        self.times, _ = time_grid(self.times)
         self.values = np.asarray(self.values, dtype=float)
-        if self.times.shape != self.values.shape or self.times.ndim != 1:
-            raise DomainError("times and values must be 1-D arrays of equal length")
-        if self.times.size and not np.all(np.diff(self.times) > 0.0):
-            raise DomainError("times must be strictly increasing")
+        if self.values.ndim not in (1, 2) or self.values.shape[-1] != self.times.size:
+            raise DomainError("values must have shape (T,) or (n, T) for T times")
 
 
 def _validate_t(t: float) -> float:
@@ -192,33 +212,38 @@ def sample_transitions(rng: np.random.Generator, p: BesqParams, t: float, x) -> 
 
 
 def sample_path(
-    rng: np.random.Generator, p: BesqParams, x0: float, times
+    rng: np.random.Generator, p: BesqParams, x0, times
 ) -> PathSample:
-    """Sample a BESQ path exactly on a strictly increasing positive time grid."""
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        return PathSample(times, np.empty(0))
-    if not (times[0] > 0.0 and np.all(np.diff(times) > 0.0)):
-        raise DomainError("times must be strictly increasing and positive")
-    x0 = float(x0)
-    if not x0 >= 0.0:
+    """Sample BESQ paths exactly on a :func:`time_grid`.
+
+    A scalar ``x0`` gives one path, ``values`` of shape ``(T,)``; an ``x0``
+    of shape ``(n,)`` gives one independent path per start, ``values`` of
+    shape ``(n, T)``.
+    """
+    times, steps = time_grid(times)
+    starts = np.asarray(x0, dtype=float)
+    if starts.ndim > 1:
+        raise DomainError("x0 must be a scalar or a 1-D array of starts")
+    if not np.all(starts >= 0.0):
         raise DomainError("x0 must be nonnegative")
-    values = np.empty(times.size)
-    current = np.asarray([x0])
-    previous_t = 0.0
-    for i, ti in enumerate(times):
-        current = _step(rng, p.delta, ti - previous_t, current)
-        values[i] = current[0]
-        previous_t = ti
+    values = np.empty(starts.shape + times.shape)
+    # one path steps as a Python float, which takes numpy's scalar draws
+    current = starts if starts.ndim else float(starts)
+    for i, t in enumerate(steps.tolist()):
+        current = _step(rng, p.delta, t, current)
+        values[..., i] = current
     return PathSample(times, values)
 
 
 def bessel_path(
-    rng: np.random.Generator, p: BesqParams, xi0: float, times
+    rng: np.random.Generator, p: BesqParams, xi0, times
 ) -> PathSample:
-    """Sample a Bessel path (square root of a BESQ started at ``xi0**2``)."""
-    xi0 = float(xi0)
-    if not xi0 >= 0.0:
+    """Sample Bessel paths: square roots of BESQ paths started at ``xi0**2``.
+
+    ``xi0`` broadcasts like the start of :func:`sample_path`.
+    """
+    xi0 = np.asarray(xi0, dtype=float)
+    if not np.all(xi0 >= 0.0):
         raise DomainError("xi0 must be nonnegative")
     squared = sample_path(rng, p, xi0 * xi0, times)
     return PathSample(squared.times, np.sqrt(squared.values))

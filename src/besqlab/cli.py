@@ -91,7 +91,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="exact BESQ or Bessel path")
     p.add_argument("--delta", type=float)
-    p.add_argument("--x0", type=float, default=0.0)
+    p.add_argument(
+        "--x0", type=float, default=0.0,
+        help="start of the simulated process itself: the BESQ value, or for "
+        "--kind bessel the Bessel value (squared internally)",
+    )
     p.add_argument("--times", help="comma-separated increasing times")
     p.add_argument("--kind", choices=["besq", "bessel"], default="besq")
     common(p, "csv")

@@ -17,6 +17,8 @@ pair solves the Dyson-type system
 
 and in rotated coordinates (sum, gap) that system decouples into a Brownian
 motion and a rescaled Bessel process, both of which we can sample exactly.
+The integrator broadcasts over its start: an ``initial`` pair of shape
+``(n,)`` gives ``n`` independent paths, ``values`` of shape ``(n, T)``.
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ class MatrixProcessConfig:
             raise DomainError("c must be nonnegative")
         if not self.delta > 0.0:
             raise DomainError("delta must be positive")
-        times = np.asarray(self.times, dtype=float)
-        if times.size == 0 or not (times[0] > 0.0 and np.all(np.diff(times) > 0.0)):
-            raise DomainError("times must be strictly increasing and positive")
-        object.__setattr__(self, "times", tuple(float(t) for t in times))
+        times, _ = besq.time_grid(self.times)
+        if not times.size:
+            raise DomainError("times must be nonempty")
+        object.__setattr__(self, "times", tuple(times.tolist()))
 
 
 @dataclass
@@ -115,26 +117,25 @@ def eigenvalues_from_vector_offdiag(b1: float, b2: float, v, c: float) -> EigenP
     return eigenvalues(DriverState(float(b1), float(b2), norm), c)
 
 
-def _brownian_path(rng: np.random.Generator, times: np.ndarray) -> np.ndarray:
-    steps = np.diff(np.concatenate([[0.0], times]))
-    return np.cumsum(rng.normal(0.0, np.sqrt(steps)))
+def _brownian_path(rng: np.random.Generator, shape: tuple, steps: np.ndarray) -> np.ndarray:
+    # Brownian motions from 0 over the grid's steps, shape + (T,)
+    return np.cumsum(rng.normal(0.0, np.sqrt(steps), shape + steps.shape), axis=-1)
 
 
 def simulate_drivers(rng: np.random.Generator, config: MatrixProcessConfig) -> DriverState:
     """Exact joint draw of the three independent drivers on the time grid."""
-    times = np.asarray(config.times, dtype=float)
+    times, steps = besq.time_grid(config.times)
     s1, s2, s3 = rng.spawn(3)
-    b1 = _brownian_path(s1, times)
-    b2 = _brownian_path(s2, times)
+    b1 = _brownian_path(s1, (), steps)
+    b2 = _brownian_path(s2, (), steps)
     xi = besq.bessel_path(s3, BesqParams(config.delta), 0.0, times).values
     return DriverState(b1, b2, xi)
 
 
 def eigen_paths(rng: np.random.Generator, config: MatrixProcessConfig) -> tuple[PathSample, PathSample]:
     """Eigenvalue paths obtained from simulated drivers via the closed form."""
-    times = np.asarray(config.times, dtype=float)
     pair = eigenvalues(simulate_drivers(rng, config), config.c)
-    return PathSample(times, pair.lambda1), PathSample(times, pair.lambda2)
+    return PathSample(config.times, pair.lambda1), PathSample(config.times, pair.lambda2)
 
 
 def integrate_dyson_sde(
@@ -148,21 +149,18 @@ def integrate_dyson_sde(
     The sum of the pair is a Brownian motion of variance 2t and the gap is
     ``sqrt(2)`` times a Bessel process of dimension ``1 + delta``; both
     transitions are sampled exactly, so there is no time-discretization
-    error.  ``initial`` defaults to the double-zero entrance state.
+    error.  ``initial`` defaults to one path from the double-zero entrance
+    state; an ``initial`` pair of shape ``(n,)`` gives ``n`` independent
+    paths, ``values`` of shape ``(n, T)``.
     """
     if not delta > 0.0:
         raise DomainError("delta must be positive")
-    times = np.asarray(times, dtype=float)
-    if times.size == 0 or not (times[0] > 0.0 and np.all(np.diff(times) > 0.0)):
-        raise DomainError("times must be strictly increasing and positive")
-    if initial is None:
-        sum0, gap0 = 0.0, 0.0
-    else:
-        l1 = float(np.asarray(initial.lambda1))
-        l2 = float(np.asarray(initial.lambda2))
-        sum0, gap0 = l1 + l2, l1 - l2
+    times, steps = besq.time_grid(times)
+    if not times.size:
+        raise DomainError("times must be nonempty")
+    sum0, gap0 = (0.0, 0.0) if initial is None else decompose(initial)
     s_sum, s_gap = rng.spawn(2)
-    total = sum0 + _SQRT2 * _brownian_path(s_sum, times)
+    total = np.expand_dims(sum0, -1) + _SQRT2 * _brownian_path(s_sum, np.shape(sum0), steps)
     # gap/sqrt(2) is Bessel(1+delta); sample its square exactly
     w = besq.sample_path(s_gap, BesqParams(1.0 + delta), 0.5 * gap0 * gap0, times)
     gap = np.sqrt(2.0 * w.values)

@@ -16,9 +16,10 @@ domains, ``x_i in (0, z_i)``; for ``c < 1`` the second kernel argument
 
 The module also evaluates the three limit regimes that make the dependence
 on ``(eps, z1)`` provable rather than merely observable: the ``eps -> 0``
-kernel (A21), the ``z3 -> 0`` weighted limit with its beta-type constant
-``C1``, and the ``z2 -> infinity`` Laplace asymptotics whose only surviving
-``r = z1/z2`` dependence is the factor ``D(r)^(-delta1/2)``.
+kernel (A21), the ``z3 -> 0`` weighted limit with its closed-form constant
+``c^{-d1/2} B(d1/2, d2/2)``, and the ``z2 -> infinity`` Laplace asymptotics
+whose only surviving ``r = z1/z2`` dependence is the factor
+``D(r)^(-delta1/2)``.
 
 All kernels are assembled in log space and exponentiated only inside the
 innermost quadrature evaluations, with a shift per integral chosen by
@@ -111,11 +112,6 @@ def log_kernel_a11(s: ScenarioParams, x1):
     return besq.log_transition_density(p1, s.eps, 0.0, x1) + besq.log_transition_density(
         p2, s.eps, 0.0, s.z1 - s.c * x1
     )
-
-
-def kernel_a11(s: ScenarioParams, x1):
-    """Linear-space value of :func:`log_kernel_a11`."""
-    return np.exp(log_kernel_a11(s, x1))
 
 
 def _log_a12(s: ScenarioParams, x1, x2):
@@ -425,33 +421,6 @@ def conditional_ratio(s: ScenarioParams, use_eps: bool = True) -> float:
 
 # ---------------------------------------------------------------------------
 # Limit objects: z3 -> 0 and z2 -> infinity.
-
-def c1_constant(c: float, delta1: float, delta2: float) -> float:
-    """Beta-type constant ``int_0^1 u^{d1/2-1} (1-cu)^{d2/2-1} du``.
-
-    Substituting ``x3 = z3 u`` in the innermost kernel integral leaves a
-    ``u``-integral of this shape behind; over the unit interval it covers
-    the ``x3 < z3`` part.  The full support runs to ``u = 1/c``, where the
-    integral has the closed form ``c^{-d1/2} B(d1/2, d2/2)``; both agree at
-    ``c = 1``.
-    """
-    if not (0.0 < c <= 1.0):
-        raise DomainError("c must lie in (0, 1]")
-    if not (delta1 > 0.0 and delta2 > 0.0):
-        raise DomainError("dimensions must be positive")
-    if c == 1.0 and delta2 < 2.0:
-        # singular right endpoint at u = 1; node spacing near 1.0 cannot
-        # represent better than ~1e-8 relative there
-        spec = QuadratureSpec(1e-7, 1e-16, 13, min(0.5 * delta1, 1.0), 0.5 * delta2)
-    else:
-        spec = QuadratureSpec(1e-12, 1e-16, 13, min(0.5 * delta1, 1.0), 1.0)
-    e1 = 0.5 * delta1 - 1.0
-    e2 = 0.5 * delta2 - 1.0
-    res = quadrature.integrate(lambda u: u**e1 * (1.0 - c * u) ** e2, 0.0, 1.0, spec)
-    if not res.converged:
-        raise ConvergenceError("c1 constant quadrature did not converge")
-    return res.value
-
 
 def zero_limit_weighted_triple(s: ScenarioParams) -> float:
     """The ``z3 -> 0`` limit of ``z3^{1-(d1+d2)/2}`` times the triple integral.

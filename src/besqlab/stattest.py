@@ -148,6 +148,8 @@ def _staged_sample(
         raise DomainError("eps must lie in (0, 1)")
     if n_target <= 0:
         raise DomainError("n_target must be positive")
+    if not batch_size >= 1:
+        raise DomainError("batch_size must be positive")
     accepted: list[np.ndarray] = []
     n_accepted = 0
     n_proposed = 0
@@ -229,30 +231,24 @@ def _advance_max(
     return end, np.maximum(m, 0.5 * (x + end + gap))
 
 
-def cmx_path(rng: np.random.Generator, c: float, times) -> PathSample:
-    """One exact path of ``c M - X`` observed on ``times``.
+def cmx_path(rng: np.random.Generator, c: float, times, n: int) -> PathSample:
+    """``n`` independent exact paths of ``c M - X`` observed on ``times``.
 
     ``M`` is the running maximum of the Brownian path ``X``, drawn as the
-    exact maximum of the Brownian bridge across each observation segment.
+    exact maximum of the Brownian bridge across each observation segment;
+    ``values`` has shape ``(n, T)``.
     """
-    return PathSample(times, _cmx_batch(rng, c, times, 1)[0])
-
-
-def _cmx_batch(rng: np.random.Generator, c: float, times, n: int) -> np.ndarray:
-    # (n, len(times)) values of c M - X on n independent paths
     if not c >= 0.0:
         raise DomainError("c must be nonnegative")
-    times = np.asarray(times, dtype=float)
-    if times.size == 0 or not (times[0] > 0.0 and np.all(np.diff(times) > 0.0)):
-        raise DomainError("times must be strictly increasing and positive")
+    times, steps = besq.time_grid(times)
+    if not times.size:
+        raise DomainError("times must be nonempty")
     state = (np.zeros(n), np.zeros(n))
     out = np.empty((n, times.size))
-    previous = 0.0
-    for j, t in enumerate(times):
-        state = _advance_max(rng, state, t - previous)
+    for j, t in enumerate(steps.tolist()):
+        state = _advance_max(rng, state, t)
         out[:, j] = c * state[1] - state[0]
-        previous = t
-    return out
+    return PathSample(times, out)
 
 
 def conditional_sample_cmx(
@@ -344,6 +340,8 @@ class MarkovTestConfig:
             raise DomainError("process must be 'zc' or 'cmx'")
         if not self.cells:
             raise DomainError("need at least one cell")
+        if not self.batch_size >= 1:
+            raise DomainError("batch_size must be positive")
         object.__setattr__(self, "cells", tuple(self.cells))
 
 

@@ -188,11 +188,45 @@ def test_sample_path_mean_and_shapes():
     r = rng(15)
     p = BesqParams(3.0)
     times = np.array([0.5, 1.0, 2.0])
-    ends = np.array([besq.sample_path(r, p, 1.0, times).values[-1] for _ in range(200)])
+    paths = besq.sample_path(r, p, np.full(200, 1.0), times)
+    assert paths.values.shape == (200, 3)
+    ends = paths.values[:, -1]
     # cheap smoke on the mean; the transition sampler is tested in depth above
     assert abs(ends.mean() - (1.0 + p.delta * 2.0)) < 1.0
+    assert besq.sample_path(r, p, 1.0, times).values.shape == (3,)
     empty = besq.sample_path(r, p, 1.0, np.array([]))
     assert empty.times.size == 0 and empty.values.size == 0
+
+
+def test_sample_path_start_validation():
+    r = rng(16)
+    p = BesqParams(2.0)
+    with pytest.raises(DomainError):
+        besq.sample_path(r, p, np.array([1.0, -0.5]), [1.0])
+    with pytest.raises(DomainError):
+        besq.sample_path(r, p, np.ones((2, 2)), [1.0])
+    with pytest.raises(DomainError):
+        besq.bessel_path(r, p, np.array([1.0, -0.5]), [1.0])
+    assert besq.bessel_path(r, p, np.ones(4), [0.5, 1.0]).values.shape == (4, 2)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[1.0, np.inf], [np.nan, 1.0], [[0.5, 1.0]], [0.0, 1.0], [-1.0, 1.0], [1.0, 1.0], 2.0],
+)
+def test_time_grid_rejects_bad_grids(times):
+    with pytest.raises(DomainError):
+        besq.time_grid(times)
+    with pytest.raises(DomainError):
+        besq.sample_path(rng(17), BesqParams(2.0), 1.0, times)
+
+
+def test_time_grid_returns_steps_from_zero():
+    times, steps = besq.time_grid((0.25, 0.5, 2.0))
+    np.testing.assert_array_equal(times, [0.25, 0.5, 2.0])
+    np.testing.assert_array_equal(steps, [0.25, 0.25, 1.5])
+    times, steps = besq.time_grid([])
+    assert times.size == steps.size == 0
 
 
 def test_bessel_path_is_sqrt_of_besq():
@@ -211,3 +245,6 @@ def test_validation_errors():
         besq.transition_density(BesqParams(2.0), -1.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         PathSample(np.array([1.0, 0.5]), np.array([0.0, 0.0]))
+    with pytest.raises(DomainError):
+        PathSample(np.array([0.5, 1.0]), np.zeros((3, 3)))
+    assert PathSample(np.array([0.5, 1.0]), np.zeros((3, 2))).values.shape == (3, 2)

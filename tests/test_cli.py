@@ -88,6 +88,42 @@ def test_eigen_emits_ordered_pair(tmp_path):
         assert l1 >= l2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("simulate", "--delta", "1"),
+        ("eigen", "--c", "1", "--delta", "1", "--source", "sde"),
+        ("eigen", "--c", "1", "--delta", "1", "--source", "matrix"),
+    ],
+)
+def test_infinite_time_is_config_error(capsys, command):
+    assert run_cli(*command, "--times", "1,inf", "--seed", "0") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "times must be finite" in captured.err
+
+
+def test_one_path_outputs_frozen(capsys):
+    # the library's one-path streams at seed 0 (tests/test_dyson.py) reach the CSV
+    grid = "0.25,0.5,1,2"
+    assert run_cli(
+        "simulate", "--delta", "2.5", "--x0", "4", "--times", grid, "--seed", "0"
+    ) == 0
+    assert run_cli(
+        "simulate", "--kind", "bessel", "--delta", "1.5", "--x0", "2", "--times", grid,
+        "--seed", "0",
+    ) == 0
+    assert run_cli("eigen", "--c", "1", "--delta", "1", "--source", "sde", "--times", grid,
+                   "--seed", "0") == 0
+    assert run_cli("eigen", "--c", "0.5", "--delta", "2", "--times", grid, "--seed", "0") == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if line[0].isdigit()]
+    assert [row.split(",")[0] for row in rows] == ["0.25", "0.5", "1.0", "2.0"] * 4
+    assert rows[3] == "2.0,4.641811333497872"
+    assert rows[7] == "2.0,0.35220062899395377"
+    assert rows[11] == "2.0,2.8686889216557283,-1.7371076727056256"
+    assert rows[15] == "2.0,1.2316027268216898,-2.523663528511901"
+
+
 def test_eigen_sde_requires_unit_coupling(capsys):
     assert run_cli(
         "eigen", "--c", "0.5", "--delta", "2", "--times", "1", "--source", "sde", "--seed", "1"

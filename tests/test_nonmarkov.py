@@ -35,13 +35,13 @@ def witness_scenario(eps, z1):
 def test_kernel_value_by_hand():
     # delta1=delta2=2 makes both factors pure exponentials: e^-1 * e^-1.5
     s = ScenarioParams(c=0.5, delta1=2.0, delta2=2.0, eps=0.5, z1=2.0, z2=1.0, z3=1.0)
-    assert nonmarkov.kernel_a11(s, 1.0) == pytest.approx(math.exp(-2.5), rel=1e-12)
+    assert np.exp(nonmarkov.log_kernel_a11(s, 1.0)) == pytest.approx(math.exp(-2.5), rel=1e-12)
 
 
 def test_kernel_vanishes_at_upper_support_for_smooth_companion():
     s = ScenarioParams(c=0.5, delta1=2.0, delta2=3.0, eps=0.5, z1=2.0, z2=1.0, z3=1.0)
-    assert nonmarkov.kernel_a11(s, 4.0 - 1e-9) < 1e-4
-    assert float(nonmarkov.kernel_a11(s, 4.0 - 1e-13)) < 1e-6
+    assert np.exp(nonmarkov.log_kernel_a11(s, 4.0 - 1e-9)) < 1e-4
+    assert float(np.exp(nonmarkov.log_kernel_a11(s, 4.0 - 1e-13))) < 1e-6
 
 
 def test_kernel_log_finite_at_tiny_coordinate():
@@ -52,9 +52,9 @@ def test_kernel_log_finite_at_tiny_coordinate():
 def test_kernel_domain_guard():
     s = ScenarioParams(c=0.5, delta1=2.0, delta2=2.0, eps=0.5, z1=2.0, z2=1.0, z3=1.0)
     with pytest.raises(DomainError):
-        nonmarkov.kernel_a11(s, 4.0)
+        nonmarkov.log_kernel_a11(s, 4.0)
     with pytest.raises(DomainError):
-        nonmarkov.kernel_a11(s, -0.1)
+        nonmarkov.log_kernel_a11(s, -0.1)
 
 
 @pytest.mark.parametrize("d1,d2,z1,z2", [(1.0, 1.0, 1.5, 2.0), (2.0, 3.0, 0.8, 2.5)])
@@ -85,7 +85,10 @@ def test_pair_marginal_matches_direct_convolution():
 
     spec = QuadratureSpec(1e-10, 1e-16, 12, min(0.5 * s.delta1, 1.0), min(0.5 * s.delta2, 1.0))
     direct = quadrature.integrate(
-        lambda x1: nonmarkov.kernel_a11(s, x1), 0.0, nonmarkov._upper_support(s.z1, s.c), spec
+        lambda x1: np.exp(nonmarkov.log_kernel_a11(s, x1)),
+        0.0,
+        nonmarkov._upper_support(s.z1, s.c),
+        spec,
     )
     assert direct.converged
     assert total == pytest.approx(direct.value, rel=1e-4)
@@ -264,20 +267,6 @@ def test_small_eps_sweep_approaches_limit_kernel():
         gaps.append(abs(r - lim) / lim)
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-3
-
-
-def test_scale_constant_closed_forms():
-    assert nonmarkov.c1_constant(0.5, 2.0, 2.0) == pytest.approx(1.0, rel=1e-10)
-    assert nonmarkov.c1_constant(0.9, 2.0, 2.0) == pytest.approx(1.0, rel=1e-10)
-    # delta2=4 gives the linear integrand 1 - u/2
-    assert nonmarkov.c1_constant(0.5, 2.0, 4.0) == pytest.approx(0.75, rel=1e-10)
-    # c -> 0 leaves int u^{-1/2} = 2
-    assert nonmarkov.c1_constant(1e-12, 1.0, 2.0) == pytest.approx(2.0, rel=1e-9)
-    # arcsine-type values with both endpoints singular
-    assert nonmarkov.c1_constant(0.5, 1.0, 1.0) == pytest.approx(
-        2.0 * math.sqrt(2.0) * math.asin(math.sqrt(0.5)), rel=1e-9
-    )
-    assert nonmarkov.c1_constant(1.0, 1.0, 1.0) == pytest.approx(math.pi, rel=1e-6)
 
 
 @pytest.mark.parametrize("c,d1,d2", [(0.5, 1.0, 1.0), (0.3, 2.0, 3.0)])

@@ -144,11 +144,14 @@ def test_conditional_agreement_with_quadrature():
 
 def test_running_max_functional_variance():
     # c=0 is minus a Brownian motion
-    vals = stattest._cmx_batch(rng(41), 0.0, [0.7], 30_000)
+    vals = stattest.cmx_path(rng(41), 0.0, [0.7], 30_000).values
     v = vals[:, 0].var()
     assert abs(v - 0.7) < 0.02
-    p = stattest.cmx_path(rng(42), 0.0, [0.25, 1.0])
-    assert p.times.shape == p.values.shape == (2,)
+    p = stattest.cmx_path(rng(42), 0.0, [0.25, 1.0], 1)
+    assert p.times.shape == (2,) and p.values.shape == (1, 2)
+    for bad in ([], [1.0, np.inf], [[0.5, 1.0]]):
+        with pytest.raises(DomainError):
+            stattest.cmx_path(rng(42), 0.0, bad, 1)
 
 
 def test_reflection_law_at_unit_coupling():
@@ -158,7 +161,7 @@ def test_reflection_law_at_unit_coupling():
     # 24 standard errors of the mean at this n
     n = 200_000
     times = [0.25, 0.5, 1.0]
-    vals = stattest._cmx_batch(rng(99), 1.0, times, n)
+    vals = stattest.cmx_path(rng(99), 1.0, times, n).values
     for j, t in enumerate(times):
         ks = stats.kstest(vals[:, j], lambda q: 2.0 * stats.norm.cdf(q / math.sqrt(t)) - 1.0)
         assert ks.pvalue > 0.001
@@ -168,7 +171,7 @@ def test_reflection_law_at_unit_coupling():
 
 def test_doubled_max_is_three_dimensional_bessel():
     r = rng(100)
-    vals = stattest._cmx_batch(r, 2.0, [1.0], 20_000)
+    vals = stattest.cmx_path(r, 2.0, [1.0], 20_000).values
     oracle = np.sqrt(besq.sample_transitions(r, besq.BesqParams(3.0), 1.0, np.zeros(40_000)))
     rep = stattest.ks_two_sample(vals[:, 0], oracle, alpha=0.001, seed=0)
     assert rep.verdict == "consistent"
@@ -193,6 +196,18 @@ def test_grid_config_validation():
                    ArmSpec(0.5, ConditioningWindow(2.0, 0.2), 10))
     with pytest.raises(DomainError):
         MarkovTestConfig(process="other", cells=(), w2=ConditioningWindow(1.0, 0.1), seed=0)
+
+
+@pytest.mark.parametrize("batch_size", [0, -5])
+def test_batch_size_must_be_positive(batch_size):
+    w1, w2 = ConditioningWindow(0.6, 0.06), ConditioningWindow(2.0, 0.2)
+    with pytest.raises(DomainError):
+        stattest.conditional_sample(rng(33), 1.0, 1.0, 1.0, 0.3, w1, w2, 10, batch_size=batch_size)
+    with pytest.raises(DomainError):
+        stattest.conditional_sample_cmx(rng(33), 1.0, 0.3, w1, w2, 10, batch_size=batch_size)
+    cell = MarkovCell(1.0, ArmSpec(0.3, w1, 10), ArmSpec(0.7, w1, 10))
+    with pytest.raises(DomainError):
+        MarkovTestConfig(process="zc", cells=(cell,), w2=w2, seed=0, batch_size=batch_size)
 
 
 def test_report_inconclusive_on_exhaustion():
