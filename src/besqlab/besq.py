@@ -169,7 +169,7 @@ def far_field_density(p: BesqParams, t: float, x, y):
 
     Replaces the Bessel factor by its first asymptotic term:
 
-        (2t)^{-1} (2 pi)^{-1/2} y^{(delta-3)/4} x^{-(delta-1)/4}
+        (2t)^{-1} (2 pi)^{-1/2} t^{1/2} y^{(delta-3)/4} x^{-(delta-1)/4}
             exp(-(sqrt x - sqrt y)^2 / (2t)).
 
     Accurate when ``sqrt(xy)/t`` is large; both arguments must be positive.
@@ -185,7 +185,7 @@ def far_field_density(p: BesqParams, t: float, x, y):
     sy = np.sqrt(y_arr)
     log_val = (
         -np.log(2.0 * t)
-        - 0.5 * np.log(2.0 * np.pi)
+        - 0.5 * np.log(2.0 * np.pi / t)
         + 0.25 * (p.delta - 3.0) * np.log(y_arr)
         - 0.25 * (p.delta - 1.0) * np.log(x_arr)
         - (sx - sy) ** 2 / (2.0 * t)
@@ -194,6 +194,22 @@ def far_field_density(p: BesqParams, t: float, x, y):
     if np.ndim(x) == 0 and np.ndim(y) == 0:
         return float(out)
     return out
+
+
+# numpy's Poisson sampler refuses means above about 9.2e18; the cap a
+# decade lower leaves room for a path's growth from its start
+_POISSON_MEAN_MAX = 1e18
+
+
+def _check_starts(x: np.ndarray, step: float, name: str) -> None:
+    # starts are checked once, against the shortest step, so that the grid
+    # loop in sample_path carries no per-step check
+    if not np.all(x >= 0.0):
+        raise DomainError(f"{name} must be nonnegative")
+    if not np.max(x, initial=0.0) < _POISSON_MEAN_MAX * 2.0 * step:
+        raise DomainError(
+            f"{name} must be finite, with {name} / (2 step) below {_POISSON_MEAN_MAX:g}"
+        )
 
 
 def _step(rng: np.random.Generator, delta: float, t: float, x: np.ndarray) -> np.ndarray:
@@ -206,8 +222,7 @@ def sample_transitions(rng: np.random.Generator, p: BesqParams, t: float, x) -> 
     """Vectorized exact transitions: one draw per entry of ``x``."""
     t = _validate_t(t)
     x_arr = np.asarray(x, dtype=float)
-    if x_arr.size and not np.all(x_arr >= 0.0):
-        raise DomainError("x must be nonnegative")
+    _check_starts(x_arr, t, "x")
     return _step(rng, p.delta, t, x_arr)
 
 
@@ -224,8 +239,7 @@ def sample_path(
     starts = np.asarray(x0, dtype=float)
     if starts.ndim > 1:
         raise DomainError("x0 must be a scalar or a 1-D array of starts")
-    if not np.all(starts >= 0.0):
-        raise DomainError("x0 must be nonnegative")
+    _check_starts(starts, steps.min(initial=np.inf), "x0")
     values = np.empty(starts.shape + times.shape)
     # one path steps as a Python float, which takes numpy's scalar draws
     current = starts if starts.ndim else float(starts)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -300,6 +301,8 @@ def _run_ratio(config: RunConfig) -> int:
     eps = config.params.get("eps")
     if not limit_eps and eps is None:
         raise _ConfigError("need --eps unless --limit-eps is given")
+    if not math.isfinite(c):
+        raise _ConfigError("c must be finite")
     if c < 0.0:
         raise _ConfigError("c must be nonnegative")
 

@@ -23,6 +23,7 @@ The integrator broadcasts over its start: an ``initial`` pair of shape
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ class MatrixProcessConfig:
     times: tuple
 
     def __post_init__(self):
-        if not self.c >= 0.0:
-            raise DomainError("c must be nonnegative")
+        if not (self.c >= 0.0 and math.isfinite(self.c)):
+            raise DomainError("c must be finite and nonnegative")
         if not self.delta > 0.0:
             raise DomainError("delta must be positive")
         times, _ = besq.time_grid(self.times)
@@ -92,8 +93,8 @@ class EigenPair:
 
 def eigenvalues(state: DriverState, c: float) -> EigenPair:
     """Closed-form ordered eigenvalues from the driver values."""
-    if not c >= 0.0:
-        raise DomainError("c must be nonnegative")
+    if not (c >= 0.0 and math.isfinite(c)):
+        raise DomainError("c must be finite and nonnegative")
     trace = state.b1 + state.b2
     gap = np.hypot(state.b1 - state.b2, np.sqrt(2.0 * c) * state.xi)
     return EigenPair(0.5 * (trace + gap), 0.5 * (trace - gap))

@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A quadrature evaluation exhausted its refinement budget."""
+    """A numerical method exhausted its budget or has no accurate branch for its input."""
 
 
 class UnreliableRatioError(ArithmeticError):

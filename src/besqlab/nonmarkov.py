@@ -76,8 +76,8 @@ class ScenarioParams:
             raise DomainError("dimensions must be positive")
         if not 0.0 < self.eps < 1.0:
             raise DomainError("eps must lie in (0, 1)")
-        if not (self.z1 > 0.0 and self.z2 > 0.0 and self.z3 > 0.0):
-            raise DomainError("observation levels must be positive")
+        if not all(0.0 < z < math.inf for z in (self.z1, self.z2, self.z3)):
+            raise DomainError("observation levels must be positive and finite")
 
 
 @dataclass
@@ -287,7 +287,9 @@ def _kernel_log_integral(
 
     g1 = (b1 * _PROBE)[:, None]
     probe = log_f(g1, b2 * _PROBE, log_kernel_a11(s, g1))
-    shift = float(np.max(probe[np.isfinite(probe)]))
+    shift = float(np.max(probe, where=np.isfinite(probe), initial=-np.inf))
+    if not np.isfinite(shift):
+        raise ConvergenceError("log-integrand is not finite anywhere on the probe grid")
     inner: list[tuple[float, float]] = []
     stats = {"evals": 0, "converged": True}
 

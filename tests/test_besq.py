@@ -88,14 +88,18 @@ def test_weighted_zero_limit(delta):
 
 
 def test_far_field_matches_density():
-    # the quoted asymptotic constant absorbs t only at t=1; elsewhere it is
-    # off by sqrt(t) by construction, so the regime checks pin t=1
     exact = besq.transition_density(BesqParams(3.0), 1.0, 1e4, 1e4)
     ff = besq.far_field_density(BesqParams(3.0), 1.0, 1e4, 1e4)
     assert 0.99 <= ff / exact <= 1.01
     exact = besq.transition_density(BesqParams(2.0), 1.0, 1e6, 1e6)
     ff = besq.far_field_density(BesqParams(2.0), 1.0, 1e6, 1e6)
     assert ff == pytest.approx(exact, rel=1e-3)
+    # away from t = 1 the constant carries t^{1/2}; at t = 1e-6 the Bessel
+    # argument sqrt(xy)/t = 2e9 lies past scipy's cap, on the Hankel branch
+    for delta in (2.0, 3.0):
+        exact = besq.transition_density(BesqParams(delta), 1e-6, 2e3, 2e3)
+        ff = besq.far_field_density(BesqParams(delta), 1e-6, 2e3, 2e3)
+        assert ff == pytest.approx(exact, rel=1e-9)
 
 
 def test_far_field_perfect_square_cancellation():
@@ -207,6 +211,16 @@ def test_sample_path_start_validation():
         besq.sample_path(r, p, np.ones((2, 2)), [1.0])
     with pytest.raises(DomainError):
         besq.bessel_path(r, p, np.array([1.0, -0.5]), [1.0])
+    # numpy's Poisson draw refuses means above about 9.2e18: starts that
+    # large, or infinite, are refused before the first step
+    for start in (np.inf, 1e300, np.array([1.0, 1e19])):
+        with pytest.raises(DomainError):
+            besq.sample_path(r, p, start, [1.0, 2.0])
+        with pytest.raises(DomainError):
+            besq.sample_transitions(r, p, 1.0, start)
+    with pytest.raises(DomainError):
+        besq.sample_path(r, p, 1e17, [1.0, 1.01])
+    assert besq.sample_path(r, p, 1e17, [1.0, 2.0]).values.shape == (2,)
     assert besq.bessel_path(r, p, np.ones(4), [0.5, 1.0]).values.shape == (4, 2)
 
 

@@ -2,11 +2,12 @@
 
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
 
-from besqlab import cli, nonmarkov
+from besqlab import besq, cli, nonmarkov
 from besqlab.nonmarkov import ScenarioParams
 
 
@@ -208,6 +209,64 @@ def test_ratio_unreliable_is_numeric_failure(tmp_path, capsys):
     assert meta["params"]["z1"] == 4000.0
     assert meta["outputs"] == []
     assert meta["wall_time_s"] >= 0.0
+
+
+def run_cli_within(seconds, *argv):
+    # a hang fails the test instead of stalling the suite
+    def expire(signum, frame):
+        raise TimeoutError(f"{argv} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return run_cli(*argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "x, t",
+    [("2e9", "1"), ("2e3", "1e-6")],  # Bessel argument sqrt(x y)/t = 2e9, past scipy's 2^30
+)
+def test_density_past_bessel_argument_cap(capsys, x, t):
+    assert run_cli_within(10, "density", "--delta", "3", "--t", t, "--x", x, "--y", x) == 0
+    got = float(capsys.readouterr().out)
+    # at delta = 3 the Hankel series stops after its leading term
+    want = besq.far_field_density(besq.BesqParams(3.0), float(t), float(x), float(x))
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("z1, z3", [("inf", "4"), ("1", "inf")])
+def test_ratio_infinite_level_is_config_error(capsys, z1, z3):
+    assert run_cli_within(
+        10, "ratio", "--c", "0.5", "--delta1", "1", "--delta2", "1",
+        "--eps", "0.5", "--z1", z1, "--z2", "4", "--z3", z3,
+    ) == 2
+    assert "levels must be positive and finite" in capsys.readouterr().err
+
+
+def test_ratio_infinite_coupling_is_config_error(capsys):
+    assert run_cli(
+        "ratio", "--c", "inf", "--delta1", "1", "--delta2", "1",
+        "--eps", "0.5", "--z1", "1", "--z2", "4", "--z3", "4",
+    ) == 2
+    assert "c must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x0", ["1e300", "inf"])
+def test_simulate_huge_start_is_config_error(capsys, x0):
+    assert run_cli("simulate", "--delta", "1", "--times", "1,2", "--x0", x0, "--seed", "0") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "x0 must be finite" in captured.err
+
+
+def test_eigen_infinite_coupling_is_config_error(capsys):
+    assert run_cli("eigen", "--c", "inf", "--delta", "1", "--times", "1,2", "--seed", "0") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "c must be finite" in captured.err
 
 
 def test_ratio_csv_schema(tmp_path, capsys):

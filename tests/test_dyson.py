@@ -176,8 +176,11 @@ def test_vector_offdiag_rejects_bad_length():
 
 
 def test_config_validation():
-    with pytest.raises(DomainError):
-        MatrixProcessConfig(-1.0, 1.0, (1.0,))
+    for c in (-1.0, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            MatrixProcessConfig(c, 1.0, (1.0,))
+        with pytest.raises(DomainError):
+            dyson.eigenvalues(DriverState(0.0, 0.0, 1.0), c)
     with pytest.raises(DomainError):
         MatrixProcessConfig(1.0, 0.0, (1.0,))
     with pytest.raises(DomainError):

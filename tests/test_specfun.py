@@ -5,6 +5,7 @@ import pytest
 from scipy import special
 
 from besqlab import specfun
+from besqlab.errors import ConvergenceError
 
 # Closed form for half-integer order: sqrt(2/(pi x)) sinh(x) e^{-x} at x=1,
 # and the cosh variant for nu=-1/2 at x=2.  Frozen from a 30-digit mpmath
@@ -77,6 +78,26 @@ def test_log_ive_continuous_where_ive_leaves_normal_range():
         above = specfun.log_ive(nu, np.exp(b))
         assert np.isfinite(below) and np.isfinite(above)
         assert abs(below - above) <= 1e-12 * abs(above)
+
+
+def test_log_ive_past_scipy_argument_cap():
+    # scipy's ive is NaN for every order above x = 2^30; past it log_ive takes
+    # the Hankel expansion, which must agree with mpmath on both sides of the cap
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    for nu in (-0.5, 0.0, 0.5, 3.0, 40.0, 140.0):
+        for x in (0.999 * 2.0**30, 1.001 * 2.0**30, 2e9, 1e15, 1e300):
+            want = float(mpmath.log(mpmath.besseli(nu, x) * mpmath.exp(-x)))
+            assert specfun.log_ive(nu, x) == pytest.approx(want, rel=1e-15)
+
+
+def test_log_ive_raises_where_no_branch_is_accurate():
+    # an order too large for three Hankel terms past the cap, and a series
+    # that would need more than its term budget, end in a typed error
+    with pytest.raises(ConvergenceError, match="Hankel"):
+        specfun.log_ive(1000.0, 2e9)
+    with pytest.raises(ConvergenceError, match="series"):
+        specfun.log_ive(5e4, 3e5)
 
 
 def test_against_scipy_ive_broadly():

@@ -64,35 +64,78 @@ def test_ks_empty_input():
         stattest.ks_two_sample(np.array([]), np.array([1.0]), alpha=0.001, seed=0)
 
 
+def _z_paths(seed, c, d1, d2, times, n):
+    # n exact paths of Z = c X + Y from zero, one batched path call per component
+    r = rng(seed)
+    x = besq.sample_path(r, besq.BesqParams(d1), np.zeros(n), times).values
+    y = besq.sample_path(r, besq.BesqParams(d2), np.zeros(n), times).values
+    return c * x + y
+
+
 def test_weighted_sum_process_mean():
-    r = rng(21)
     n, c, d1, d2 = 40_000, 0.5, 1.0, 2.0
-    # vectorized equivalent of the path op's endpoint: sum of two
-    # started-at-zero transitions
-    x = besq.sample_transitions(r, besq.BesqParams(d1), 2.0, np.zeros(n))
-    y = besq.sample_transitions(r, besq.BesqParams(d2), 2.0, np.zeros(n))
-    ends = c * x + y
+    z = _z_paths(21, c, d1, d2, [0.5, 2.0], n)
+    assert z.shape == (n, 2) and np.all(z >= 0.0)
+    ends = z[:, -1]
     want = (c * d1 + d2) * 2.0
     assert abs(ends.mean() - want) < 4.0 * ends.std() / math.sqrt(n)
-    # the path op itself, spot-checked on a few draws
-    ps = stattest.sample_z_process(rng(22), c, d1, d2, [0.5, 2.0])
-    assert ps.times.shape == ps.values.shape == (2,)
-    assert np.all(ps.values >= 0.0)
 
 
 def test_degenerate_weight_is_single_process():
     # c=0 leaves BESQ(delta2) alone; one-sample KS against its Gamma law
-    r = rng(23)
-    vals = np.array([stattest.sample_z_process(r, 0.0, 3.0, 1.0, [1.0]).values[0] for _ in range(4000)])
+    vals = _z_paths(23, 0.0, 3.0, 1.0, [1.0], 4000)[:, 0]
     ks = stats.kstest(vals, stats.gamma(a=0.5, scale=2.0).cdf)
     assert ks.pvalue > 0.001
 
 
 def test_unit_weight_adds_dimensions():
-    r = rng(24)
-    vals = np.array([stattest.sample_z_process(r, 1.0, 1.5, 2.5, [1.0]).values[0] for _ in range(4000)])
+    vals = _z_paths(24, 1.0, 1.5, 2.5, [1.0], 4000)[:, 0]
     ks = stats.kstest(vals, stats.gamma(a=2.0, scale=2.0).cdf)
     assert ks.pvalue > 0.001
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, 1.0, 2.0])
+def test_sum_split_interval(c):
+    # with X = S B and Y = S - X, Z = c X + Y lies in [min(1,c) S, max(1,c) S],
+    # the interval the first stage tests against w1 before drawing B
+    r = rng(25)
+    s = r.gamma(1.0, 2.0, 100_000) * np.exp(r.uniform(-30.0, 30.0, 100_000))
+    b = np.concatenate([r.beta(0.5, 0.5, 99_998), [0.0, 1.0]])
+    x = s * b
+    z = c * x + (s - x)
+    slack = 4.0 * np.finfo(float).eps * s
+    assert np.all(z >= min(1.0, c) * s - slack)
+    assert np.all(z <= max(1.0, c) * s + slack)
+
+
+@pytest.mark.parametrize("d1, d2", [(1.0, 1.0), (1.5, 2.5)])
+@pytest.mark.parametrize("c", [0.0, 0.5, 1.0, 2.0])
+def test_sum_split_first_stage_law(c, d1, d2):
+    # oracle: _staged_sample with independent Gamma draws of X(eps) and
+    # Y(eps), the first stage that the sum-split draw replaced
+    eps, n = 0.4, 12_000
+    mean = c * d1 + d2  # E Z(t) = mean * t; both windows sit at the mean
+    w1 = ConditioningWindow(mean * eps, 0.25 * mean * eps)
+    w2 = ConditioningWindow(mean, 0.25 * mean)
+    p1, p2 = besq.BesqParams(d1), besq.BesqParams(d2)
+
+    def start(r, t, size):
+        return r.gamma(0.5 * d1, 2.0 * t, size), r.gamma(0.5 * d2, 2.0 * t, size)
+
+    def advance(r, state, t):
+        return besq.sample_transitions(r, p1, t, state[0]), besq.sample_transitions(r, p2, t, state[1])
+
+    oracle = stattest._staged_sample(
+        rng(26), start, advance, lambda st: c * st[0] + st[1],
+        eps, w1, w2, n, 20_000, 10_000_000,
+    )
+    got = stattest.conditional_sample(rng(27), c, d1, d2, eps, w1, w2, n, batch_size=20_000)
+    assert stattest.ks_two_sample(got.values, oracle.values, alpha=0.001).verdict == "consistent"
+    # the interval filter drops only proposals that miss w1, so both count
+    # the same acceptance rate up to binomial noise; a wrong Beta split moves
+    # the rate at c != 1 (swapped shapes read 27 and 6 sigma off at c = 0, 2)
+    p = oracle.acceptance_rate
+    assert abs(got.acceptance_rate - p) < 5.0 * math.sqrt(p / got.n_proposed + p / oracle.n_proposed)
 
 
 def test_conditional_sample_deterministic():
@@ -276,7 +319,7 @@ def test_frozen_probe_configs_shape():
 @pytest.mark.slow
 def test_power_at_frozen_witness():
     # 50 independent repetitions of the rejected cell; each run costs about
-    # 20 minutes single-core (the deep-tail arm acceptance is 9.7e-6), so the
+    # 6 minutes single-core (the deep-tail arm acceptance is 9.7e-6), so the
     # full replication is a multi-hour batch and stays out of the default run
     witness = zc_witness_config(seed=0).cells[1]
     rejected = 0
