@@ -78,6 +78,24 @@ def _validate_t(t: float) -> float:
     return t
 
 
+def log_zero_start(p: BesqParams, t: float, y, weighted: bool = False):
+    """Log of the started-at-zero kernel ``p_t(0, y)``, a Gamma density.
+
+    ``p_t(0, y) = y^{nu} exp(-y/(2t)) / ((2t)^{delta/2} Gamma(delta/2))``, the
+    law of shape ``delta/2`` and scale ``2t``.  With ``weighted`` the power
+    ``y^{nu}`` is divided out, which leaves the log of
+    :func:`weighted_zero_limit` at the start ``y``.  No checks: callers pass
+    a valid ``t`` and ``y`` (positive unless ``weighted``).
+    """
+    head = 0.0 if weighted else p.nu * np.log(y)
+    return (
+        head
+        - 0.5 * p.delta * np.log(2.0 * t)
+        - specfun.ln_gamma(0.5 * p.delta)
+        - y / (2.0 * t)
+    )
+
+
 def log_transition_density(p: BesqParams, t: float, x, y):
     """Log of the transition density of a BESQ(delta) over time ``t``.
 
@@ -89,10 +107,14 @@ def log_transition_density(p: BesqParams, t: float, x, y):
     :func:`~besqlab.specfun.log_ive`, the log of the scaled Bessel function,
     which keeps the exponential terms from overflowing and the Bessel factor
     from underflowing for any representable ``x, y`` and any dimension.  At
-    ``x = 0``, or where ``sqrt(xy)/t`` underflows to 0, the kernel is the
-    Gamma density with shape ``delta/2`` and scale ``2t``.
+    the paper's dimensions 1, 2 and 3 (``nu = -1/2, 0, 1/2``) that factor is
+    a closed form or Cephes's ``i0e``, not Amos's ``ive``.  At ``x = 0``, or
+    where ``sqrt(xy)/t`` underflows to 0, the kernel is the Gamma density of
+    :func:`log_zero_start`.
 
-    ``x`` and ``y`` broadcast; ``y`` must be strictly positive.
+    ``x`` and ``y`` broadcast; ``y`` must be strictly positive.  The formula
+    runs on the operands as given, so a ``(rows, 1)`` by ``(cols,)`` grid
+    takes its logs and square roots once per row and once per column.
     """
     t = _validate_t(t)
     x_arr = np.asarray(x, dtype=float)
@@ -101,42 +123,31 @@ def log_transition_density(p: BesqParams, t: float, x, y):
         raise DomainError("x must be nonnegative")
     if y_arr.size and not np.all(y_arr > 0.0):
         raise DomainError("y must be strictly positive")
-    x_b, y_b = np.broadcast_arrays(x_arr, y_arr)
-    x_b = x_b.astype(float)
-    y_b = y_b.astype(float)
 
-    out = np.empty(x_b.shape, dtype=float)
-    delta = p.delta
-    nu = p.nu
-
+    sx = np.sqrt(x_arr)
+    sy = np.sqrt(y_arr)
+    z = sx * sy / t
     # x so small that sqrt(x) sqrt(y) / t underflows is indistinguishable, at
     # working precision, from a start at zero; routing it through the Bessel
     # factorization would send a spurious infinity through the logs instead
-    at_zero = (x_b == 0.0) | (np.sqrt(x_b) * np.sqrt(y_b) / t == 0.0)
-    if np.any(at_zero):
-        yz = y_b[at_zero]
-        out[at_zero] = (
-            (0.5 * delta - 1.0) * np.log(yz)
-            - 0.5 * delta * np.log(2.0 * t)
-            - specfun.ln_gamma(0.5 * delta)
-            - yz / (2.0 * t)
-        )
-    interior = ~at_zero
-    if np.any(interior):
-        xi = x_b[interior]
-        yi = y_b[interior]
-        sx = np.sqrt(xi)
-        sy = np.sqrt(yi)
-        out[interior] = (
+    at_zero = z == 0.0
+    n_zero = np.count_nonzero(at_zero)
+    if n_zero == at_zero.size:
+        out = log_zero_start(p, t, np.broadcast_to(y_arr, z.shape))
+    else:
+        # a placeholder start keeps log(x) finite at x = 0; the formula's
+        # value there is replaced below
+        start = np.where(x_arr == 0.0, 1.0, x_arr)
+        out = (
             -np.log(2.0 * t)
-            + 0.5 * nu * (np.log(yi) - np.log(xi))
+            + 0.5 * p.nu * (np.log(y_arr) - np.log(start))
             - (sx - sy) ** 2 / (2.0 * t)
-            + specfun.log_ive(nu, sx * sy / t)
+            + specfun.log_ive(p.nu, z)
         )
-
-    if np.ndim(x) == 0 and np.ndim(y) == 0:
-        return float(out)
-    return out
+        if n_zero:
+            out[at_zero] = log_zero_start(p, t, np.broadcast_to(y_arr, z.shape)[at_zero])
+    # scalar operands give a 0-d result, returned as a Python float
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def transition_density(p: BesqParams, t: float, x, y):
@@ -147,18 +158,15 @@ def transition_density(p: BesqParams, t: float, x, y):
 def weighted_zero_limit(p: BesqParams, t: float, x):
     """Limit of ``p_t(x, y) / y^{delta/2 - 1}`` as the target ``y`` drops to 0.
 
-    Equals ``(2t)^{-delta/2} exp(-x/(2t)) / Gamma(delta/2)``; this is the
-    natural weight for conditioning a BESQ bridge to approach the origin.
+    Equals ``(2t)^{-delta/2} exp(-x/(2t)) / Gamma(delta/2)``, the exp of
+    :func:`log_zero_start` with ``weighted``; this is the natural weight for
+    conditioning a BESQ bridge to approach the origin.
     """
     t = _validate_t(t)
     x_arr = np.asarray(x, dtype=float)
     if x_arr.size and not np.all(x_arr >= 0.0):
         raise DomainError("x must be nonnegative")
-    out = np.exp(
-        -0.5 * p.delta * np.log(2.0 * t)
-        - specfun.ln_gamma(0.5 * p.delta)
-        - x_arr / (2.0 * t)
-    )
+    out = np.exp(log_zero_start(p, t, x_arr, weighted=True))
     if np.ndim(x) == 0:
         return float(out)
     return out

@@ -240,6 +240,8 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _run_density(config: RunConfig) -> int:
     delta, t, x, y = _require(config.params, "delta", "t", "x", "y")
+    if not (math.isfinite(float(x)) and math.isfinite(float(y))):
+        raise _ConfigError("x and y must be finite")
     value = besq.transition_density(BesqParams(float(delta)), float(t), float(x), float(y))
     print(f"{value:.10g}")
     if config.output_path:
@@ -305,6 +307,10 @@ def _run_ratio(config: RunConfig) -> int:
         raise _ConfigError("c must be finite")
     if c < 0.0:
         raise _ConfigError("c must be nonnegative")
+    # checked here for every coupling: the c = 0 and c = 1 shortcuts below
+    # call the transition kernel, which accepts infinite levels
+    if not all(0.0 < z < math.inf for z in (z1, z2, z3)):
+        raise _ConfigError("observation levels must be positive and finite")
 
     scale = 1.0
     if c > 1.0:

@@ -143,16 +143,8 @@ def _log_a21(c, delta1, delta2, z1, z2, x2):
 def _log_a32(c, delta1, delta2, z2, x2):
     # product of weighted zero-limits, the z3 -> 0 companion of A21
     x2 = np.asarray(x2, dtype=float)
-    l1 = (
-        -0.5 * delta1 * math.log(2.0)
-        - specfun.ln_gamma(0.5 * delta1)
-        - 0.5 * x2
-    )
-    l2 = (
-        -0.5 * delta2 * math.log(2.0)
-        - specfun.ln_gamma(0.5 * delta2)
-        - 0.5 * (z2 - c * x2)
-    )
+    l1 = besq.log_zero_start(BesqParams(delta1), 1.0, x2, weighted=True)
+    l2 = besq.log_zero_start(BesqParams(delta2), 1.0, z2 - c * x2, weighted=True)
     return l1 + l2
 
 

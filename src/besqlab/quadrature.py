@@ -208,7 +208,10 @@ def integrate_rows(
                 weighted_sum[active] += np.vecdot(fv[:, :n], weight[left_ok])
                 weighted_sum[active] += np.vecdot(fv[:, n:], weight[right_ok])
         h = 2.0 ** (-level)
-        value = r * h * weighted_sum[active]
+        # scaling a finite sum by a huge interval overflows too, and is
+        # stopped below like the sum itself
+        with np.errstate(over="ignore"):
+            value = r * h * weighted_sum[active]
         # an inf or nan never refines away, and rel_tol * |value| would
         # otherwise accept it as converged
         finite = np.isfinite(value)

@@ -2,14 +2,24 @@
 
 Every density downstream is assembled in log space, so the modified Bessel
 function is needed as ``log(exp(-x) I_nu(x))``: :func:`log_ive` is its one
-home.  It takes ``scipy.special.ive`` (Amos's algorithm, ACM TOMS 644, which
-covers the uniform large-order regime of DLMF 10.41) wherever that value is
-a normal double, the Hankel expansion (DLMF 10.40.1) past the argument cap
-of Amos's routines, and the small-argument power series summed in log space
-where ``ive`` underflows.  All public functions are pure, accept scalars or
-arrays, and raise :class:`~besqlab.errors.DomainError` outside their
-mathematical domain and :class:`~besqlab.errors.ConvergenceError` where no
-branch reaches double precision.
+home.  It takes the cheapest exact form the order allows:
+
+- ``nu = +-1/2`` (BESQ dimensions 3 and 1) has the elementary closed form
+  ``(1 -+ exp(-2x)) / sqrt(2 pi x)`` (DLMF 10.39.1), taken in log space so
+  that it holds at every ``x >= 0``, subnormal and huge arguments included;
+- ``nu = 0`` (dimension 2) takes ``scipy.special.i0e`` (Cephes), which has
+  no argument cap and costs under a third of ``ive``;
+- every other order takes ``scipy.special.ive`` (Amos's algorithm, ACM TOMS
+  644) wherever that value is a normal double, the Hankel expansion (DLMF
+  10.40.1) past the argument cap of Amos's routines, or the uniform
+  large-order expansion (DLMF 10.41.3) there when the order is too large for
+  Hankel, and the small-argument power series summed in log space where
+  ``ive`` underflows.
+
+All public functions are pure, accept scalars or arrays, and raise
+:class:`~besqlab.errors.DomainError` outside their mathematical domain and
+:class:`~besqlab.errors.ConvergenceError` where no branch reaches double
+precision.
 """
 
 from __future__ import annotations
@@ -21,11 +31,12 @@ from .errors import ConvergenceError, DomainError
 
 _TINY = np.finfo(float).tiny
 _LOG_TWO = np.log(2.0)
+_LOG_TWO_PI = np.log(2.0 * np.pi)
 _LOG_EPS = np.log(np.finfo(float).eps)
 # scipy's ive is NaN for every order at arguments above 2^30
 _AMOS_CAP = 2.0**30
 # the first term the Hankel sum leaves out is about (nu^2/x)^3/48, below
-# double epsilon while nu^2 <= 2e-5 x
+# double epsilon while nu^2 <= 2e-5 x; larger orders take the uniform expansion
 _HANKEL_NU2_PER_X = 2e-5
 _SERIES_MAX_TERMS = 100_000
 
@@ -79,14 +90,51 @@ def _log_hankel(nu: float, x: np.ndarray) -> np.ndarray:
     # DLMF 10.40.1 to three terms:
     # exp(-x) I_nu(x) ~ (2 pi x)^{-1/2} (1 - a1/x + a2/x^2), with
     # a1 = (4 nu^2 - 1)/8 and a2 = (4 nu^2 - 1)(4 nu^2 - 9)/128
-    if nu * nu > _HANKEL_NU2_PER_X * np.min(x):
-        raise ConvergenceError(
-            f"Bessel order {nu} too large for the Hankel expansion at x={np.min(x):g}"
-        )
     mu = 4.0 * nu * nu
     a1 = (mu - 1.0) / 8.0
     a2 = a1 * (mu - 9.0) / 16.0
-    return -0.5 * (np.log(2.0 * np.pi) + np.log(x)) + np.log1p((a2 / x - a1) / x)
+    return -0.5 * (_LOG_TWO_PI + np.log(x)) + np.log1p((a2 / x - a1) / x)
+
+
+def _log_uniform(nu: float, x: np.ndarray) -> np.ndarray:
+    # DLMF 10.41.3 at z = x/nu, to the U3 term:
+    # exp(-x) I_nu(nu z) ~ exp(nu (eta - z)) (2 pi nu)^{-1/2} s^{-1/2} sum U_k(p)/nu^k
+    # with s = sqrt(1 + z^2), p = 1/s and eta = s + log(z / (1 + s)).  With
+    # d = s - z = 1/(s + z), nu (eta - z) = nu d - nu log1p((1 + d)/z): the
+    # naive log(z / (1 + s)) loses about 1e-11 at x = 1e12.  Past the
+    # argument cap nu s >= x > 2^30, so the first term left out, about
+    # U4/nu^4 ~ (nu s)^-4, is far below double epsilon.
+    z = x / nu
+    s = np.hypot(1.0, z)
+    d = 1.0 / (s + z)
+    p = 1.0 / s
+    p2 = p * p
+    u1 = p * (3.0 - 5.0 * p2) / 24.0
+    u2 = p2 * (81.0 + p2 * (-462.0 + 385.0 * p2)) / 1152.0
+    u3 = p * p2 * (30375.0 + p2 * (-369603.0 + p2 * (765765.0 - 425425.0 * p2))) / 414720.0
+    return (
+        nu * d
+        - nu * np.log1p((1.0 + d) / z)
+        - 0.5 * (_LOG_TWO_PI + np.log(nu) + np.log(s))
+        + np.log1p((u1 + (u2 + u3 / nu) / nu) / nu)
+    )
+
+
+def _log_half_order(nu: float, x: np.ndarray) -> np.ndarray:
+    # DLMF 10.39.1: exp(-x) I_{+-1/2}(x) = (1 -+ exp(-2x)) / sqrt(2 pi x), in
+    # log space.  The linear form loses subnormal x, where 2 pi x rounds; the
+    # logs are exact there, past any argument cap and at x = inf.
+    zero = x == 0.0
+    if zero.any():
+        # the x = 0 limit, set below; 1.0 keeps the logs finite meanwhile
+        x = np.where(zero, 1.0, x)
+    if nu > 0.0:
+        head = np.log(-np.expm1(-2.0 * x))
+    else:
+        head = np.log1p(np.exp(-2.0 * x))
+    out = head - 0.5 * (_LOG_TWO_PI + np.log(x))
+    out[zero] = -np.inf if nu > 0.0 else np.inf
+    return out
 
 
 def log_ive(nu: float, x):
@@ -94,7 +142,11 @@ def log_ive(nu: float, x):
 
     Finite for every positive representable ``x`` and every order, including
     subnormal ``x`` and orders far beyond the point where ``exp(-x) I_nu(x)``
-    itself underflows.
+    itself underflows.  The form is chosen by order, the cheapest exact one
+    first: the closed form for ``nu = +-1/2``, ``scipy.special.i0e`` for
+    ``nu = 0`` (neither needs another branch at any ``x``), and for every
+    other order ``scipy.special.ive`` with the Hankel, uniform and series
+    branches where its value is not a normal double.
 
     Parameters
     ----------
@@ -118,24 +170,31 @@ def log_ive(nu: float, x):
         raise DomainError("the Bessel argument x must be nonnegative")
 
     flat = np.atleast_1d(arr).ravel()
-    v = special.ive(nu, flat)
-    # NaN, which scipy returns for negative orders at subnormal x, must take
-    # the series too, hence a test for normal values rather than for small ones
-    normal = v >= _TINY
-    out = np.log(v, out=np.empty_like(flat), where=normal)
-    out[flat == 0.0] = 0.0 if nu == 0.0 else (-np.inf if nu > 0.0 else np.inf)
-    # the limit of -log(2 pi x) / 2; scipy gives NaN there
-    out[flat == np.inf] = -np.inf
-    rest = ~normal & (flat > 0.0) & (flat < np.inf)
-    if np.any(rest):
-        # past the argument cap ive is NaN for every order: the Hankel
-        # expansion; below it the series
-        hankel = rest & (flat > _AMOS_CAP)
-        series = rest & ~hankel
-        if np.any(hankel):
-            out[hankel] = _log_hankel(nu, flat[hankel])
-        if np.any(series):
-            out[series] = _log_series(nu, flat[series])
+    if abs(nu) == 0.5:
+        out = _log_half_order(nu, flat)
+    else:
+        v = special.i0e(flat) if nu == 0.0 else special.ive(nu, flat)
+        # NaN (ive's value for negative orders at 0 and subnormal x, at inf
+        # and past its argument cap) fails this test as underflow zeros do
+        normal = v >= _TINY
+        out = np.log(v, out=np.empty_like(flat), where=normal)
+        if not normal.all():
+            out[flat == 0.0] = 0.0 if nu == 0.0 else (-np.inf if nu > 0.0 else np.inf)
+            # the limit of -log(2 pi x) / 2
+            out[flat == np.inf] = -np.inf
+            rest = ~normal & (flat > 0.0) & (flat < np.inf)
+            # past the argument cap: the Hankel expansion, or the uniform one
+            # for orders too large for it; below the cap the series
+            past = rest & (flat > _AMOS_CAP)
+            hankel = past & (nu * nu <= _HANKEL_NU2_PER_X * flat)
+            branches = (
+                (hankel, _log_hankel),
+                (past & ~hankel, _log_uniform),
+                (rest & ~past, _log_series),
+            )
+            for mask, branch in branches:
+                if np.any(mask):
+                    out[mask] = branch(nu, flat[mask])
 
     if np.ndim(x) == 0:
         return float(out[0])

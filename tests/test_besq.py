@@ -59,6 +59,27 @@ def test_from_zero_is_gamma():
 
 
 @pytest.mark.parametrize("delta", [0.7, 1.0, 2.0, 3.0, 4.5])
+@pytest.mark.parametrize("t", [1e-3, 1.0])
+def test_grid_matches_scalar_calls(delta, t):
+    # the formula runs on a (rows, 1) by (cols,) grid without broadcasting its
+    # operands first; starts at zero and starts whose Bessel argument
+    # underflows take the Gamma kernel, mixed into the same grid
+    p = BesqParams(delta)
+    x = np.array([0.0, 1e-320, 1e-300, 0.2, 1.0, 4.0, 37.5])
+    y = np.array([1e-300, 0.3, 1.0, 4.5, 80.0])
+    grid = besq.log_transition_density(p, t, x[:, None], y)
+    assert grid.shape == (x.size, y.size)
+    scalar = [[besq.log_transition_density(p, t, a, b) for b in y.tolist()] for a in x.tolist()]
+    assert np.array_equal(grid, scalar)
+    assert np.array_equal(grid[0], besq.log_zero_start(p, t, y))
+    assert np.array_equal(besq.log_transition_density(p, t, 0.0, y), grid[0])
+    # a start whose Bessel argument sqrt(x y)/t underflows to 0 is a start at 0
+    row = besq.log_transition_density(p, 1e12, np.array([5e-324, 1.0]), 1e-300)
+    assert row[0] == besq.log_zero_start(p, 1e12, 1e-300)
+    assert row[1] == besq.log_transition_density(p, 1e12, 1.0, 1e-300)
+
+
+@pytest.mark.parametrize("delta", [0.7, 1.0, 2.0, 3.0, 4.5])
 @pytest.mark.parametrize("x", [0.0, 0.5, 3.0])
 def test_normalization(delta, x):
     r = _normalization(delta, 1.0, x)
@@ -95,7 +116,8 @@ def test_far_field_matches_density():
     ff = besq.far_field_density(BesqParams(2.0), 1.0, 1e6, 1e6)
     assert ff == pytest.approx(exact, rel=1e-3)
     # away from t = 1 the constant carries t^{1/2}; at t = 1e-6 the Bessel
-    # argument sqrt(xy)/t = 2e9 lies past scipy's cap, on the Hankel branch
+    # argument sqrt(xy)/t = 2e9 lies past scipy's cap, where order 0 takes
+    # i0e and order 1/2 its closed form
     for delta in (2.0, 3.0):
         exact = besq.transition_density(BesqParams(delta), 1e-6, 2e3, 2e3)
         ff = besq.far_field_density(BesqParams(delta), 1e-6, 2e3, 2e3)

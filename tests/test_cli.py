@@ -232,9 +232,18 @@ def run_cli_within(seconds, *argv):
 def test_density_past_bessel_argument_cap(capsys, x, t):
     assert run_cli_within(10, "density", "--delta", "3", "--t", t, "--x", x, "--y", x) == 0
     got = float(capsys.readouterr().out)
-    # at delta = 3 the Hankel series stops after its leading term
+    # at delta = 3 the Bessel factor's closed form is the leading Hankel term
     want = besq.far_field_density(besq.BesqParams(3.0), float(t), float(x), float(x))
     assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_density_large_order_past_bessel_argument_cap(capsys):
+    # nu = 1499 is too large for the Hankel expansion at sqrt(x y)/t = 2e9;
+    # the uniform expansion takes it.  Frozen from a 50-digit mpmath evaluation
+    assert run_cli_within(
+        10, "density", "--delta", "3000", "--t", "1", "--x", "2e9", "--y", "2e9"
+    ) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(4.4578054138626692e-6, rel=1e-9)
 
 
 @pytest.mark.parametrize("z1, z3", [("inf", "4"), ("1", "inf")])
@@ -244,6 +253,38 @@ def test_ratio_infinite_level_is_config_error(capsys, z1, z3):
         "--eps", "0.5", "--z1", z1, "--z2", "4", "--z3", z3,
     ) == 2
     assert "levels must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c", ["0", "1"])
+def test_exact_coupling_infinite_level_is_config_error(capsys, c):
+    # the c = 0 and c = 1 shortcuts evaluate one transition kernel, which
+    # would print nan (c = 1) or 0 (c = 0) for an infinite level
+    assert run_cli(
+        "ratio", "--c", c, "--delta1", "1", "--delta2", "1",
+        "--eps", "0.5", "--z1", "1", "--z2", "4", "--z3", "inf",
+    ) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "levels must be positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("x, y", [("1", "inf"), ("inf", "1")])
+def test_density_infinite_point_is_config_error(capsys, x, y):
+    assert run_cli("density", "--delta", "2", "--t", "1", "--x", x, "--y", y) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "x and y must be finite" in captured.err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ratio_overflowing_level_is_numeric_failure(capsys):
+    # the x3 integral over (0, 2e300) overflows; the quadrature stops it as
+    # non-finite without an overflow warning, and the command exits 3
+    assert run_cli_within(
+        10, "ratio", "--c", "0.5", "--delta1", "1", "--delta2", "1",
+        "--eps", "0.5", "--z1", "1", "--z2", "4", "--z3", "1e300",
+    ) == 3
+    assert "numeric failure" in capsys.readouterr().err
 
 
 def test_ratio_infinite_coupling_is_config_error(capsys):

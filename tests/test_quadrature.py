@@ -77,6 +77,16 @@ def test_infinite_integrand_value_never_converges():
     assert not r.converged
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rows_overflowing_scale_stop_without_warning():
+    # each weighted sum is finite, but r * h * sum, the integral 4e308 of 4 on
+    # (0, 1e308), overflows: the rows stop as non-finite, with no overflow
+    # warning on the way
+    rows = integrate_rows(lambda r, x: np.full((r.size, x.size), 4.0), 2, 0.0, 1e308, TIGHT)
+    assert np.all(np.isinf(rows.values)) and np.all(np.isinf(rows.errors))
+    assert not rows.converged.any()
+
+
 def _log_reciprocal(x):
     with np.errstate(over="ignore"):
         return np.log(1.0 / x)

@@ -62,8 +62,9 @@ def test_log_ive_continuous_where_ive_leaves_normal_range():
     # returning a normal double: ive's own cutoffs at small x for small
     # orders, underflow of the scaled value for large ones.  Bisect on log x
     # down to adjacent doubles and compare the two sides.
+    # (orders +-1/2 and 0 take one form at every x and never switch)
     tiny = np.finfo(float).tiny
-    brackets = ((-0.5, 1e-310, 1e-300), (0.5, 1e-310, 1e-300), (40.0, 1e-10, 1.0), (1000.0, 1.0, 1e4))
+    brackets = ((1.0, 1e-310, 1e-300), (40.0, 1e-10, 1.0), (1000.0, 1.0, 1e4))
     for nu, lo, hi in brackets:
         a, b = np.log(lo), np.log(hi)
         normal_at_a = special.ive(nu, lo) >= tiny
@@ -82,22 +83,46 @@ def test_log_ive_continuous_where_ive_leaves_normal_range():
 
 def test_log_ive_past_scipy_argument_cap():
     # scipy's ive is NaN for every order above x = 2^30; past it log_ive takes
-    # the Hankel expansion, which must agree with mpmath on both sides of the cap
+    # the Hankel expansion, or the uniform one (DLMF 10.41.3) where
+    # nu^2 > 2e-5 x, as for nu = 147 just past the cap and for 1000 and 1e4
+    # up to 2e9.  Both must agree with mpmath on both sides of the cap
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
-    for nu in (-0.5, 0.0, 0.5, 3.0, 40.0, 140.0):
+    for nu in (-0.5, 0.0, 0.5, 3.0, 40.0, 140.0, 147.0, 1000.0, 1e4):
         for x in (0.999 * 2.0**30, 1.001 * 2.0**30, 2e9, 1e15, 1e300):
             want = float(mpmath.log(mpmath.besseli(nu, x) * mpmath.exp(-x)))
             assert specfun.log_ive(nu, x) == pytest.approx(want, rel=1e-15)
 
 
 def test_log_ive_raises_where_no_branch_is_accurate():
-    # an order too large for three Hankel terms past the cap, and a series
-    # that would need more than its term budget, end in a typed error
-    with pytest.raises(ConvergenceError, match="Hankel"):
-        specfun.log_ive(1000.0, 2e9)
+    # a series that would need more than its term budget ends in a typed error
     with pytest.raises(ConvergenceError, match="series"):
         specfun.log_ive(5e4, 3e5)
+
+
+def test_log_ive_exact_at_the_paper_orders():
+    # nu = -1/2, 0, 1/2 (BESQ dimensions 1, 2, 3) take the log-space closed
+    # form and i0e at every argument: subnormal, past scipy's 2^30 cap, 0, inf
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    # every decade up to 1e100, every tenth above: mpmath's cost grows with x
+    decades = list(range(-300, 100)) + list(range(100, 301, 10))
+    x = np.array([5e-324, 1e-320, 1e-310] + [10.0**k for k in decades])
+    for nu in (-0.5, 0.0, 0.5):
+        got = specfun.log_ive(nu, x)
+        for xi, g in zip(x.tolist(), got.tolist()):
+            xm = mpmath.mpf(xi)
+            want = float(mpmath.log(mpmath.besseli(nu, xm) * mpmath.exp(-xm)))
+            assert abs(g - want) <= 1e-15 * max(1.0, abs(want)), (nu, xi)
+    assert specfun.log_ive(-0.5, 0.0) == np.inf
+    assert specfun.log_ive(0.0, 0.0) == 0.0
+    assert specfun.log_ive(0.5, 0.0) == -np.inf
+    for nu in (-0.5, 0.0, 0.5):
+        assert specfun.log_ive(nu, np.inf) == -np.inf
+        assert np.array_equal(
+            specfun.log_ive(nu, np.array([0.0, 1.0, np.inf])),
+            [specfun.log_ive(nu, 0.0), specfun.log_ive(nu, 1.0), -np.inf],
+        )
 
 
 def test_against_scipy_ive_broadly():
