@@ -16,6 +16,7 @@ shape ``(n,)`` gives ``n`` independent paths, ``values`` of shape ``(n, T)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,8 @@ class BesqParams:
     delta: float
 
     def __post_init__(self):
-        if not self.delta > 0.0:
-            raise DomainError("delta must be positive")
+        if not 0.0 < self.delta < math.inf:
+            raise DomainError("delta must be positive and finite")
 
     @property
     def nu(self) -> float:
@@ -73,8 +74,8 @@ class PathSample:
 
 def _validate_t(t: float) -> float:
     t = float(t)
-    if not t > 0.0:
-        raise DomainError("time step must be positive")
+    if not 0.0 < t < math.inf:
+        raise DomainError("time step must be positive and finite")
     return t
 
 

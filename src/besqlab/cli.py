@@ -19,11 +19,6 @@ commands require an explicit ``--seed``.  Exit codes: 0 success,
 With ``--output``, a ``.meta.json`` sidecar records the parameters, the exit
 status and the wall time on exits 0, 3 and 4; on exit 3 it also carries the
 error message.
-
-Couplings ``c >= 1`` for ``ratio`` are reduced to ``c' = 1/c`` with the two
-dimensions swapped and levels divided by ``c`` (the law of ``Z/c``); the
-exact Markov couplings c = 0 and c = 1 short-circuit to a single squared
-Bessel kernel.
 """
 
 from __future__ import annotations
@@ -296,54 +291,25 @@ def _run_ratio(config: RunConfig) -> int:
     c, delta1, delta2, z1, z2, z3 = _require(
         config.params, "c", "delta1", "delta2", "z1", "z2", "z3"
     )
-    c = float(c)
-    delta1, delta2 = float(delta1), float(delta2)
-    z1, z2, z3 = float(z1), float(z2), float(z3)
     limit_eps = bool(config.params.get("limit_eps", False))
     eps = config.params.get("eps")
     if not limit_eps and eps is None:
         raise _ConfigError("need --eps unless --limit-eps is given")
-    if not math.isfinite(c):
-        raise _ConfigError("c must be finite")
-    if c < 0.0:
-        raise _ConfigError("c must be nonnegative")
-    # checked here for every coupling: the c = 0 and c = 1 shortcuts below
-    # call the transition kernel, which accepts infinite levels
-    if not all(0.0 < z < math.inf for z in (z1, z2, z3)):
-        raise _ConfigError("observation levels must be positive and finite")
-
-    scale = 1.0
-    if c > 1.0:
-        # law of Z/c: coupling 1/c with the roles of the two processes swapped
-        scale = 1.0 / c
-        c, delta1, delta2 = 1.0 / c, delta2, delta1
-        z1, z2, z3 = z1 * scale, z2 * scale, z3 * scale
-
-    if c == 0.0:
-        value = besq.transition_density(BesqParams(delta2), 1.0, z2, z3) * scale
-        rel_error = 0.0
-    elif c == 1.0:
-        value = besq.transition_density(BesqParams(delta1 + delta2), 1.0, z2, z3) * scale
-        rel_error = 0.0
-    else:
-        s = nonmarkov.ScenarioParams(
-            c, delta1, delta2, float(eps) if eps is not None else 0.5, z1, z2, z3
-        )
-        detail = nonmarkov.conditional_ratio_detail(s, use_eps=not limit_eps)
-        if not detail.converged:
-            raise ConvergenceError("ratio quadrature did not converge")
-        value = detail.ratio * scale
-        rel_error = detail.rel_error_estimate
-    print(f"{value:.10g}")
+    s = nonmarkov.ScenarioParams(
+        float(c), float(delta1), float(delta2), float(eps) if eps is not None else 0.5,
+        float(z1), float(z2), float(z3),
+    )
+    detail = nonmarkov.conditional_ratio_detail(s, use_eps=not limit_eps)
+    if not detail.converged:
+        raise ConvergenceError("ratio quadrature did not converge")
+    print(f"{detail.ratio:.10g}")
     if config.output_path:
         _write_rows(
             config.output_path,
             ["c", "delta1", "delta2", "eps", "z1", "z2", "z3", "use_eps", "ratio", "rel_error"],
             [[
-                config.params["c"], config.params["delta1"], config.params["delta2"],
-                float(eps) if eps is not None else float("nan"),
-                config.params["z1"], config.params["z2"], config.params["z3"],
-                0.0 if limit_eps else 1.0, value, rel_error,
+                c, delta1, delta2, float(eps) if eps is not None else float("nan"),
+                z1, z2, z3, 0.0 if limit_eps else 1.0, detail.ratio, detail.rel_error_estimate,
             ]],
         )
     return 0

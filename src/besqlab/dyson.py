@@ -9,9 +9,14 @@ flows through two closed-form identities:
     lambda1 + lambda2 = B1 + B2
     (lambda1 - lambda2)^2 = (B1 - B2)^2 + 2 c xi^2
 
-For ``c = 1`` the gap is ``sqrt(2)`` times a Bessel process of dimension
-``1 + delta``, which is what the SDE integrator below exploits: the ordered
-pair solves the Dyson-type system
+Half the squared gap, ``c xi^2 + ((B1 - B2)/sqrt(2))^2``, is the weighted
+sum ``Z = c X + Y`` of :mod:`besqlab.nonmarkov` with ``(delta1, delta2) =
+(delta, 1)``: ``xi^2`` is a BESQ(delta) and ``((B1 - B2)/sqrt(2))^2`` a
+BESQ(1), both from zero and independent of the trace.  The pair is Markov
+exactly when that ``Z`` is.  For ``c = 1``, by Shiga-Watanabe additivity, the
+gap is ``sqrt(2)`` times a Bessel process of dimension ``1 + delta``, which
+is what the SDE integrator below exploits: the ordered pair solves the
+Dyson-type system
 
     d lambda_i = d beta_i + delta / (2 (lambda_i - lambda_j)) dt
 

@@ -1,18 +1,29 @@
 """Joint-law kernel integrals for the weighted sum of two squared Bessel processes.
 
 Let ``Z = c X + Y`` with ``X, Y`` independent squared Bessel processes of
-dimensions ``delta1, delta2`` started at zero and a coupling ``0 < c < 1``.
+dimensions ``delta1, delta2`` started at zero and a coupling ``c >= 0``.
 Whether ``Z`` remembers more than its current value is decided by the
-conditional law of ``Z(2)`` given ``(Z(eps), Z(1))``, and that law is a ratio
-of kernel integrals over the hidden coordinate of ``X``:
+conditional law of ``Z(2)`` given ``(Z(eps), Z(1))``, and for ``0 < c < 1``
+that law is a ratio of kernel integrals over the hidden coordinate of ``X``:
 
-    pair(eps, z1, z2)       = int_0^{z1} int_0^{z2} A11 A12 dx2 dx1
-    triple(eps, z1, z2, z3) = int_0^{z1} int_0^{z2} int_0^{z3} A11 A12 A13 ...
+    pair(eps, z1, z2)       = int_0^{b1} int_0^{b2} A11 A12 dx2 dx1
+    triple(eps, z1, z2, z3) = int_0^{b1} int_0^{b2} int_0^{b3} A11 A12 A13 ...
 
-with A11, A12, A13 products of squared-Bessel transition kernels.  The
-integration range of each hidden coordinate follows the kernels' own
-domains, ``x_i in (0, z_i)``; for ``c < 1`` the second kernel argument
-``z_i - c x_i`` then stays positive automatically.
+with A11, A12, A13 products of squared-Bessel transition kernels, one joint
+step of ``(X, Z)`` each (:func:`_log_step`).  Each hidden coordinate ranges
+over ``x_i in (0, b_i)`` with ``b_i = z_i/c``, where the companion argument
+``z_i - c x_i`` stays positive.
+
+:func:`conditional_ratio_detail` covers every other coupling as well.  At
+``c = 0`` and ``c = 1`` the process is Markov (``Z = Y``, and at ``c = 1``
+the BESQ(delta1+delta2) of Shiga-Watanabe additivity), so the ratio is a
+single squared-Bessel kernel.  A coupling ``c > 1`` runs as the law of
+``Z/c = X + Y/c``: coupling ``1/c`` with the two dimensions swapped, levels
+times ``1/c``, and a density Jacobian ``1/c``.  The swap is what keeps the
+``eps -> 0`` kernel right: as ``eps`` shrinks, the split of ``z1`` between
+the two processes concentrates on the one with the larger weight, which is
+``Y`` only while ``c < 1``; fed ``c > 1`` directly, A21 would restart the
+wrong process from zero.
 
 The module also evaluates the three limit regimes that make the dependence
 on ``(eps, z1)`` provable rather than merely observable: the ``eps -> 0``
@@ -55,10 +66,13 @@ _LOG_FLOOR = math.log(1e-300)
 class ScenarioParams:
     """One conditioning scenario: coupling, dimensions, and observation levels.
 
-    The intended coupling range is ``0 < c < 1`` (the regime where the
-    conditional law depends on ``(eps, z1)``); ``c = 1`` is admitted as the
-    Markov sanity configuration, where every ratio collapses to a single
-    squared-Bessel kernel of dimension ``delta1 + delta2``.
+    Every finite coupling ``c >= 0`` is admitted.  The kernel integrals run
+    on ``0 < c <= 1``; below 1 the conditional law depends on ``(eps, z1)``,
+    and at ``c = 1`` every ratio collapses to a single squared-Bessel kernel
+    of dimension ``delta1 + delta2``.  :func:`conditional_ratio_detail`
+    takes ``c = 0`` and ``c = 1`` exactly and runs ``c > 1`` as the law of
+    ``Z/c``, with the dimensions swapped so that the ``eps -> 0`` kernel
+    still restarts the process that carries no share of ``z1``.
     """
 
     c: float
@@ -70,10 +84,10 @@ class ScenarioParams:
     z3: float
 
     def __post_init__(self):
-        if not 0.0 < self.c <= 1.0:
-            raise DomainError("c must lie in (0, 1]")
-        if not (self.delta1 > 0.0 and self.delta2 > 0.0):
-            raise DomainError("dimensions must be positive")
+        if not 0.0 <= self.c < math.inf:
+            raise DomainError("c must be finite and nonnegative")
+        if not (0.0 < self.delta1 < math.inf and 0.0 < self.delta2 < math.inf):
+            raise DomainError("dimensions must be positive and finite")
         if not 0.0 < self.eps < 1.0:
             raise DomainError("eps must lie in (0, 1)")
         if not all(0.0 < z < math.inf for z in (self.z1, self.z2, self.z3)):
@@ -85,17 +99,22 @@ class RatioResult:
     """A conditional-density ratio with its quadrature bookkeeping."""
 
     ratio: float
-    log_ratio: float
-    log_pair: float
-    log_triple: float
     rel_error_estimate: float
     evaluations: int
     converged: bool
 
 
 # ---------------------------------------------------------------------------
-# Kernels, in log space.  Each is a product of two transition densities, one
-# for the hidden X coordinate and one for the Y remainder z - c x.
+# Kernels, in log space.  Each is one joint step of (X, Z): a transition
+# density for the hidden X coordinate times one for the Y remainder z - c x.
+
+def _log_step(c, delta1, delta2, t, x_from, z_from, x_to, z_to):
+    # X moves x_from -> x_to and Y = Z - c X moves z_from - c x_from -> z_to - c x_to
+    log_x = besq.log_transition_density(BesqParams(delta1), t, x_from, x_to)
+    return log_x + besq.log_transition_density(
+        BesqParams(delta2), t, z_from - c * x_from, z_to - c * x_to
+    )
+
 
 def log_kernel_a11(s: ScenarioParams, x1):
     """Log of the joint density factor of (X(eps), Z(eps)) at (x1, z1).
@@ -107,37 +126,20 @@ def log_kernel_a11(s: ScenarioParams, x1):
     x1 = np.asarray(x1, dtype=float)
     if x1.size and not (np.all(x1 > 0.0) and np.all(s.c * x1 < s.z1)):
         raise DomainError("need 0 < x1 < z1/c")
-    p1 = BesqParams(s.delta1)
-    p2 = BesqParams(s.delta2)
-    return besq.log_transition_density(p1, s.eps, 0.0, x1) + besq.log_transition_density(
-        p2, s.eps, 0.0, s.z1 - s.c * x1
-    )
+    return _log_step(s.c, s.delta1, s.delta2, s.eps, 0.0, 0.0, x1, s.z1)
 
 
 def _log_a12(s: ScenarioParams, x1, x2):
-    p1 = BesqParams(s.delta1)
-    p2 = BesqParams(s.delta2)
-    t = 1.0 - s.eps
-    return besq.log_transition_density(p1, t, x1, x2) + besq.log_transition_density(
-        p2, t, s.z1 - s.c * x1, s.z2 - s.c * x2
-    )
+    return _log_step(s.c, s.delta1, s.delta2, 1.0 - s.eps, x1, s.z1, x2, s.z2)
 
 
 def _log_a13(s: ScenarioParams, x2, x3):
-    p1 = BesqParams(s.delta1)
-    p2 = BesqParams(s.delta2)
-    return besq.log_transition_density(p1, 1.0, x2, x3) + besq.log_transition_density(
-        p2, 1.0, s.z2 - s.c * x2, s.z3 - s.c * x3
-    )
+    return _log_step(s.c, s.delta1, s.delta2, 1.0, x2, s.z2, x3, s.z3)
 
 
 def _log_a21(c, delta1, delta2, z1, z2, x2):
     # eps -> 0 limit kernel: X restarts from 0, Y carries the whole of z1
-    p1 = BesqParams(delta1)
-    p2 = BesqParams(delta2)
-    return besq.log_transition_density(p1, 1.0, 0.0, x2) + besq.log_transition_density(
-        p2, 1.0, z1, z2 - c * x2
-    )
+    return _log_step(c, delta1, delta2, 1.0, 0.0, z1, x2, z2)
 
 
 def _log_a32(c, delta1, delta2, z2, x2):
@@ -180,7 +182,11 @@ def _upper_support(z: float, c: float) -> float:
     # largest float b with fl(c * b) < z: rounding is monotone, so every
     # quadrature node x < b then keeps fl(z - c * x) > 0; the raw z / c can
     # round up far enough that nodes hugging it make the companion argument
-    # collapse to zero or below
+    # collapse to zero or below.  Every kernel integral takes this path, so
+    # it also holds their coupling range: c = 0 has no hidden coordinate,
+    # and c > 1 needs the swap of conditional_ratio_detail
+    if not 0.0 < c <= 1.0:
+        raise DomainError("kernel integrals need a coupling in (0, 1]")
     b = z / c
     while c * b >= z:
         b = math.nextafter(b, 0.0)
@@ -383,10 +389,20 @@ def joint_density_triple(s: ScenarioParams, use_eps: bool = True) -> float:
 def conditional_ratio_detail(s: ScenarioParams, use_eps: bool = True) -> RatioResult:
     """Conditional density of ``Z(2)`` at ``z3`` given ``(Z(eps), Z(1)) = (z1, z2)``.
 
-    Returns the ratio together with its log-space parts, a first-order
-    relative error estimate (sum of the pair and triple estimates), the
-    innermost evaluation count, and the joint convergence flag.
+    Returns the ratio together with a first-order relative error estimate
+    (sum of the pair and triple estimates), the innermost evaluation count,
+    and the joint convergence flag.  Any coupling ``c >= 0`` is served: see
+    the module docstring for the exact couplings 0 and 1 and the law of
+    ``Z/c`` behind ``c > 1``.
     """
+    k = 1.0
+    if s.c > 1.0:
+        k = 1.0 / s.c
+        s = ScenarioParams(k, s.delta2, s.delta1, s.eps, s.z1 * k, s.z2 * k, s.z3 * k)
+    if s.c == 0.0 or s.c == 1.0:
+        delta = s.delta2 if s.c == 0.0 else s.delta1 + s.delta2
+        ratio = besq.transition_density(BesqParams(delta), 1.0, s.z2, s.z3) * k
+        return RatioResult(ratio, 0.0, 0, True)
     pair = _pair_log(s, use_eps)
     if pair.log_value < _LOG_FLOOR:
         raise UnreliableRatioError(
@@ -395,10 +411,7 @@ def conditional_ratio_detail(s: ScenarioParams, use_eps: bool = True) -> RatioRe
     triple = _triple_log(s, use_eps)
     log_ratio = triple.log_value - pair.log_value
     return RatioResult(
-        ratio=math.exp(log_ratio) if math.isfinite(log_ratio) else 0.0,
-        log_ratio=log_ratio,
-        log_pair=pair.log_value,
-        log_triple=triple.log_value,
+        ratio=(math.exp(log_ratio) if math.isfinite(log_ratio) else 0.0) * k,
         rel_error_estimate=pair.rel_error + triple.rel_error,
         evaluations=pair.evaluations + triple.evaluations,
         converged=pair.converged and triple.converged,
@@ -459,12 +472,14 @@ def lemma3_ratio_check(
     limit is ``(D(r1)/D(r2))^(-delta1/2)``.  Returns the signed difference
     between the double ratio at this ``z2`` and that limit.
     """
+    if not 0.0 < c < 1.0:
+        raise DomainError("c must lie in (0, 1)")
     if not (r1 > 0.0 and r2 > 0.0):
         raise DomainError("ratios r must be positive")
     if not z2 > 0.0:
         raise DomainError("z2 must be positive")
-    if not (delta1 > 0.0 and delta2 > 0.0):
-        raise DomainError("dimensions must be positive")
+    if not (0.0 < delta1 < math.inf and 0.0 < delta2 < math.inf):
+        raise DomainError("dimensions must be positive and finite")
     # rows: q_tilde and q at r1, then at r2, sharing (0, z2/c) and one spec
     z1 = z2 * np.array([r1, r1, r2, r2])[:, None]
     tilde = np.array([True, False, True, False])[:, None]

@@ -42,6 +42,8 @@ class ConditioningWindow:
     halfwidth: float
 
     def __post_init__(self):
+        if not math.isfinite(self.center):
+            raise DomainError("center must be finite")
         if not self.halfwidth > 0.0:
             raise DomainError("halfwidth must be positive")
 
@@ -315,8 +317,8 @@ class MarkovCell:
     w2: ConditioningWindow | None = None
 
     def __post_init__(self):
-        if not self.c >= 0.0:
-            raise DomainError("c must be nonnegative")
+        if not 0.0 <= self.c < math.inf:
+            raise DomainError("c must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -335,7 +337,6 @@ class MarkovTestConfig:
     alpha: float = 0.001
     delta1: float = 1.0
     delta2: float = 1.0
-    batch_size: int = 400_000
     max_proposals: int | None = None
 
     def __post_init__(self):
@@ -343,8 +344,6 @@ class MarkovTestConfig:
             raise DomainError("process must be 'zc' or 'cmx'")
         if not self.cells:
             raise DomainError("need at least one cell")
-        if not self.batch_size >= 1:
-            raise DomainError("batch_size must be positive")
         object.__setattr__(self, "cells", tuple(self.cells))
 
 
@@ -370,6 +369,13 @@ class MarkovReport:
         }
 
 
+# Proposals per zc batch in the probe grids.  The sum-split first stage drops
+# most proposals before they advance; the cmx sampler keeps its own default,
+# since its first stage advances the whole batch and a larger one only raises
+# peak memory.
+_ZC_BATCH_SIZE = 400_000
+
+
 def _arm_budget(config: MarkovTestConfig, arm: ArmSpec) -> int:
     if config.max_proposals is not None:
         return config.max_proposals
@@ -392,20 +398,11 @@ def _run_arm(
             arm.w1,
             w2,
             arm.n_target,
-            batch_size=config.batch_size,
+            batch_size=_ZC_BATCH_SIZE,
             max_proposals=_arm_budget(config, arm),
         )
     return conditional_sample_cmx(
-        rng,
-        cell.c,
-        arm.eps,
-        arm.w1,
-        w2,
-        arm.n_target,
-        # the first stage advances the whole batch, so a larger one only
-        # raises peak memory
-        batch_size=min(config.batch_size, 50_000),
-        max_proposals=_arm_budget(config, arm),
+        rng, cell.c, arm.eps, arm.w1, w2, arm.n_target, max_proposals=_arm_budget(config, arm)
     )
 
 

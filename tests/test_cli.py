@@ -1,4 +1,4 @@
-"""Exit codes, config merging, emitted files, and the coupling rescale rule."""
+"""Exit codes, config merging, emitted files, and input checks."""
 
 import json
 import math
@@ -193,6 +193,86 @@ def test_rescaled_coupling_matches_reduced_scenario(capsys):
     assert got == pytest.approx(want, rel=1e-9)
 
 
+def test_rescaled_coupling_runs_in_the_library(tmp_path, capsys):
+    # the CLI builds the c=2 scenario as given; the reduction is the library's
+    out = tmp_path / "ratio.csv"
+    assert run_cli(
+        "ratio", "--c", "2", "--delta1", "1.5", "--delta2", "1",
+        "--eps", "0.5", "--z1", "1", "--z2", "4", "--z3", "1", "--output", str(out),
+    ) == 0
+    s = ScenarioParams(c=2.0, delta1=1.5, delta2=1.0, eps=0.5, z1=1.0, z2=4.0, z3=1.0)
+    detail = nonmarkov.conditional_ratio_detail(s)
+    assert capsys.readouterr().out == f"{detail.ratio:.10g}\n"
+    row = out.read_text().splitlines()[1].split(",")
+    assert (float(row[8]), float(row[9])) == (detail.ratio, detail.rel_error_estimate)
+
+
+def test_exact_coupling_checks_eps(capsys):
+    # the c = 1 kernel ignores eps, but the scenario is still checked whole
+    assert run_cli(
+        "ratio", "--c", "1", "--delta1", "1", "--delta2", "1",
+        "--eps", "1.5", "--z1", "1", "--z2", "4", "--z3", "1",
+    ) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "eps must lie in (0, 1)" in captured.err
+
+
+@pytest.mark.parametrize("c", ["0", "-1", "nan", "inf", "1"])
+def test_lemma3_coupling_outside_open_unit_interval_is_config_error(capsys, monkeypatch, c):
+    # refused with the other argument checks, before any integral runs
+    def no_integral(*args, **kwargs):
+        raise AssertionError("an integral ran before the coupling check")
+
+    monkeypatch.setattr(nonmarkov, "_log_integral", no_integral)
+    assert run_cli(
+        "lemma3", "--c", c, "--delta1", "1", "--delta2", "1",
+        "--r1", "1", "--r2", "4", "--z2", "10",
+    ) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "c must lie in (0, 1)" in captured.err
+
+
+_PROBE_FLAGS = (
+    "--n-target", "100", "--seed", "5",
+    "--w1-ref-center", "0.6", "--w1-ref-halfwidth", "0.06",
+    "--w1-alt-center", "1.4", "--w1-alt-halfwidth", "0.14",
+    "--w2-halfwidth", "0.2",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("density", "--delta", "inf", "--t", "1", "--x", "1", "--y", "1"), "delta"),
+        (("density", "--delta", "2", "--t", "inf", "--x", "1", "--y", "1"), "time step"),
+        (("simulate", "--delta", "inf", "--times", "1,2", "--seed", "0"), "delta"),
+        (("eigen", "--c", "1", "--delta", "inf", "--times", "1,2", "--seed", "0"), "delta"),
+        (("eigen", "--c", "1", "--delta", "inf", "--times", "1,2", "--seed", "0",
+          "--source", "sde"), "delta"),
+        (("ratio", "--c", "0.5", "--delta1", "inf", "--delta2", "1", "--eps", "0.5",
+          "--z1", "1", "--z2", "4", "--z3", "1"), "dimensions"),
+        (("lemma3", "--c", "0.5", "--delta1", "inf", "--delta2", "1",
+          "--r1", "1", "--r2", "4", "--z2", "10"), "dimensions"),
+        (("markov-test", "--c-values", "1", "--delta1", "inf", "--w2-center", "2",
+          *_PROBE_FLAGS), "delta"),
+        (("markov-test", "--c-values", "inf", "--w2-center", "2", *_PROBE_FLAGS),
+         "c must be finite"),
+        (("markov-test", "--c-values", "1", "--w2-center", "nan", *_PROBE_FLAGS), "center"),
+    ],
+    ids=[
+        "density-delta", "density-t", "simulate-delta", "eigen-matrix-delta", "eigen-sde-delta",
+        "ratio-delta1", "lemma3-delta1", "markov-delta1", "markov-c", "markov-center",
+    ],
+)
+def test_non_finite_dimension_time_coupling_or_center_is_config_error(capsys, argv, message):
+    assert run_cli_within(10, *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_ratio_unreliable_is_numeric_failure(tmp_path, capsys):
     out = tmp_path / "ratio.csv"
     assert run_cli(
@@ -257,8 +337,8 @@ def test_ratio_infinite_level_is_config_error(capsys, z1, z3):
 
 @pytest.mark.parametrize("c", ["0", "1"])
 def test_exact_coupling_infinite_level_is_config_error(capsys, c):
-    # the c = 0 and c = 1 shortcuts evaluate one transition kernel, which
-    # would print nan (c = 1) or 0 (c = 0) for an infinite level
+    # the exact couplings c = 0 and c = 1 evaluate one transition kernel,
+    # which would print nan (c = 1) or 0 (c = 0) for an infinite level
     assert run_cli(
         "ratio", "--c", c, "--delta1", "1", "--delta2", "1",
         "--eps", "0.5", "--z1", "1", "--z2", "4", "--z3", "inf",

@@ -91,6 +91,35 @@ def test_pathwise_decomposition_identities():
     assert np.max(np.abs(resid)) < 1e-12
 
 
+@pytest.mark.parametrize("c", [0.5, 2.0])
+@pytest.mark.parametrize("delta", [1.0, 2.0, 4.0])
+def test_gap_is_the_weighted_besq_sum_pathwise(c, delta):
+    # gap^2/2 = c xi^2 + ((b1 - b2)/sqrt 2)^2 is Z = c X + Y of the nonmarkov
+    # module with X = xi^2 a BESQ(delta) and Y a BESQ(1), both from zero
+    rng = np.random.default_rng(78)
+    cfg = MatrixProcessConfig(c, delta, tuple(np.linspace(0.05, 2.0, 100)))
+    state = dyson.simulate_drivers(rng, cfg)
+    z = c * state.xi**2 + ((state.b1 - state.b2) / np.sqrt(2.0)) ** 2
+    gap = dyson.decompose(dyson.eigenvalues(state, c))[1]
+    np.testing.assert_allclose(0.5 * gap**2, z, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0])
+@pytest.mark.parametrize("beta", [2, 4])
+def test_vector_offdiag_gap_is_the_weighted_besq_sum_pathwise(c, beta):
+    # complex (beta = 2) and quaternion (beta = 4) entries: beta Brownian
+    # components off the diagonal, whose squared norm is a BESQ(beta)
+    rng = np.random.default_rng(79)
+    steps = np.full(100, 0.02)
+    b1, b2 = np.cumsum(rng.normal(0.0, np.sqrt(steps), (2, steps.size)), axis=-1)
+    v = np.cumsum(rng.normal(0.0, np.sqrt(steps), (beta, steps.size)), axis=-1)
+    for j in range(steps.size):
+        pair = dyson.eigenvalues_from_vector_offdiag(b1[j], b2[j], v[:, j], c)
+        gap = dyson.decompose(pair)[1]
+        z = c * np.dot(v[:, j], v[:, j]) + ((b1[j] - b2[j]) / np.sqrt(2.0)) ** 2
+        assert 0.5 * gap**2 == pytest.approx(z, rel=1e-12, abs=1e-14)
+
+
 def test_eigenvalue_ordering_holds_on_paths():
     rng = np.random.default_rng(72)
     for c in (0.0, 0.5, 1.0, 2.0):

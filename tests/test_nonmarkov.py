@@ -228,11 +228,36 @@ MARKOV_ORACLE_CASES = [
 @pytest.mark.parametrize("d1,d2,eps,z1,z2,z3", MARKOV_ORACLE_CASES)
 def test_unit_coupling_ratio_forgets_the_past(d1, d2, eps, z1, z2, z3):
     # at c=1 the conditional law of the endpoint is a single transition
-    # density of the summed dimension, whatever (eps, z1) the past supplies
+    # density of the summed dimension, whatever (eps, z1) the past supplies.
+    # conditional_ratio takes that kernel directly, so the kernel integrals
+    # are divided here to check that they collapse onto it
     s = ScenarioParams(c=1.0, delta1=d1, delta2=d2, eps=eps, z1=z1, z2=z2, z3=z3)
-    got = nonmarkov.conditional_ratio(s)
+    pair, triple = nonmarkov._pair_log(s, True), nonmarkov._triple_log(s, True)
+    got = math.exp(triple.log_value - pair.log_value)
     want = besq.transition_density(BesqParams(d1 + d2), 1.0, z2, z3)
     assert got == pytest.approx(want, rel=1e-5)
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0])
+@pytest.mark.parametrize("use_eps", [True, False])
+def test_exact_couplings_take_the_single_kernel(c, use_eps):
+    # Z = Y at c=0 and Z = BESQ(delta1+delta2) at c=1: no quadrature runs
+    s = ScenarioParams(c=c, delta1=1.5, delta2=2.5, eps=0.3, z1=1.0, z2=4.0, z3=2.0)
+    detail = nonmarkov.conditional_ratio_detail(s, use_eps=use_eps)
+    delta = 2.5 if c == 0.0 else 4.0
+    assert detail.ratio == besq.transition_density(BesqParams(delta), 1.0, 4.0, 2.0)
+    assert (detail.rel_error_estimate, detail.evaluations, detail.converged) == (0.0, 0, True)
+
+
+@pytest.mark.parametrize("c", [0.0, 2.0])
+def test_kernel_integrals_refuse_couplings_outside_unit_interval(c):
+    # c=0 has no hidden coordinate, and c>1 needs the swap that only
+    # conditional_ratio_detail makes
+    s = ScenarioParams(c=c, delta1=1.0, delta2=1.0, eps=0.5, z1=1.0, z2=4.0, z3=1.0)
+    for density in (nonmarkov.joint_density_pair, nonmarkov.joint_density_triple):
+        for use_eps in (True, False):
+            with pytest.raises(DomainError):
+                density(s, use_eps=use_eps)
 
 
 def test_ratio_depends_on_conditioning_below_unit_coupling():
@@ -263,6 +288,20 @@ def test_small_eps_sweep_approaches_limit_kernel():
     lim = nonmarkov.conditional_ratio(ScenarioParams(eps=0.5, **base), use_eps=False)
     gaps = []
     for eps in (0.2, 0.05, 0.01):
+        r = nonmarkov.conditional_ratio(ScenarioParams(eps=eps, **base))
+        gaps.append(abs(r - lim) / lim)
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert gaps[2] < 1e-3
+
+
+def test_small_eps_sweep_approaches_limit_kernel_above_unit_coupling():
+    # at c=2 the eps -> 0 split of z1 lands on X, so the limit kernel must
+    # run on the law of Z/2 with the dimensions swapped; A21 fed c=2
+    # directly reads 0.0705 here against the 0.0765 the sweep walks into
+    base = dict(c=2.0, delta1=1.5, delta2=1.0, z1=1.0, z2=4.0, z3=1.0)
+    lim = nonmarkov.conditional_ratio(ScenarioParams(eps=0.5, **base), use_eps=False)
+    gaps = []
+    for eps in (0.1, 0.01, 0.001):
         r = nonmarkov.conditional_ratio(ScenarioParams(eps=eps, **base))
         gaps.append(abs(r - lim) / lim)
     assert gaps[0] > gaps[1] > gaps[2]
@@ -368,7 +407,7 @@ def test_unreliable_ratio_guard():
 
 def test_scenario_validation():
     good = dict(delta1=1.0, delta2=1.0, eps=0.5, z1=1.0, z2=1.0, z3=1.0)
-    for bad in (0.0, -0.5, 1.5):
+    for bad in (-0.5, math.inf, math.nan):
         with pytest.raises(DomainError):
             ScenarioParams(c=bad, **good)
     with pytest.raises(DomainError):

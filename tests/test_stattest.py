@@ -158,17 +158,10 @@ def test_conditional_sample_empty_overlap_exhausts():
             max_proposals=2_000_000)
 
 
-def test_conditional_agreement_with_quadrature():
-    # empirical conditional CDF vs the integrated quadrature ratio at the
-    # witness-arm settings; the acceptance-window bias (~0.004 here) sits
-    # well inside twice the DKW envelope at this n
-    res = stattest.conditional_sample(
-        rng(321), 0.5, 1.0, 1.0, 0.5,
-        ConditioningWindow(1.0, 0.1), ConditioningWindow(4.0, 0.4), 20_000)
-    values = np.sort(res.values)
+def _quadrature_cdf_gap(values, s0):
+    # sup distance between the empirical CDF of the sorted values and the
+    # integrated ratio of s0 at ten quantile probes, with its 95% DKW bound
     probes = np.quantile(values, np.linspace(0.05, 0.95, 10))
-
-    s0 = nonmarkov.ScenarioParams(c=0.5, delta1=1.0, delta2=1.0, eps=0.5, z1=1.0, z2=4.0, z3=1.0)
     gx, gw = np.polynomial.legendre.leggauss(3)
     edges = np.concatenate([[0.0], probes])
     cdf = []
@@ -181,7 +174,29 @@ def test_conditional_agreement_with_quadrature():
         cdf.append(acc)
     empirical = np.searchsorted(values, probes, side="right") / values.size
     d = float(np.max(np.abs(empirical - np.array(cdf))))
-    dkw = math.sqrt(math.log(2.0 / 0.05) / (2.0 * values.size))
+    return d, math.sqrt(math.log(2.0 / 0.05) / (2.0 * values.size))
+
+
+def test_conditional_agreement_with_quadrature():
+    # empirical conditional CDF vs the integrated quadrature ratio at the
+    # witness-arm settings; the acceptance-window bias (~0.004 here) sits
+    # well inside twice the DKW envelope at this n
+    res = stattest.conditional_sample(
+        rng(321), 0.5, 1.0, 1.0, 0.5,
+        ConditioningWindow(1.0, 0.1), ConditioningWindow(4.0, 0.4), 20_000)
+    s0 = nonmarkov.ScenarioParams(c=0.5, delta1=1.0, delta2=1.0, eps=0.5, z1=1.0, z2=4.0, z3=1.0)
+    d, dkw = _quadrature_cdf_gap(np.sort(res.values), s0)
+    assert d < 2.0 * dkw
+
+
+def test_conditional_agreement_with_quadrature_above_unit_coupling():
+    # c=2 runs through the law of Z/2 (dimensions swapped, Jacobian 1/2);
+    # without the swap the gap reads 0.094 here, without the Jacobian 0.95
+    res = stattest.conditional_sample(
+        rng(322), 2.0, 1.0, 3.0, 0.5,
+        ConditioningWindow(2.0, 0.2), ConditioningWindow(8.0, 0.8), 20_000)
+    s0 = nonmarkov.ScenarioParams(c=2.0, delta1=1.0, delta2=3.0, eps=0.5, z1=2.0, z2=8.0, z3=1.0)
+    d, dkw = _quadrature_cdf_gap(np.sort(res.values), s0)
     assert d < 2.0 * dkw
 
 
@@ -248,9 +263,6 @@ def test_batch_size_must_be_positive(batch_size):
         stattest.conditional_sample(rng(33), 1.0, 1.0, 1.0, 0.3, w1, w2, 10, batch_size=batch_size)
     with pytest.raises(DomainError):
         stattest.conditional_sample_cmx(rng(33), 1.0, 0.3, w1, w2, 10, batch_size=batch_size)
-    cell = MarkovCell(1.0, ArmSpec(0.3, w1, 10), ArmSpec(0.7, w1, 10))
-    with pytest.raises(DomainError):
-        MarkovTestConfig(process="zc", cells=(cell,), w2=w2, seed=0, batch_size=batch_size)
 
 
 def test_report_inconclusive_on_exhaustion():
