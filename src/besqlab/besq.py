@@ -24,6 +24,8 @@ import numpy as np
 from . import specfun
 from .errors import DomainError
 
+_DOUBLE_MAX = float(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class BesqParams:
@@ -127,7 +129,12 @@ def log_transition_density(p: BesqParams, t: float, x, y):
 
     sx = np.sqrt(x_arr)
     sy = np.sqrt(y_arr)
-    z = sx * sy / t
+    z = sx * sy
+    # where a tiny step t makes sqrt(x) sqrt(y) / t overflow, z = 1 holds the
+    # place of the Bessel factor's large-argument form, taken from log z below
+    over = z > t * _DOUBLE_MAX
+    any_over = bool(over.any())
+    z = (np.where(over, t, z) if any_over else z) / t
     # x so small that sqrt(x) sqrt(y) / t underflows is indistinguishable, at
     # working precision, from a start at zero; routing it through the Bessel
     # factorization would send a spurious infinity through the logs instead
@@ -139,11 +146,16 @@ def log_transition_density(p: BesqParams, t: float, x, y):
         # a placeholder start keeps log(x) finite at x = 0; the formula's
         # value there is replaced below
         start = np.where(x_arr == 0.0, 1.0, x_arr)
+        log_bessel = specfun.log_ive(p.nu, z)
+        if any_over:
+            # the leading Hankel term -log(2 pi z) / 2 at the finite log z
+            log_z = np.log(sx) + np.log(sy) - math.log(t)
+            log_bessel = np.where(over, -0.5 * (math.log(2.0 * math.pi) + log_z), log_bessel)
         out = (
             -np.log(2.0 * t)
             + 0.5 * p.nu * (np.log(y_arr) - np.log(start))
             - (sx - sy) ** 2 / (2.0 * t)
-            + specfun.log_ive(p.nu, z)
+            + log_bessel
         )
         if n_zero:
             out[at_zero] = log_zero_start(p, t, np.broadcast_to(y_arr, z.shape)[at_zero])

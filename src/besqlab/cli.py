@@ -57,11 +57,17 @@ class _ConfigError(Exception):
     pass
 
 
-def _float_list(text: str) -> list[float]:
+def _float_list(value) -> list[float]:
+    # the flag's comma-separated text or, from a JSON config, one number (a
+    # one-value list, as the flag is) or a list of numbers
+    text = isinstance(value, str)
+    items = value.split(",") if text else value if isinstance(value, list) else [value]
     try:
-        return [float(part) for part in str(text).split(",") if part.strip()]
-    except ValueError as exc:
-        raise _ConfigError(f"not a comma-separated float list: {text!r}") from exc
+        if not text and any(isinstance(v, (bool, str)) for v in items):
+            raise TypeError
+        return [float(v) for v in items if not text or v.strip()]
+    except (TypeError, ValueError) as exc:
+        raise _ConfigError(f"not a number or a list of numbers: {value!r}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -250,7 +256,7 @@ def _run_density(config: RunConfig) -> int:
 
 def _run_simulate(config: RunConfig) -> int:
     delta, times = _require(config.params, "delta", "times")
-    grid = _float_list(times) if isinstance(times, str) else [float(v) for v in times]
+    grid = _float_list(times)
     kind = config.params.get("kind", "besq")
     x0 = float(config.params.get("x0", 0.0))
     rng = _rng(config.seed)
@@ -269,7 +275,7 @@ def _run_simulate(config: RunConfig) -> int:
 
 def _run_eigen(config: RunConfig) -> int:
     c, delta, times = _require(config.params, "c", "delta", "times")
-    grid = _float_list(times) if isinstance(times, str) else [float(v) for v in times]
+    grid = _float_list(times)
     source = config.params.get("source", "matrix")
     rng = _rng(config.seed)
     if source == "sde":
@@ -317,7 +323,7 @@ def _run_ratio(config: RunConfig) -> int:
 
 def _run_laplace(config: RunConfig) -> int:
     problem_name, lam = _require(config.params, "problem", "lam")
-    lams = _float_list(lam) if isinstance(lam, str) else [float(v) for v in lam]
+    lams = _float_list(lam)
     problems = nonmarkov.standard_laplace_problems()
     if problem_name not in problems:
         raise _ConfigError(f"unknown problem {problem_name!r}; choose from {sorted(problems)}")
@@ -335,7 +341,7 @@ def _run_lemma3(config: RunConfig) -> int:
     c, delta1, delta2, r1, r2, z2 = _require(
         config.params, "c", "delta1", "delta2", "r1", "r2", "z2"
     )
-    z2_values = _float_list(z2) if isinstance(z2, str) else [float(v) for v in z2]
+    z2_values = _float_list(z2)
     rows = []
     for value in z2_values:
         residual = nonmarkov.lemma3_ratio_check(
@@ -357,8 +363,6 @@ def _window(params: dict, prefix: str) -> stattest.ConditioningWindow:
 
 def _run_markov(config: RunConfig, process: str) -> int:
     c_values, n_target = _require(config.params, "c_values", "n_target")
-    if isinstance(c_values, str):
-        c_values = _float_list(c_values)
     kwargs = {}
     if process == "zc":
         kwargs["delta1"] = float(config.params.get("delta1", 1.0))
@@ -373,7 +377,7 @@ def _run_markov(config: RunConfig, process: str) -> int:
     )
     test_config = stattest.MarkovTestConfig(
         process=process,
-        cells=tuple(stattest.MarkovCell(float(v), ref, alt) for v in c_values),
+        cells=tuple(stattest.MarkovCell(v, ref, alt) for v in _float_list(c_values)),
         w2=_window(config.params, "w2"),
         seed=int(config.seed),
         alpha=float(config.params.get("alpha", 0.001)),

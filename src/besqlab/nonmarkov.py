@@ -4,15 +4,19 @@ Let ``Z = c X + Y`` with ``X, Y`` independent squared Bessel processes of
 dimensions ``delta1, delta2`` started at zero and a coupling ``c >= 0``.
 Whether ``Z`` remembers more than its current value is decided by the
 conditional law of ``Z(2)`` given ``(Z(eps), Z(1))``, and for ``0 < c < 1``
-that law is a ratio of kernel integrals over the hidden coordinate of ``X``:
+that law is a ratio of kernel integrals over the hidden coordinates of ``X``:
 
-    pair(eps, z1, z2)       = int_0^{b1} int_0^{b2} A11 A12 dx2 dx1
-    triple(eps, z1, z2, z3) = int_0^{b1} int_0^{b2} int_0^{b3} A11 A12 A13 ...
+    pair(eps, z1, z2)       = int_0^{b2} g(x2) dx2
+    triple(eps, z1, z2, z3) = int_0^{b2} g(x2) h(x2) dx2
 
-with A11, A12, A13 products of squared-Bessel transition kernels, one joint
-step of ``(X, Z)`` each (:func:`_log_step`).  Each hidden coordinate ranges
-over ``x_i in (0, b_i)`` with ``b_i = z_i/c``, where the companion argument
-``z_i - c x_i`` stays positive.
+with ``g(x2) = int_0^{b1} A11 A12 dx1`` the x2-marginal of the hidden
+``X(1)`` and ``h(x2) = int_0^{b3} A13 dx3``.  By Fubini the ratio
+``triple/pair`` is the mean of ``h`` under ``g``, the Markov-function
+question of Rogers and Pitman.  A11, A12, A13 are products of
+squared-Bessel transition kernels, one joint step of ``(X, Z)`` each
+(:func:`_log_step`).  Each hidden coordinate ranges over ``x_i in (0, b_i)``
+with ``b_i = z_i/c``, where the companion argument ``z_i - c x_i`` stays
+positive.  As ``eps -> 0``, ``g`` becomes the closed-form kernel A21.
 
 :func:`conditional_ratio_detail` covers every other coupling as well.  At
 ``c = 0`` and ``c = 1`` the process is Markov (``Z = Y``, and at ``c = 1``
@@ -33,16 +37,18 @@ whose only surviving ``r = z1/z2`` dependence is the factor
 ``D(r)^(-delta1/2)``.
 
 All kernels are assembled in log space and exponentiated only inside the
-innermost quadrature evaluations, with a shift per integral chosen by
-probing the log-integrand; products of three transition densities underflow
-raw arithmetic long before the ratios of interest become ill-defined.
+quadrature evaluations, with a shift per integral chosen by probing the
+log-integrand; products of three transition densities underflow raw
+arithmetic long before the ratios of interest become ill-defined.
 
-The integrals run level-batched on :func:`quadrature.integrate_rows`: the
-inner x2 integrals of all x1 nodes of one outer level form one batch of
-rows, the x3 integrals ``h(x2)`` of all x2 nodes not yet seen form another,
-and the four integrals of :func:`lemma3_ratio_check` form a third.  Each
-refinement level of a batch is one array call of the kernels, so the cost is
-set by the number of points rather than by Python calls per node.
+Every integral is a row of :func:`_log_integral`, the one shift probe and
+the one caller of :func:`quadrature.integrate_rows`.  The x2 axis is
+outermost, with the pair and the triple as two rows of one call; each batch
+of x2 nodes evaluates ``g`` as a batch of x1 rows and ``h`` as a batch of x3
+rows, and the four integrals of :func:`lemma3_ratio_check` form one more
+batch.  Each refinement level of a batch is one array call of the kernels,
+so the cost is set by the number of points rather than by Python calls per
+node.
 """
 
 from __future__ import annotations
@@ -96,7 +102,12 @@ class ScenarioParams:
 
 @dataclass
 class RatioResult:
-    """A conditional-density ratio with its quadrature bookkeeping."""
+    """A conditional-density ratio with its quadrature bookkeeping.
+
+    ``evaluations`` counts the points of the inner x1 and x3 integrals of
+    the one pass that yields both pair and triple (the ``eps -> 0`` kernel
+    has no x1 axis); the exact couplings report 0.
+    """
 
     ratio: float
     rel_error_estimate: float
@@ -120,13 +131,15 @@ def log_kernel_a11(s: ScenarioParams, x1):
     """Log of the joint density factor of (X(eps), Z(eps)) at (x1, z1).
 
     Both processes start at zero, so this is a product of two started-at-zero
-    kernels; it stays finite in log space down to arbitrarily small ``x1``
-    even when ``delta1 < 2`` makes the linear value blow up.
+    kernels (:func:`besq.log_zero_start`); it stays finite in log space down
+    to arbitrarily small ``x1`` even when ``delta1 < 2`` makes the linear
+    value blow up.
     """
     x1 = np.asarray(x1, dtype=float)
     if x1.size and not (np.all(x1 > 0.0) and np.all(s.c * x1 < s.z1)):
         raise DomainError("need 0 < x1 < z1/c")
-    return _log_step(s.c, s.delta1, s.delta2, s.eps, 0.0, 0.0, x1, s.z1)
+    log_x = besq.log_zero_start(BesqParams(s.delta1), s.eps, x1)
+    return log_x + besq.log_zero_start(BesqParams(s.delta2), s.eps, s.z1 - s.c * x1)
 
 
 def _log_a12(s: ScenarioParams, x1, x2):
@@ -259,106 +272,71 @@ def _log_integral(
     return [_log_result(float(shift[i]), rows.row(i)) for i in range(n_rows)]
 
 
-def _kernel_log_integral(
-    s: ScenarioParams, log_h: Callable[[np.ndarray], np.ndarray] | None = None
-) -> _LogIntegral:
-    """Log of ``int_0^b1 int_0^b2 A11 A12 exp(log_h(x2)) dx2 dx1``.
+def _factor(batch: list[_LogIntegral]) -> tuple:
+    # one inner factor at a batch of x2 nodes: its logs, the worst finite
+    # relative error among its rows, their points, and their convergence (a
+    # closed form is exact and takes no points: logs, 0.0, 0, True)
+    return (
+        np.array([r.log_value for r in batch]),
+        max((r.rel_error for r in batch if r.log_value > -math.inf), default=0.0),
+        sum(r.evaluations for r in batch),
+        all(r.converged for r in batch),
+    )
 
-    Without ``log_h`` this is the pair integral; with the x3 integral
-    ``log_h`` it is the triple.  Each hidden coordinate ranges over the full
-    support ``0 < x_i < z_i/c`` where both kernel factors are positive;
-    stopping at ``z_i`` would discard real mass whenever ``c < 1``.  The x1
-    axis runs through :func:`quadrature.integrate`; each of its levels hands
-    all its nodes to the x2 axis as the rows of one
-    :func:`quadrature.integrate_rows` call, with A11 evaluated once per row.
-    As in :func:`quadrature.integrate_iterated`, the error adds
-    :func:`quadrature.propagated_error` of the x2 rows and ``evaluations``
-    counts x2 points.
+
+def _x3_rows(s: ScenarioParams) -> Callable[[np.ndarray], tuple]:
+    """The factor ``h(x2) = int_0^b3 A13 dx3``, one x3 row per x2 node, kept in
+    log space: near ``z3 -> 0`` A13's endpoint blowup overflows linear values."""
+    b3 = _upper_support(s.z3, s.c)
+    spec = _scenario_specs(s.delta1, s.delta2)["x3"]
+    return lambda x2: _factor(
+        _log_integral(lambda r, x3: _log_a13(s, x2[r, None], x3), x2.size, b3, spec)
+    )
+
+
+def _kernel_logs(
+    s: ScenarioParams, use_eps: bool, log_h: Callable[[np.ndarray], tuple] | None = None
+) -> list[_LogIntegral]:
+    """Logs of ``pair = int_0^b2 g dx2`` and, given ``log_h``, ``triple = int_0^b2 g h dx2``.
+
+    ``g`` is the x1 rows of A11 A12, or A21 without ``use_eps``.  Pair and
+    triple are the two rows of one outer :func:`_log_integral`; ``h`` (say
+    :func:`_x3_rows`) runs only while the triple row refines.  A row's error
+    adds the worst finite relative error of ``g`` (plus ``h``) at its nodes;
+    every row reports the pass's x1 and x3 points.
     """
     specs = _scenario_specs(s.delta1, s.delta2)
     b1 = _upper_support(s.z1, s.c)
-    b2 = _upper_support(s.z2, s.c)
 
-    def log_f(x1, x2, a11):
-        out = a11 + _log_a12(s, x1, x2)
-        return out if log_h is None else out + log_h(x2)
+    def log_g(x2):
+        if not use_eps:
+            return _log_a21(s.c, s.delta1, s.delta2, s.z1, s.z2, x2), 0.0, 0, True
+        return _factor(_log_integral(
+            lambda r, x1: log_kernel_a11(s, x1) + _log_a12(s, x1, x2[r, None]),
+            x2.size, b1, specs["x2"],
+        ))
 
-    g1 = (b1 * _PROBE)[:, None]
-    probe = log_f(g1, b2 * _PROBE, log_kernel_a11(s, g1))
-    shift = float(np.max(probe, where=np.isfinite(probe), initial=-np.inf))
-    if not np.isfinite(shift):
-        raise ConvergenceError("log-integrand is not finite anywhere on the probe grid")
-    inner: list[tuple[float, float]] = []
-    stats = {"evals": 0, "converged": True}
-
-    def layer(x1: np.ndarray) -> np.ndarray:
-        a11 = log_kernel_a11(s, x1)[:, None]
-        rows = quadrature.integrate_rows(
-            lambda r, x2: _shifted_exp(log_f(x1[r, None], x2, a11[r]) - shift),
-            x1.size, 0.0, b2, specs["x2"],
-        )
-        inner.extend(zip(rows.values.tolist(), rows.errors.tolist()))
-        stats["evals"] += int(rows.evaluations.sum())
-        stats["converged"] = stats["converged"] and bool(rows.converged.all())
-        return rows.values
-
-    outer = quadrature.integrate(layer, 0.0, b1, specs["x1"])
-    error = outer.error_estimate + quadrature.propagated_error(inner, outer.value, b1)
-    return _log_result(
-        shift,
-        QuadratureResult(outer.value, error, stats["evals"], outer.converged and stats["converged"]),
-    )
-
-
-def _limit_log_integral(
-    s: ScenarioParams, log_g: Callable[[np.ndarray], np.ndarray] | None = None
-) -> _LogIntegral:
-    """Log of ``int_0^b2 A21 exp(log_g(x2)) dx2``, the ``eps -> 0`` x2 axis."""
+    n_rows = 1 if log_h is None else 2
+    inner_rel = np.zeros(n_rows)
+    inner_ok = np.ones(n_rows, dtype=bool)
+    points = 0
 
     def log_f(rows, x2):
-        out = _log_a21(s.c, s.delta1, s.delta2, s.z1, s.z2, x2)
-        return out if log_g is None else out + log_g(x2)
+        nonlocal points
+        # row 0 integrates g and row 1 g h, so running sums give both rows
+        logs, rels, counts, oks = zip(log_g(x2), *([log_h(x2)] if rows[-1] == 1 else []))
+        points += sum(counts)
+        inner_rel[rows] = np.maximum(inner_rel[rows], np.cumsum(rels)[rows])
+        inner_ok[rows] &= np.logical_and.accumulate(oks)[rows]
+        return np.cumsum(logs, axis=0)[rows]
 
-    return _log_integral(
-        log_f, 1, _upper_support(s.z2, s.c), _scenario_specs(s.delta1, s.delta2)["limit"]
-    )[0]
-
-
-def _pair_log(s: ScenarioParams, use_eps: bool) -> _LogIntegral:
-    return _kernel_log_integral(s) if use_eps else _limit_log_integral(s)
-
-
-def _triple_log(s: ScenarioParams, use_eps: bool) -> _LogIntegral:
-    specs = _scenario_specs(s.delta1, s.delta2)
-    b3 = _upper_support(s.z3, s.c)
-    h_cache: dict[float, float] = {}
-    h_stats = {"rel": 0.0, "evals": 0, "converged": True}
-
-    def log_h(x2: np.ndarray) -> np.ndarray:
-        # innermost x3 integral, kept in log space end to end: near z3 -> 0
-        # its integrable endpoint blowup overflows any linear-space value.
-        # The x2 nodes not seen before run as the rows of one batch.
-        new = np.array([v for v in dict.fromkeys(x2.tolist()) if v not in h_cache])
-        if new.size:
-            batch = _log_integral(
-                lambda rows, x3: _log_a13(s, new[rows, None], x3), new.size, b3, specs["x3"]
-            )
-            for v, inner in zip(new.tolist(), batch):
-                h_stats["evals"] += inner.evaluations
-                if not inner.converged:
-                    h_stats["converged"] = False
-                if inner.log_value > -math.inf:
-                    h_stats["rel"] = max(h_stats["rel"], inner.rel_error)
-                h_cache[v] = inner.log_value
-        return np.array([h_cache[v] for v in x2.tolist()])
-
-    outer = _kernel_log_integral(s, log_h) if use_eps else _limit_log_integral(s, log_h)
-    return _LogIntegral(
-        outer.log_value,
-        outer.rel_error + h_stats["rel"],
-        outer.evaluations + h_stats["evals"],
-        outer.converged and h_stats["converged"],
+    outer = _log_integral(
+        log_f, n_rows, _upper_support(s.z2, s.c), specs["x1" if use_eps else "limit"]
     )
+    return [
+        _LogIntegral(o.log_value, o.rel_error + rel, points, o.converged and ok)
+        for o, rel, ok in zip(outer, inner_rel.tolist(), inner_ok.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -368,21 +346,21 @@ def joint_density_pair(s: ScenarioParams, use_eps: bool = True) -> float:
     """Kernel integral for the law of ``(Z(eps), Z(1))`` at ``(z1, z2)``.
 
     With ``use_eps`` false, returns the ``eps -> 0`` limit object built on
-    the A21 kernel instead (its own code path; the started-at-zero kernel
+    the closed-form A21 kernel instead: the started-at-zero kernel
     concentrates like a delta function as eps shrinks, which is hostile to
-    fixed quadrature).
+    fixed quadrature.
     """
-    res = _pair_log(s, use_eps)
-    if not res.converged:
-        raise ConvergenceError("pair density quadrature did not converge")
-    return math.exp(res.log_value) if math.isfinite(res.log_value) else 0.0
+    return _density(_kernel_logs(s, use_eps)[0], "pair")
 
 
 def joint_density_triple(s: ScenarioParams, use_eps: bool = True) -> float:
     """Kernel integral for the law of ``(Z(eps), Z(1), Z(2))`` at ``(z1, z2, z3)``."""
-    res = _triple_log(s, use_eps)
+    return _density(_kernel_logs(s, use_eps, _x3_rows(s))[1], "triple")
+
+
+def _density(res: _LogIntegral, what: str) -> float:
     if not res.converged:
-        raise ConvergenceError("triple density quadrature did not converge")
+        raise ConvergenceError(f"{what} density quadrature did not converge")
     return math.exp(res.log_value) if math.isfinite(res.log_value) else 0.0
 
 
@@ -390,7 +368,7 @@ def conditional_ratio_detail(s: ScenarioParams, use_eps: bool = True) -> RatioRe
     """Conditional density of ``Z(2)`` at ``z3`` given ``(Z(eps), Z(1)) = (z1, z2)``.
 
     Returns the ratio together with a first-order relative error estimate
-    (sum of the pair and triple estimates), the innermost evaluation count,
+    (sum of the pair and triple estimates), the inner x1 and x3 points,
     and the joint convergence flag.  Any coupling ``c >= 0`` is served: see
     the module docstring for the exact couplings 0 and 1 and the law of
     ``Z/c`` behind ``c > 1``.
@@ -403,17 +381,16 @@ def conditional_ratio_detail(s: ScenarioParams, use_eps: bool = True) -> RatioRe
         delta = s.delta2 if s.c == 0.0 else s.delta1 + s.delta2
         ratio = besq.transition_density(BesqParams(delta), 1.0, s.z2, s.z3) * k
         return RatioResult(ratio, 0.0, 0, True)
-    pair = _pair_log(s, use_eps)
+    pair, triple = _kernel_logs(s, use_eps, _x3_rows(s))
     if pair.log_value < _LOG_FLOOR:
         raise UnreliableRatioError(
             "pair density below 1e-300; the conditional ratio is not trustworthy"
         )
-    triple = _triple_log(s, use_eps)
     log_ratio = triple.log_value - pair.log_value
     return RatioResult(
         ratio=(math.exp(log_ratio) if math.isfinite(log_ratio) else 0.0) * k,
         rel_error_estimate=pair.rel_error + triple.rel_error,
-        evaluations=pair.evaluations + triple.evaluations,
+        evaluations=triple.evaluations,
         converged=pair.converged and triple.converged,
     )
 
@@ -437,7 +414,9 @@ def zero_limit_weighted_triple(s: ScenarioParams) -> float:
     pairs the A21 kernel with the product of weighted zero-limits (A32);
     ``s.z3`` plays no role here and ``s.eps`` refers to the limit object.
     """
-    qt = _limit_log_integral(s, lambda x2: _log_a32(s.c, s.delta1, s.delta2, s.z2, x2))
+    qt = _kernel_logs(
+        s, False, lambda x2: (_log_a32(s.c, s.delta1, s.delta2, s.z2, x2), 0.0, 0, True)
+    )[1]
     if not qt.converged:
         raise ConvergenceError("weighted zero-limit quadrature did not converge")
     log_beta = (

@@ -10,11 +10,11 @@ home.  It takes the cheapest exact form the order allows:
 - ``nu = 0`` (dimension 2) takes ``scipy.special.i0e`` (Cephes), which has
   no argument cap and costs under a third of ``ive``;
 - every other order takes ``scipy.special.ive`` (Amos's algorithm, ACM TOMS
-  644) wherever that value is a normal double, the Hankel expansion (DLMF
-  10.40.1) past the argument cap of Amos's routines, or the uniform
-  large-order expansion (DLMF 10.41.3) there when the order is too large for
-  Hankel, and the small-argument power series summed in log space where
-  ``ive`` underflows.
+  644) wherever that value is a normal double.  Elsewhere it takes the
+  Hankel expansion (DLMF 10.40.1) past the argument cap of Amos's routines,
+  the uniform large-order expansion (DLMF 10.41.3) wherever ``nu`` or ``x``
+  is large enough for its truncation to be exact in double precision, and
+  the small-argument power series summed in log space for the rest.
 
 All public functions are pure, accept scalars or arrays, and raise
 :class:`~besqlab.errors.DomainError` outside their mathematical domain and
@@ -38,6 +38,9 @@ _AMOS_CAP = 2.0**30
 # the first term the Hankel sum leaves out is about (nu^2/x)^3/48, below
 # double epsilon while nu^2 <= 2e-5 x; larger orders take the uniform expansion
 _HANKEL_NU2_PER_X = 2e-5
+# the first term the uniform sum leaves out is at most 0.11 hypot(nu, x)^-4,
+# below double epsilon from here on; past the argument cap that always holds
+_UNIFORM_MIN_HYPOT = 2.0**13
 _SERIES_MAX_TERMS = 100_000
 
 
@@ -101,9 +104,8 @@ def _log_uniform(nu: float, x: np.ndarray) -> np.ndarray:
     # exp(-x) I_nu(nu z) ~ exp(nu (eta - z)) (2 pi nu)^{-1/2} s^{-1/2} sum U_k(p)/nu^k
     # with s = sqrt(1 + z^2), p = 1/s and eta = s + log(z / (1 + s)).  With
     # d = s - z = 1/(s + z), nu (eta - z) = nu d - nu log1p((1 + d)/z): the
-    # naive log(z / (1 + s)) loses about 1e-11 at x = 1e12.  Past the
-    # argument cap nu s >= x > 2^30, so the first term left out, about
-    # U4/nu^4 ~ (nu s)^-4, is far below double epsilon.
+    # naive log(z / (1 + s)) loses about 1e-11 at x = 1e12.  The first term
+    # left out, U4(p)/nu^4, is at most 0.11 (nu s)^-4 = 0.11 hypot(nu, x)^-4.
     z = x / nu
     s = np.hypot(1.0, z)
     d = 1.0 / (s + z)
@@ -183,14 +185,14 @@ def log_ive(nu: float, x):
             # the limit of -log(2 pi x) / 2
             out[flat == np.inf] = -np.inf
             rest = ~normal & (flat > 0.0) & (flat < np.inf)
-            # past the argument cap: the Hankel expansion, or the uniform one
-            # for orders too large for it; below the cap the series
-            past = rest & (flat > _AMOS_CAP)
-            hankel = past & (nu * nu <= _HANKEL_NU2_PER_X * flat)
+            # past the argument cap the Hankel expansion at small orders, the
+            # uniform one wherever it is exact, and the series for the rest
+            hankel = rest & (flat > _AMOS_CAP) & (nu * nu <= _HANKEL_NU2_PER_X * flat)
+            uniform = rest & ~hankel & (np.hypot(nu, flat) >= _UNIFORM_MIN_HYPOT)
             branches = (
                 (hankel, _log_hankel),
-                (past & ~hankel, _log_uniform),
-                (rest & ~past, _log_series),
+                (uniform, _log_uniform),
+                (rest & ~hankel & ~uniform, _log_series),
             )
             for mask, branch in branches:
                 if np.any(mask):

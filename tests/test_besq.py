@@ -154,6 +154,23 @@ def test_log_density_finite_at_tiny_start():
             assert v == pytest.approx(at_zero, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t", [1e-320, 1e-310])
+def test_log_density_where_the_bessel_argument_overflows(t):
+    # sqrt(x) sqrt(y) / t overflows at x = y >= 1 here, though the
+    # log-density stays finite (366.8 at t = 1e-320, x = y = 1); the
+    # start 1e-300 keeps an ordinary argument in the same array
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    x = np.array([1e-300, 1.0, 4.0])
+    for delta in (1.0, 2.0, 5.0):
+        got = besq.log_transition_density(BesqParams(delta), t, x, x)
+        for xi, g in zip(x.tolist(), got.tolist()):
+            tm, z = mpmath.mpf(t), mpmath.mpf(xi) / mpmath.mpf(t)
+            ive = mpmath.besseli(0.5 * delta - 1.0, z) * mpmath.exp(-z)
+            assert g == pytest.approx(float(mpmath.log(ive / (2 * tm))), rel=1e-15)
+
+
 def test_sampler_moments_from_zero():
     r = rng(11)
     p = BesqParams(2.7)

@@ -180,6 +180,7 @@ def test_config_file_sets_arm_sizes(tmp_path):
     assert (cell["n_ref"], cell["n_alt"]) == (150, 120)
 
 
+
 def test_rescaled_coupling_matches_reduced_scenario(capsys):
     # c=2 runs as the law of Z/2: coupling 1/2, swapped dimensions, scaled
     # levels, and a 1/2 density Jacobian
@@ -240,6 +241,40 @@ _PROBE_FLAGS = (
     "--w1-alt-center", "1.4", "--w1-alt-halfwidth", "0.14",
     "--w2-halfwidth", "0.2",
 )
+
+
+# one short command line per list-valued key, and the one value it gets
+LIST_KEYS = [
+    (("simulate", "--delta", "2", "--seed", "1"), "times", 1.0),
+    (("eigen", "--c", "0.5", "--delta", "1", "--seed", "1"), "times", 1.0),
+    (("laplace", "--problem", "quadratic"), "lam", 10.0),
+    (("lemma3", "--c", "0.5", "--delta1", "1", "--delta2", "1", "--r1", "1", "--r2", "4"),
+     "z2", 10.0),
+    (("markov-test", "--w2-center", "2.0", *_PROBE_FLAGS), "c_values", 1.0),
+]
+
+
+@pytest.mark.parametrize("argv,key,value", LIST_KEYS, ids=[f"{a[0]}-{k}" for a, k, _ in LIST_KEYS])
+def test_config_list_key_takes_a_number_or_a_list(tmp_path, capsys, argv, key, value):
+    # the flag's text, a bare number and a one-number list give the same
+    # output; a JSON config with anything else is a config error, not a
+    # TypeError traceback
+    cfg = tmp_path / "run.json"
+    outputs = []
+    for i, form in enumerate((None, value, [value])):
+        out = tmp_path / f"{i}.out"
+        if form is None:
+            args = (*argv, "--" + key.replace("_", "-"), repr(value))
+        else:
+            cfg.write_text(json.dumps({key: form}))
+            args = (*argv, "--config", str(cfg))
+        assert run_cli(*args, "--output", str(out)) == 0
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1] == outputs[2]
+    for bad in (True, {"v": value}, [value, "2"], [[value]]):
+        cfg.write_text(json.dumps({key: bad}))
+        assert run_cli(*argv, "--config", str(cfg)) == 2
+        assert "not a number or a list of numbers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -124,43 +124,73 @@ def test_triple_marginalizes_to_pair(c, d1, d2, eps, z1, z2):
     assert total == pytest.approx(pair, rel=1e-4)
 
 
-def _recursive_kernel_log(s, with_h):
-    """Pair (or triple) kernel integral by per-node recursion, as the batched code's oracle.
+def _recursive_kernel_logs(s, use_eps):
+    """Pair and triple kernel integrals node by node, as the batched pass's oracle.
 
-    Same shifted integrand as nonmarkov's batched path, but the x2 axis runs
-    through quadrature.integrate_iterated and every x3 integral through its
-    own quadrature.integrate call.  Returns (log value, evaluations).
+    Same shifted integrands as nonmarkov's one outer pass over x2, but each
+    row's x2 axis runs through its own quadrature.integrate call, and every
+    g(x2) = int A11 A12 dx1 and h(x2) = int A13 dx3 is its own probed
+    quadrature.integrate call.  Returns the pair and triple logs and the x1
+    plus x3 points the batched pass spends: g and h at every probe node, g at
+    every x2 node of either row and h at every x2 node of the triple.
     """
     specs = nonmarkov._scenario_specs(s.delta1, s.delta2)
     b1, b2, b3 = (nonmarkov._upper_support(z, s.c) for z in (s.z1, s.z2, s.z3))
-    h_cache = {}
 
-    def h_log(x2):
-        if x2 not in h_cache:
-            log_g = lambda x3: nonmarkov._log_a13(s, x2, x3)
-            probe = log_g(b3 * nonmarkov._PROBE)
-            shift = float(np.max(probe[np.isfinite(probe)]))
-            res = quadrature.integrate(
-                lambda x3: nonmarkov._shifted_exp(log_g(x3) - shift), 0.0, b3, specs["x3"]
-            )
-            h_cache[x2] = (shift + math.log(res.value), res.evaluations)
-        return h_cache[x2][0]
+    def log_integral(log_f, hi, spec):
+        # (log value, points), shifted by the peak of the probe grid
+        probe = log_f(hi * nonmarkov._PROBE)
+        shift = float(np.max(probe[np.isfinite(probe)]))
+        res = quadrature.integrate(
+            lambda x: nonmarkov._shifted_exp(log_f(x) - shift), 0.0, hi, spec
+        )
+        assert res.converged
+        return shift + math.log(res.value), res.evaluations
 
-    def log_f(x1, x2):
-        out = nonmarkov.log_kernel_a11(s, x1) + nonmarkov._log_a12(s, x1, x2)
-        if with_h:
-            out = out + np.array([h_log(v) for v in np.ravel(x2).tolist()]).reshape(np.shape(x2))
-        return out
+    memo = {}
 
-    probe = log_f((b1 * nonmarkov._PROBE)[:, None], b2 * nonmarkov._PROBE)
-    shift = float(np.max(probe[np.isfinite(probe)]))
-    res = quadrature.integrate_iterated(
-        lambda x1, x2: nonmarkov._shifted_exp(log_f(np.asarray([x1]), x2) - shift),
-        [(0.0, b1), (0.0, b2)],
-        [specs["x1"], specs["x2"]],
-    )
-    assert res.converged
-    return shift + math.log(res.value), res.evaluations + sum(e for _, e in h_cache.values())
+    def factors(x2):
+        # (log g, g points, log h, h points) at one x2 node
+        if x2 not in memo:
+            if use_eps:
+                g = log_integral(
+                    lambda x1: nonmarkov.log_kernel_a11(s, x1) + nonmarkov._log_a12(s, x1, x2),
+                    b1, specs["x2"],
+                )
+            else:
+                g = (float(nonmarkov._log_a21(s.c, s.delta1, s.delta2, s.z1, s.z2, x2)), 0)
+            h = log_integral(lambda x3: nonmarkov._log_a13(s, x2, x3), b3, specs["x3"])
+            memo[x2] = g + h
+        return memo[x2]
+
+    def row(with_h):
+        # (log value, x2 nodes in the order the rule visits them)
+        def log_f(x2):
+            return np.array([
+                f[0] + (f[2] if with_h else 0.0) for f in map(factors, np.ravel(x2).tolist())
+            ])
+
+        probe = log_f(b2 * nonmarkov._PROBE)
+        shift = float(np.max(probe[np.isfinite(probe)]))
+        nodes = []
+
+        def integrand(x2):
+            nodes.extend(x2.tolist())
+            return nonmarkov._shifted_exp(log_f(x2) - shift)
+
+        spec = specs["x1" if use_eps else "limit"]
+        res = quadrature.integrate(integrand, 0.0, b2, spec)
+        assert res.converged
+        return shift + math.log(res.value), nodes
+
+    (pair, pair_nodes), (triple, triple_nodes) = row(False), row(True)
+    # both rows visit the same level sequence; the longer list is its union
+    union = max(pair_nodes, triple_nodes, key=len)
+    assert union[: min(len(pair_nodes), len(triple_nodes))] == min(pair_nodes, triple_nodes, key=len)
+    probe = (b2 * nonmarkov._PROBE).tolist()
+    points = sum(factors(v)[1] + factors(v)[3] for v in probe)
+    points += sum(factors(v)[1] for v in union) + sum(factors(v)[3] for v in triple_nodes)
+    return pair, triple, points
 
 
 @pytest.mark.parametrize(
@@ -172,23 +202,25 @@ def _recursive_kernel_log(s, with_h):
     ids=["delta2<2", "delta2>=2"],
 )
 def test_batched_kernel_integrals_match_recursive_oracle(s):
-    for batched, with_h in ((nonmarkov._pair_log(s, True), False), (nonmarkov._triple_log(s, True), True)):
-        log_value, evaluations = _recursive_kernel_log(s, with_h)
-        assert batched.converged
-        assert math.exp(batched.log_value - log_value) == pytest.approx(1.0, abs=1e-12)
-        assert batched.evaluations == evaluations
+    for use_eps in (True, False):
+        pair, triple = nonmarkov._kernel_logs(s, use_eps, nonmarkov._x3_rows(s))
+        want_pair, want_triple, points = _recursive_kernel_logs(s, use_eps)
+        for batched, log_value in ((pair, want_pair), (triple, want_triple)):
+            assert batched.converged
+            assert math.exp(batched.log_value - log_value) == pytest.approx(1.0, abs=1e-12)
+            assert batched.evaluations == points
 
 
-# Innermost evaluation counts of the twelve conditional ratios at c=0.5,
-# eps=0.5, z1=1, z2=4, frozen from the per-node recursive implementation:
-# (delta1, delta2, z3) -> (finite eps, eps -> 0 limit kernel).
+# Points of the twelve conditional ratios at c=0.5, eps=0.5, z1=1, z2=4 (x1
+# plus x3 points; the eps -> 0 kernel has no x1 axis), frozen from the
+# per-node oracle above: (delta1, delta2, z3) -> (finite eps, eps -> 0).
 RATIO_EVALUATIONS = {
-    (1.0, 1.0, 1.0): (13311, 8025),
-    (1.0, 1.0, 4.0): (13349, 8025),
-    (1.0, 1.0, 8.0): (13349, 8025),
-    (2.0, 3.0, 1.0): (35331, 13723),
-    (2.0, 3.0, 4.0): (45395, 15647),
-    (2.0, 3.0, 8.0): (44507, 26969),
+    (1.0, 1.0, 1.0): (15900, 7950),
+    (1.0, 1.0, 4.0): (15900, 7950),
+    (1.0, 1.0, 8.0): (15900, 7950),
+    (2.0, 3.0, 1.0): (20784, 13500),
+    (2.0, 3.0, 4.0): (28406, 15572),
+    (2.0, 3.0, 8.0): (28628, 26820),
 }
 
 
@@ -230,12 +262,17 @@ def test_unit_coupling_ratio_forgets_the_past(d1, d2, eps, z1, z2, z3):
     # at c=1 the conditional law of the endpoint is a single transition
     # density of the summed dimension, whatever (eps, z1) the past supplies.
     # conditional_ratio takes that kernel directly, so the kernel integrals
-    # are divided here to check that they collapse onto it
+    # of both kernels are divided here to check that they collapse onto it,
+    # and that the reported error covers the distance to it
     s = ScenarioParams(c=1.0, delta1=d1, delta2=d2, eps=eps, z1=z1, z2=z2, z3=z3)
-    pair, triple = nonmarkov._pair_log(s, True), nonmarkov._triple_log(s, True)
-    got = math.exp(triple.log_value - pair.log_value)
     want = besq.transition_density(BesqParams(d1 + d2), 1.0, z2, z3)
-    assert got == pytest.approx(want, rel=1e-5)
+    for use_eps in (True, False):
+        pair, triple = nonmarkov._kernel_logs(s, use_eps, nonmarkov._x3_rows(s))
+        got = math.exp(triple.log_value - pair.log_value)
+        rel_error = pair.rel_error + triple.rel_error
+        assert got == pytest.approx(want, rel=1e-5)
+        assert abs(got - want) <= rel_error * want
+        assert rel_error <= 1e-6
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0])

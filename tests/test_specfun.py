@@ -15,6 +15,9 @@ IVE_MINUS_HALF_AT_2 = 0.28726153811240116
 
 LN_GAMMA_HALF = 0.5723649429247001  # log sqrt(pi)
 
+# log(exp(-x) I_nu(x)) at nu = 5e4, x = 3e5, from a 30-digit mpmath evaluation
+LOG_IVE_5E4_3E5 = -4164.33255531516027248643369054
+
 
 def test_ln_gamma_known_points():
     assert specfun.ln_gamma(0.5) == pytest.approx(LN_GAMMA_HALF, rel=1e-14)
@@ -94,10 +97,35 @@ def test_log_ive_past_scipy_argument_cap():
             assert specfun.log_ive(nu, x) == pytest.approx(want, rel=1e-15)
 
 
-def test_log_ive_raises_where_no_branch_is_accurate():
+def test_log_ive_large_orders_below_the_cap_take_the_uniform_expansion():
+    # where ive underflows at a large order, the series at nu = 5e4, x = 3e5
+    # would need over 1e5 terms; the uniform expansion is exact to double
+    # precision wherever hypot(nu, x) >= 2^13.  mpmath's own series takes
+    # about 80 s at that point, so its 30-digit value is frozen
+    assert specfun.log_ive(5e4, 3e5) == pytest.approx(LOG_IVE_5E4_3E5, rel=1e-15)
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    for nu, xs in ((8192.0, (1e-3, 1.0)), (9000.0, (0.5, 8e3, 2e4)), (2e4, (10.0, 3e4))):
+        for x, got in zip(xs, specfun.log_ive(nu, np.array(xs)).tolist()):
+            want = float(mpmath.log(mpmath.besseli(nu, x, maxterms=10**5) * mpmath.exp(-x)))
+            assert got == pytest.approx(want, rel=1e-15), (nu, x)
+    # adjacent doubles on the two sides of the switch from the series at nu = 8000
+    lo, hi = 1700.0, 1800.0
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if np.hypot(8000.0, mid) >= specfun._UNIFORM_MIN_HYPOT:
+            hi = mid
+        else:
+            lo = mid
+    below, above = specfun.log_ive(8000.0, np.array([lo, hi]))
+    assert abs(below - above) <= 1e-12 * abs(above)
+
+
+def test_log_ive_raises_where_no_branch_is_accurate(monkeypatch):
     # a series that would need more than its term budget ends in a typed error
+    monkeypatch.setattr(specfun, "_SERIES_MAX_TERMS", 10)
     with pytest.raises(ConvergenceError, match="series"):
-        specfun.log_ive(5e4, 3e5)
+        specfun.log_ive(1000.0, 500.0)
 
 
 def test_log_ive_exact_at_the_paper_orders():
