@@ -16,6 +16,7 @@ shape ``(n,)`` gives ``n`` independent paths, ``values`` of shape ``(n, T)``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -151,12 +152,15 @@ def log_transition_density(p: BesqParams, t: float, x, y):
             # the leading Hankel term -log(2 pi z) / 2 at the finite log z
             log_z = np.log(sx) + np.log(sy) - math.log(t)
             log_bessel = np.where(over, -0.5 * (math.log(2.0 * math.pi) + log_z), log_bessel)
-        out = (
-            -np.log(2.0 * t)
-            + 0.5 * p.nu * (np.log(y_arr) - np.log(start))
-            - (sx - sy) ** 2 / (2.0 * t)
-            + log_bessel
-        )
+        # (sqrt x - sqrt y)^2 <= max(x, y), so the quotient overflows, to its
+        # right limit -inf, only at a step t < 1/2
+        with np.errstate(over="ignore") if t < 0.5 else contextlib.nullcontext():
+            out = (
+                -np.log(2.0 * t)
+                + 0.5 * p.nu * (np.log(y_arr) - np.log(start))
+                - (sx - sy) ** 2 / (2.0 * t)
+                + log_bessel
+            )
         if n_zero:
             out[at_zero] = log_zero_start(p, t, np.broadcast_to(y_arr, z.shape)[at_zero])
     # scalar operands give a 0-d result, returned as a Python float

@@ -11,10 +11,13 @@ Eight subcommands map onto the library modules:
     markov-test  Monte Carlo Markov probe for the weighted sum
     cmx-test     the same probe for c*max - Brownian motion
 
-Configuration can come from ``--config`` (a JSON file whose keys mirror the
+Configuration can come from ``--config``, a JSON file whose keys mirror the
 subcommand's long-form flags with underscores; any other key is a
-configuration error); explicit flags override file values.  Stochastic
-commands require an explicit ``--seed``.  Exit codes: 0 success,
+configuration error.  A file value goes through the parser as its flag's
+text, so it takes that flag's type and choices, and the order is flag over
+file over default.  A list flag takes a number or a list of numbers, and a
+switch such as ``--limit-eps`` takes true or false.  Stochastic commands
+require an explicit nonnegative ``--seed``.  Exit codes: 0 success,
 2 configuration error, 3 numeric non-convergence, 4 inconclusive statistics.
 With ``--output``, a ``.meta.json`` sidecar records the parameters, the exit
 status and the wall time on exits 0, 3 and 4; on exit 3 it also carries the
@@ -50,24 +53,25 @@ class RunConfig:
     params: dict
     seed: int | None
     output_path: str | None
-    format: str
 
 
 class _ConfigError(Exception):
     pass
 
 
-def _float_list(value) -> list[float]:
-    # the flag's comma-separated text or, from a JSON config, one number (a
-    # one-value list, as the flag is) or a list of numbers
-    text = isinstance(value, str)
-    items = value.split(",") if text else value if isinstance(value, list) else [value]
+def _float_list(text: str) -> list[float]:
     try:
-        if not text and any(isinstance(v, (bool, str)) for v in items):
-            raise TypeError
-        return [float(v) for v in items if not text or v.strip()]
-    except (TypeError, ValueError) as exc:
-        raise _ConfigError(f"not a number or a list of numbers: {value!r}") from exc
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number or a list of numbers: {text!r}") from None
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        # numpy's SeedSequence would refuse it later with a traceback
+        raise argparse.ArgumentTypeError(f"a seed must be nonnegative, not {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,18 +82,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"besqlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default):
-        p.add_argument("--config", help="JSON file with flag values (flags override)")
-        p.add_argument("--seed", type=int, help="RNG seed (required for stochastic commands)")
+    def common(p):
+        p.add_argument(
+            "--config",
+            help="JSON file of flag values; flag over file over default, and a file "
+            "value takes its flag's type and choices",
+        )
+        p.add_argument("--seed", type=_seed, help="RNG seed (required for stochastic commands)")
         p.add_argument("--output", help="output data file path")
-        p.add_argument("--format", choices=["csv", "json"], default=fmt_default)
 
     p = sub.add_parser("density", help="transition density of BESQ(delta)")
     p.add_argument("--delta", type=float)
     p.add_argument("--t", type=float)
     p.add_argument("--x", type=float)
     p.add_argument("--y", type=float)
-    common(p, "csv")
+    common(p)
 
     p = sub.add_parser("simulate", help="exact BESQ or Bessel path")
     p.add_argument("--delta", type=float)
@@ -98,16 +105,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="start of the simulated process itself: the BESQ value, or for "
         "--kind bessel the Bessel value (squared internally)",
     )
-    p.add_argument("--times", help="comma-separated increasing times")
+    p.add_argument("--times", type=_float_list, help="comma-separated increasing times")
     p.add_argument("--kind", choices=["besq", "bessel"], default="besq")
-    common(p, "csv")
+    common(p)
 
     p = sub.add_parser("eigen", help="eigenvalue pair paths")
     p.add_argument("--c", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--times")
+    p.add_argument("--times", type=_float_list)
     p.add_argument("--source", choices=["matrix", "sde"], default="matrix")
-    common(p, "csv")
+    common(p)
 
     p = sub.add_parser("ratio", help="conditional ratio of the weighted sum")
     p.add_argument("--c", type=float)
@@ -118,12 +125,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z2", type=float)
     p.add_argument("--z3", type=float)
     p.add_argument("--limit-eps", action="store_true", help="use the eps->0 kernel")
-    common(p, "csv")
+    common(p)
 
     p = sub.add_parser("laplace", help="Laplace integral vs asymptotic")
     p.add_argument("--problem", choices=sorted(nonmarkov.standard_laplace_problems()))
-    p.add_argument("--lam", help="comma-separated lambda values")
-    common(p, "csv")
+    p.add_argument("--lam", type=_float_list, help="comma-separated lambda values")
+    common(p)
 
     p = sub.add_parser("lemma3", help="large-z2 double-ratio residual sweep")
     p.add_argument("--c", type=float)
@@ -131,12 +138,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta2", type=float)
     p.add_argument("--r1", type=float)
     p.add_argument("--r2", type=float)
-    p.add_argument("--z2", help="comma-separated z2 values")
-    common(p, "csv")
+    p.add_argument("--z2", type=_float_list, help="comma-separated z2 values")
+    common(p)
 
     for name in ("markov-test", "cmx-test"):
         p = sub.add_parser(name, help="Monte Carlo Markov probe")
-        p.add_argument("--c-values", help="comma-separated couplings")
+        p.add_argument("--c-values", type=_float_list, help="comma-separated couplings")
         p.add_argument("--n-target", type=int)
         p.add_argument("--n-ref", type=int, help="reference arm size (default --n-target)")
         p.add_argument("--n-alt", type=int, help="alternative arm size (default --n-target)")
@@ -152,36 +159,41 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "markov-test":
             p.add_argument("--delta1", type=float, default=1.0)
             p.add_argument("--delta2", type=float, default=1.0)
-        common(p, "json")
+        common(p)
 
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    merged: dict = {}
+def _config_argv(args: argparse.Namespace) -> list[str]:
+    """The flags that the ``--config`` file of ``args`` stands for."""
+    try:
+        with open(args.config) as fh:
+            values = dict(json.load(fh))
+    except (OSError, TypeError, ValueError) as exc:
+        raise _ConfigError(f"cannot read config file: {exc}") from exc
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                merged.update(json.load(fh))
-        except (OSError, TypeError, ValueError) as exc:
-            raise _ConfigError(f"cannot read config file: {exc}") from exc
-        unknown = sorted(set(merged) - set(flags))
-        if unknown:
-            # a mistyped key would otherwise fall back to its default silently
-            raise _ConfigError(
-                f"unknown config key(s) for '{args.command}': {', '.join(map(repr, unknown))}"
-            )
-    for key, value in flags.items():
-        if value is not None:
-            merged[key] = value
-    command = args.command
-    seed = merged.pop("seed", None)
-    output = merged.pop("output", None)
-    fmt = merged.pop("format", "csv")
-    if command in _STOCHASTIC and seed is None:
-        raise _ConfigError(f"--seed is required for '{command}'")
-    return RunConfig(command, merged, seed, output, fmt)
+    unknown = sorted(set(values) - set(flags))
+    if unknown:
+        # a mistyped key would otherwise fall back to its default silently
+        raise _ConfigError(
+            f"unknown config key(s) for '{args.command}': {', '.join(map(repr, unknown))}"
+        )
+    argv = []
+    for key, value in values.items():
+        flag = "--" + key.replace("_", "-")
+        items = value if isinstance(value, list) else [value]
+        if isinstance(flags[key], bool):  # a switch, such as --limit-eps
+            if not isinstance(value, bool):
+                raise _ConfigError(f"{key!r} takes true or false, not {value!r}")
+            argv += [flag] if value else []
+        elif isinstance(value, str):
+            argv.append(f"{flag}={value}")
+        elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
+            # a number or a list of numbers stands for the flag's comma-separated text
+            argv.append(f"{flag}={','.join(map(str, items))}")
+        else:
+            raise _ConfigError(f"{key!r} is not a number or a list of numbers: {value!r}")
+    return argv
 
 
 def _require(params: dict, *names):
@@ -192,25 +204,17 @@ def _require(params: dict, *names):
     return [params[n] for n in names]
 
 
+def _write(path, text: str) -> None:
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def _write_rows(path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, (int, float)) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def _write_json(path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _sidecar(config: RunConfig, started: float, status: int, error: str | None = None) -> None:
@@ -241,9 +245,9 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _run_density(config: RunConfig) -> int:
     delta, t, x, y = _require(config.params, "delta", "t", "x", "y")
-    if not (math.isfinite(float(x)) and math.isfinite(float(y))):
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise _ConfigError("x and y must be finite")
-    value = besq.transition_density(BesqParams(float(delta)), float(t), float(x), float(y))
+    value = besq.transition_density(BesqParams(delta), t, x, y)
     print(f"{value:.10g}")
     if config.output_path:
         _write_rows(
@@ -255,13 +259,11 @@ def _run_density(config: RunConfig) -> int:
 
 
 def _run_simulate(config: RunConfig) -> int:
-    delta, times = _require(config.params, "delta", "times")
-    grid = _float_list(times)
-    kind = config.params.get("kind", "besq")
-    x0 = float(config.params.get("x0", 0.0))
+    delta, grid = _require(config.params, "delta", "times")
+    x0 = config.params["x0"]
     rng = _rng(config.seed)
-    p = BesqParams(float(delta))
-    if kind == "bessel":
+    p = BesqParams(delta)
+    if config.params["kind"] == "bessel":
         path = besq.bessel_path(rng, p, x0, grid)
     else:
         path = besq.sample_path(rng, p, x0, grid)
@@ -274,16 +276,14 @@ def _run_simulate(config: RunConfig) -> int:
 
 
 def _run_eigen(config: RunConfig) -> int:
-    c, delta, times = _require(config.params, "c", "delta", "times")
-    grid = _float_list(times)
-    source = config.params.get("source", "matrix")
+    c, delta, grid = _require(config.params, "c", "delta", "times")
     rng = _rng(config.seed)
-    if source == "sde":
-        if float(c) != 1.0:
+    if config.params["source"] == "sde":
+        if c != 1.0:
             raise _ConfigError("--source sde integrates the fully coupled system; needs --c 1")
-        lam1, lam2 = dyson.integrate_dyson_sde(rng, float(delta), grid)
+        lam1, lam2 = dyson.integrate_dyson_sde(rng, delta, grid)
     else:
-        cfg = dyson.MatrixProcessConfig(float(c), float(delta), tuple(grid))
+        cfg = dyson.MatrixProcessConfig(c, delta, tuple(grid))
         lam1, lam2 = dyson.eigen_paths(rng, cfg)
     _write_rows(
         config.output_path,
@@ -297,14 +297,11 @@ def _run_ratio(config: RunConfig) -> int:
     c, delta1, delta2, z1, z2, z3 = _require(
         config.params, "c", "delta1", "delta2", "z1", "z2", "z3"
     )
-    limit_eps = bool(config.params.get("limit_eps", False))
+    limit_eps = config.params["limit_eps"]
     eps = config.params.get("eps")
     if not limit_eps and eps is None:
         raise _ConfigError("need --eps unless --limit-eps is given")
-    s = nonmarkov.ScenarioParams(
-        float(c), float(delta1), float(delta2), float(eps) if eps is not None else 0.5,
-        float(z1), float(z2), float(z3),
-    )
+    s = nonmarkov.ScenarioParams(c, delta1, delta2, eps if eps is not None else 0.5, z1, z2, z3)
     detail = nonmarkov.conditional_ratio_detail(s, use_eps=not limit_eps)
     if not detail.converged:
         raise ConvergenceError("ratio quadrature did not converge")
@@ -314,7 +311,7 @@ def _run_ratio(config: RunConfig) -> int:
             config.output_path,
             ["c", "delta1", "delta2", "eps", "z1", "z2", "z3", "use_eps", "ratio", "rel_error"],
             [[
-                c, delta1, delta2, float(eps) if eps is not None else float("nan"),
+                c, delta1, delta2, eps if eps is not None else float("nan"),
                 z1, z2, z3, 0.0 if limit_eps else 1.0, detail.ratio, detail.rel_error_estimate,
             ]],
         )
@@ -322,12 +319,8 @@ def _run_ratio(config: RunConfig) -> int:
 
 
 def _run_laplace(config: RunConfig) -> int:
-    problem_name, lam = _require(config.params, "problem", "lam")
-    lams = _float_list(lam)
-    problems = nonmarkov.standard_laplace_problems()
-    if problem_name not in problems:
-        raise _ConfigError(f"unknown problem {problem_name!r}; choose from {sorted(problems)}")
-    problem = problems[problem_name]
+    problem_name, lams = _require(config.params, "problem", "lam")
+    problem = nonmarkov.standard_laplace_problems()[problem_name]
     rows = []
     for value in lams:
         numeric = nonmarkov.laplace_numeric(problem, value)
@@ -338,15 +331,12 @@ def _run_laplace(config: RunConfig) -> int:
 
 
 def _run_lemma3(config: RunConfig) -> int:
-    c, delta1, delta2, r1, r2, z2 = _require(
+    c, delta1, delta2, r1, r2, z2_values = _require(
         config.params, "c", "delta1", "delta2", "r1", "r2", "z2"
     )
-    z2_values = _float_list(z2)
     rows = []
     for value in z2_values:
-        residual = nonmarkov.lemma3_ratio_check(
-            float(r1), float(r2), value, float(c), float(delta1), float(delta2)
-        )
+        residual = nonmarkov.lemma3_ratio_check(r1, r2, value, c, delta1, delta2)
         rows.append([c, delta1, delta2, r1, r2, value, residual])
     _write_rows(
         config.output_path,
@@ -358,33 +348,27 @@ def _run_lemma3(config: RunConfig) -> int:
 
 def _window(params: dict, prefix: str) -> stattest.ConditioningWindow:
     center, halfwidth = _require(params, f"{prefix}_center", f"{prefix}_halfwidth")
-    return stattest.ConditioningWindow(float(center), float(halfwidth))
+    return stattest.ConditioningWindow(center, halfwidth)
 
 
 def _run_markov(config: RunConfig, process: str) -> int:
-    c_values, n_target = _require(config.params, "c_values", "n_target")
-    kwargs = {}
-    if process == "zc":
-        kwargs["delta1"] = float(config.params.get("delta1", 1.0))
-        kwargs["delta2"] = float(config.params.get("delta2", 1.0))
-    n_ref = int(config.params.get("n_ref", n_target))
-    n_alt = int(config.params.get("n_alt", n_target))
-    ref = stattest.ArmSpec(
-        float(config.params.get("eps_ref", 0.5)), _window(config.params, "w1_ref"), n_ref
-    )
-    alt = stattest.ArmSpec(
-        float(config.params.get("eps_alt", 0.5)), _window(config.params, "w1_alt"), n_alt
-    )
+    params = config.params
+    c_values, n_target = _require(params, "c_values", "n_target")
+    # only markov-test has --delta1 and --delta2
+    kwargs = {k: params[k] for k in ("delta1", "delta2") if k in params}
+    n_ref, n_alt = params.get("n_ref", n_target), params.get("n_alt", n_target)
+    ref = stattest.ArmSpec(params["eps_ref"], _window(params, "w1_ref"), n_ref)
+    alt = stattest.ArmSpec(params["eps_alt"], _window(params, "w1_alt"), n_alt)
     test_config = stattest.MarkovTestConfig(
         process=process,
-        cells=tuple(stattest.MarkovCell(v, ref, alt) for v in _float_list(c_values)),
-        w2=_window(config.params, "w2"),
-        seed=int(config.seed),
-        alpha=float(config.params.get("alpha", 0.001)),
+        cells=tuple(stattest.MarkovCell(v, ref, alt) for v in c_values),
+        w2=_window(params, "w2"),
+        seed=config.seed,
+        alpha=params["alpha"],
         **kwargs,
     )
     report = stattest.markov_discrepancy_report(test_config)
-    _write_json(config.output_path, report.to_json_dict())
+    _write(config.output_path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
     if any(v == "inconclusive" for v in report.summary.values()):
         return 4
     return 0
@@ -415,11 +399,20 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _merge_config(args)
-        return run(config)
+        if args.config is not None:
+            # the file's flags go ahead of the command line's, so an explicit
+            # flag wins; the parser converts and checks both alike
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *_config_argv(args), *argv[at:]])
+        if args.command in _STOCHASTIC and args.seed is None:
+            raise _ConfigError(f"--seed is required for '{args.command}'")
+        skip = ("command", "config", "seed", "output")
+        params = {k: v for k, v in vars(args).items() if v is not None and k not in skip}
+        return run(RunConfig(args.command, params, args.seed, args.output))
     except (_ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

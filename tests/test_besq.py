@@ -171,6 +171,16 @@ def test_log_density_where_the_bessel_argument_overflows(t):
             assert g == pytest.approx(float(mpmath.log(ive / (2 * tm))), rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "t, x, y", [(1e-320, 1.0, 2.0), (1e-10, 1.0, 1e300), (1e-300, 1e-300, 1e10)]
+)
+def test_log_density_where_the_gaussian_exponent_overflows(t, x, y):
+    # (sqrt x - sqrt y)^2 / (2t) overflows to its limit, without a warning
+    assert besq.log_transition_density(BesqParams(2.0), t, x, y) == -np.inf
+    assert besq.transition_density(BesqParams(2.0), t, x, y) == 0.0
+
+
 def test_sampler_moments_from_zero():
     r = rng(11)
     p = BesqParams(2.7)

@@ -163,6 +163,131 @@ def test_config_file_unknown_key_is_config_error(tmp_path, capsys, command, cfg,
     assert not out.exists() and not (tmp_path / "out.csv.meta.json").exists()
 
 
+def exit_code(*argv):
+    # argparse refuses a bad flag, or a bad file value, through SystemExit
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def flag(key, value):
+    return ["--" + key.replace("_", "-"), str(value)]
+
+
+_CMX_FLAGS = (
+    "cmx-test", "--c-values", "1", "--n-target", "100", "--seed", "6",
+    "--w1-ref-center", "0.15", "--w1-ref-halfwidth", "0.05",
+    "--w1-alt-center", "1.0", "--w1-alt-halfwidth", "0.1",
+    "--w2-center", "0.35", "--w2-halfwidth", "0.07",
+)
+_ZC_FLAGS = (
+    "markov-test", "--c-values", "1", "--n-target", "100", "--seed", "5",
+    "--w1-ref-center", "0.6", "--w1-ref-halfwidth", "0.06",
+    "--w1-alt-center", "1.4", "--w1-alt-halfwidth", "0.14",
+    "--w2-center", "2.0", "--w2-halfwidth", "0.2",
+)
+_SIMULATE = ("simulate", "--delta", "2", "--times", "0.5,1", "--seed", "1")
+
+# each flag with a parser default, a file value and a flag value that differ
+DEFAULTED = [
+    (_SIMULATE, "kind", "bessel", "besq"),
+    (_SIMULATE, "x0", 4.0, 1.0),
+    (("eigen", "--c", "1", "--delta", "1", "--times", "0.5,1", "--seed", "1"),
+     "source", "sde", "matrix"),
+    (_ZC_FLAGS, "alpha", 0.01, 0.05),
+    (_ZC_FLAGS, "eps_ref", 0.3, 0.7),
+    (_ZC_FLAGS, "eps_alt", 0.3, 0.7),
+    (_ZC_FLAGS, "delta1", 2.0, 3.0),
+    (_ZC_FLAGS, "delta2", 2.0, 3.0),
+    (_CMX_FLAGS, "alpha", 0.01, 0.05),
+    (_CMX_FLAGS, "eps_ref", 0.3, 0.7),
+    (_CMX_FLAGS, "eps_alt", 0.3, 0.7),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,key,file_value,flag_value", DEFAULTED, ids=[f"{a[0]}-{k}" for a, k, _, _ in DEFAULTED]
+)
+def test_config_value_beats_default_and_flag_beats_config(
+    tmp_path, argv, key, file_value, flag_value
+):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: file_value}))
+
+    def output(*extra):
+        out = tmp_path / "out"
+        assert run_cli(*argv, *extra, "--output", str(out)) == 0
+        return out.read_bytes()
+
+    from_file = output("--config", str(cfg))
+    assert from_file == output(*flag(key, file_value))
+    assert from_file != output(*flag(key, flag_value))
+    assert output("--config", str(cfg), *flag(key, flag_value)) == output(*flag(key, flag_value))
+
+
+def test_config_switch_takes_true_or_false(tmp_path, capsys):
+    argv = (
+        "ratio", "--c", "0.5", "--delta1", "1", "--delta2", "1", "--eps", "0.5",
+        "--z1", "1", "--z2", "4", "--z3", "4",
+    )
+    cfg = tmp_path / "run.json"
+    for value, extra, printed in [
+        (True, (), "0.1109372946"),
+        (False, ("--limit-eps",), "0.1109372946"),
+        (False, (), "0.1145384067"),
+    ]:
+        cfg.write_text(json.dumps({"limit_eps": value}))
+        assert run_cli(*argv, "--config", str(cfg), *extra) == 0
+        assert capsys.readouterr().out == printed + "\n"
+    cfg.write_text(json.dumps({"limit_eps": "yes"}))
+    assert run_cli(*argv, "--config", str(cfg)) == 2
+    assert "true or false" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (("simulate", "--delta", "2", "--times", "1", "--seed", "1"), "kind"),
+        (("eigen", "--c", "1", "--delta", "1", "--times", "1", "--seed", "1"), "source"),
+        (("laplace", "--lam", "10"), "problem"),
+    ],
+    ids=["simulate", "eigen", "laplace"],
+)
+def test_config_value_outside_choices_is_refused(tmp_path, capsys, argv, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: "bogus"}))
+    out = tmp_path / "out.csv"
+    assert exit_code(*argv, "--config", str(cfg), "--output", str(out)) == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "out.csv.meta.json").exists()
+
+
+def test_format_is_neither_a_flag_nor_a_config_key(tmp_path, capsys):
+    argv = ("density", "--delta", "2", "--t", "1", "--x", "1", "--y", "1")
+    assert exit_code(*argv, "--format", "csv") == 2
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"format": "csv"}))
+    assert run_cli(*argv, "--config", str(cfg)) == 2
+    assert "'format'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [_SIMULATE, ("eigen", "--c", "1", "--delta", "1", "--times", "1"), _ZC_FLAGS, _CMX_FLAGS],
+    ids=["simulate", "eigen", "markov-test", "cmx-test"],
+)
+def test_negative_seed_is_refused(tmp_path, capsys, argv):
+    if "--seed" in argv:
+        at = argv.index("--seed")
+        argv = argv[:at] + argv[at + 2:]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    for source in (("--seed", "-1"), ("--config", str(cfg))):
+        assert exit_code(*argv, *source) == 2
+        assert "a seed must be nonnegative" in capsys.readouterr().err
+
+
 def test_config_file_sets_arm_sizes(tmp_path):
     # n_ref / n_alt are flags too, so a config file may set them
     path = tmp_path / "probe.json"
