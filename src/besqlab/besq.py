@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import specfun
 from .errors import DomainError
@@ -95,7 +96,7 @@ def log_zero_start(p: BesqParams, t: float, y, weighted: bool = False):
     return (
         head
         - 0.5 * p.delta * np.log(2.0 * t)
-        - specfun.ln_gamma(0.5 * p.delta)
+        - special.gammaln(0.5 * p.delta)
         - y / (2.0 * t)
     )
 

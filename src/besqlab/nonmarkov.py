@@ -37,18 +37,19 @@ whose only surviving ``r = z1/z2`` dependence is the factor
 ``D(r)^(-delta1/2)``.
 
 All kernels are assembled in log space and exponentiated only inside the
-quadrature evaluations, with a shift per integral chosen by probing the
-log-integrand; products of three transition densities underflow raw
-arithmetic long before the ratios of interest become ill-defined.
+quadrature, relative to a shift per integral that the quadrature keeps as
+the largest weighted node seen so far; products of three transition
+densities underflow raw arithmetic long before the ratios of interest
+become ill-defined.
 
-Every integral is a row of :func:`_log_integral`, the one shift probe and
-the one caller of :func:`quadrature.integrate_rows`.  The x2 axis is
-outermost, with the pair and the triple as two rows of one call; each batch
-of x2 nodes evaluates ``g`` as a batch of x1 rows and ``h`` as a batch of x3
-rows, and the four integrals of :func:`lemma3_ratio_check` form one more
-batch.  Each refinement level of a batch is one array call of the kernels,
-so the cost is set by the number of points rather than by Python calls per
-node.
+Every integral is a row of :func:`quadrature.integrate_rows` in its log
+mode, which returns the log of each integral with its relative error.  The
+x2 axis is outermost, with the pair and the triple as two rows of one call;
+each batch of x2 nodes evaluates ``g`` as a batch of x1 rows and ``h`` as a
+batch of x3 rows, and the four integrals of :func:`lemma3_ratio_check` form
+one more batch.  Each refinement level of a batch is one array call of the
+kernels, so the cost is set by the number of points rather than by Python
+calls per node.
 """
 
 from __future__ import annotations
@@ -163,34 +164,6 @@ def _log_a32(c, delta1, delta2, z2, x2):
     return l1 + l2
 
 
-# ---------------------------------------------------------------------------
-# Shift probing.  The integrands are exponentials of smooth log surfaces with
-# possible endpoint singularities; a coarse probe of the log surface gives a
-# shift that keeps the exponentiated integrand O(1) at its peak.
-
-_PROBE = np.concatenate(
-    [
-        np.array([1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.05]),
-        np.linspace(0.1, 0.9, 17),
-        1.0 - np.array([0.05, 1e-2, 1e-3, 1e-4, 1e-6, 1e-9, 1e-12]),
-    ]
-)
-
-
-# Ceiling for shifted exponents.  Probe shifts keep the smooth part of the
-# log surface near zero, but an endpoint singularity is unbounded on the log
-# scale and the deepest tanh-sinh nodes can push the shifted exponent past
-# the overflow point of exp.  Those nodes carry double-exponentially small
-# weights, so capping the exponent changes the integral by less than
-# exp(-alpha * 700 / (1 - alpha)) for an x**(alpha-1) endpoint, which is
-# far below every tolerance in use once alpha >= 0.05.
-_EXP_CLAMP = 700.0
-
-
-def _shifted_exp(u) -> np.ndarray:
-    return np.exp(np.minimum(u, _EXP_CLAMP))
-
-
 def _upper_support(z: float, c: float) -> float:
     # largest float b with fl(c * b) < z: rounding is monotone, so every
     # quadrature node x < b then keeps fl(z - c * x) > 0; the raw z / c can
@@ -229,58 +202,15 @@ def _scenario_specs(delta1: float, delta2: float) -> dict:
     }
 
 
-@dataclass
-class _LogIntegral:
-    log_value: float
-    rel_error: float
-    evaluations: int
-    converged: bool
-
-
-def _log_result(shift: float, res: QuadratureResult) -> _LogIntegral:
-    # undo the probe shift: log of the integral and its relative error
-    if res.value <= 0.0:
-        return _LogIntegral(-math.inf, math.inf, res.evaluations, res.converged)
-    return _LogIntegral(
-        shift + math.log(res.value),
-        res.error_estimate / res.value,
-        res.evaluations,
-        res.converged,
-    )
-
-
-def _log_integral(
-    log_f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    n_rows: int,
-    hi: float,
-    spec: QuadratureSpec,
-) -> list[_LogIntegral]:
-    """Log of ``int_0^hi exp(log_f(row, x)) dx`` for each of ``n_rows`` rows.
-
-    ``log_f(rows, x)`` returns the ``(rows.size, x.size)`` log-integrand grid
-    (a 1-D result serves a single row).  Each row gets its own shift from the
-    probe grid, and all rows run as one :func:`quadrature.integrate_rows`
-    batch.
-    """
-    probe = np.reshape(log_f(np.arange(n_rows), hi * _PROBE), (n_rows, _PROBE.size))
-    shift = np.max(probe, axis=1, where=np.isfinite(probe), initial=-np.inf)
-    if not np.all(np.isfinite(shift)):
-        raise ConvergenceError("log-integrand is not finite anywhere on the probe grid")
-    rows = quadrature.integrate_rows(
-        lambda r, x: _shifted_exp(log_f(r, x) - shift[r, None]), n_rows, 0.0, hi, spec
-    )
-    return [_log_result(float(shift[i]), rows.row(i)) for i in range(n_rows)]
-
-
-def _factor(batch: list[_LogIntegral]) -> tuple:
-    # one inner factor at a batch of x2 nodes: its logs, the worst finite
-    # relative error among its rows, their points, and their convergence (a
-    # closed form is exact and takes no points: logs, 0.0, 0, True)
+def _factor(batch: quadrature.QuadratureRows) -> tuple:
+    # one inner factor at a batch of x2 nodes: its logs, the worst relative
+    # error among its rows, their points, and their convergence (a closed
+    # form is exact and takes no points: logs, 0.0, 0, True)
     return (
-        np.array([r.log_value for r in batch]),
-        max((r.rel_error for r in batch if r.log_value > -math.inf), default=0.0),
-        sum(r.evaluations for r in batch),
-        all(r.converged for r in batch),
+        batch.values,
+        float(batch.errors.max()),
+        int(batch.evaluations.sum()),
+        bool(batch.converged.all()),
     )
 
 
@@ -289,21 +219,22 @@ def _x3_rows(s: ScenarioParams) -> Callable[[np.ndarray], tuple]:
     log space: near ``z3 -> 0`` A13's endpoint blowup overflows linear values."""
     b3 = _upper_support(s.z3, s.c)
     spec = _scenario_specs(s.delta1, s.delta2)["x3"]
-    return lambda x2: _factor(
-        _log_integral(lambda r, x3: _log_a13(s, x2[r, None], x3), x2.size, b3, spec)
-    )
+    return lambda x2: _factor(quadrature.integrate_rows(
+        lambda r, x3: _log_a13(s, x2[r, None], x3), x2.size, 0.0, b3, spec, log=True
+    ))
 
 
 def _kernel_logs(
     s: ScenarioParams, use_eps: bool, log_h: Callable[[np.ndarray], tuple] | None = None
-) -> list[_LogIntegral]:
+) -> list[QuadratureResult]:
     """Logs of ``pair = int_0^b2 g dx2`` and, given ``log_h``, ``triple = int_0^b2 g h dx2``.
 
     ``g`` is the x1 rows of A11 A12, or A21 without ``use_eps``.  Pair and
-    triple are the two rows of one outer :func:`_log_integral`; ``h`` (say
+    triple are the two log rows of one outer integral; ``h`` (say
     :func:`_x3_rows`) runs only while the triple row refines.  A row's error
-    adds the worst finite relative error of ``g`` (plus ``h``) at its nodes;
-    every row reports the pass's x1 and x3 points.
+    adds the worst relative error of ``g`` (plus ``h``) at its nodes;
+    every row reports the pass's x1 and x3 points.  Each result's value is
+    a log and its error estimate relative.
     """
     specs = _scenario_specs(s.delta1, s.delta2)
     b1 = _upper_support(s.z1, s.c)
@@ -311,9 +242,9 @@ def _kernel_logs(
     def log_g(x2):
         if not use_eps:
             return _log_a21(s.c, s.delta1, s.delta2, s.z1, s.z2, x2), 0.0, 0, True
-        return _factor(_log_integral(
+        return _factor(quadrature.integrate_rows(
             lambda r, x1: log_kernel_a11(s, x1) + _log_a12(s, x1, x2[r, None]),
-            x2.size, b1, specs["x2"],
+            x2.size, 0.0, b1, specs["x2"], log=True,
         ))
 
     n_rows = 1 if log_h is None else 2
@@ -330,13 +261,14 @@ def _kernel_logs(
         inner_ok[rows] &= np.logical_and.accumulate(oks)[rows]
         return np.cumsum(logs, axis=0)[rows]
 
-    outer = _log_integral(
-        log_f, n_rows, _upper_support(s.z2, s.c), specs["x1" if use_eps else "limit"]
+    outer = quadrature.integrate_rows(
+        log_f, n_rows, 0.0, _upper_support(s.z2, s.c), specs["x1" if use_eps else "limit"],
+        log=True,
     )
-    return [
-        _LogIntegral(o.log_value, o.rel_error + rel, points, o.converged and ok)
-        for o, rel, ok in zip(outer, inner_rel.tolist(), inner_ok.tolist())
-    ]
+    outer.errors += inner_rel
+    outer.converged &= inner_ok
+    outer.evaluations[:] = points
+    return [outer.row(i) for i in range(n_rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +290,10 @@ def joint_density_triple(s: ScenarioParams, use_eps: bool = True) -> float:
     return _density(_kernel_logs(s, use_eps, _x3_rows(s))[1], "triple")
 
 
-def _density(res: _LogIntegral, what: str) -> float:
+def _density(res: QuadratureResult, what: str) -> float:
     if not res.converged:
         raise ConvergenceError(f"{what} density quadrature did not converge")
-    return math.exp(res.log_value) if math.isfinite(res.log_value) else 0.0
+    return math.exp(res.value) if math.isfinite(res.value) else 0.0
 
 
 def conditional_ratio_detail(s: ScenarioParams, use_eps: bool = True) -> RatioResult:
@@ -382,14 +314,14 @@ def conditional_ratio_detail(s: ScenarioParams, use_eps: bool = True) -> RatioRe
         ratio = besq.transition_density(BesqParams(delta), 1.0, s.z2, s.z3) * k
         return RatioResult(ratio, 0.0, 0, True)
     pair, triple = _kernel_logs(s, use_eps, _x3_rows(s))
-    if pair.log_value < _LOG_FLOOR:
+    if pair.value < _LOG_FLOOR:
         raise UnreliableRatioError(
             "pair density below 1e-300; the conditional ratio is not trustworthy"
         )
-    log_ratio = triple.log_value - pair.log_value
+    log_ratio = triple.value - pair.value
     return RatioResult(
         ratio=(math.exp(log_ratio) if math.isfinite(log_ratio) else 0.0) * k,
-        rel_error_estimate=pair.rel_error + triple.rel_error,
+        rel_error_estimate=pair.error_estimate + triple.error_estimate,
         evaluations=triple.evaluations,
         converged=pair.converged and triple.converged,
     )
@@ -425,7 +357,7 @@ def zero_limit_weighted_triple(s: ScenarioParams) -> float:
         - specfun.ln_gamma(0.5 * (s.delta1 + s.delta2))
     )
     log_c1 = log_beta - 0.5 * s.delta1 * math.log(s.c)
-    return math.exp(log_c1 + qt.log_value)
+    return math.exp(log_c1 + qt.value)
 
 
 def d_of_r(r: float, c: float) -> float:
@@ -467,16 +399,17 @@ def lemma3_ratio_check(
         a21 = _log_a21(c, delta1, delta2, z1[rows], z2, x2)
         return np.where(tilde[rows], a21 + _log_a32(c, delta1, delta2, z2, x2), a21)
 
-    results = _log_integral(
-        log_f, 4, _upper_support(z2, c), _scenario_specs(delta1, delta2)["limit"]
+    rows = quadrature.integrate_rows(
+        log_f, 4, 0.0, _upper_support(z2, c), _scenario_specs(delta1, delta2)["limit"], log=True
     )
+    results = [rows.row(i) for i in range(4)]
     logs = []
     for qt, qp in (results[:2], results[2:]):
         if not (qt.converged and qp.converged):
             raise ConvergenceError("ratio-law quadrature did not converge")
-        if qp.log_value < _LOG_FLOOR:
+        if qp.value < _LOG_FLOOR:
             raise UnreliableRatioError("pair integral below 1e-300 in the ratio law")
-        logs.append(qt.log_value - qp.log_value)
+        logs.append(qt.value - qp.value)
     double_ratio = math.exp(logs[0] - logs[1])
     predicted = (d_of_r(r1, c) / d_of_r(r2, c)) ** (-0.5 * delta1)
     return double_ratio - predicted

@@ -15,6 +15,13 @@ error estimate and stopping level).  :func:`integrate` is the one-row case,
 whose integrand maps a 1-D array of abscissae to an array of the same shape;
 :func:`integrate_iterated` nests it once per outer node.  Integrands are
 never evaluated at the endpoints themselves.
+
+In log mode the integrand returns the log of a nonnegative integrand and
+each row comes back as the log of its integral.  This is the one home of
+the log-space shift: each row sums its terms relative to the largest
+weighted node it has seen, and rescales its running sum whenever a level
+raises that maximum (the online normalizer of softmax), so no point is
+evaluated only to choose a shift and no term can overflow.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 # Beyond this t the distance to the endpoint, 2/(1+exp(2*(pi/2)*sinh t)),
 # underflows double precision entirely; nodes out there carry zero mass.
@@ -40,6 +47,14 @@ class QuadratureSpec:
     behavior ``(x - a)**(exponent - 1)`` the caller expects; tanh-sinh does not
     need the value to place nodes, but the spec travels with the axis so that
     nested integrals document their singularity structure.
+
+    In a log row of :func:`integrate_rows`, ``abs_tol`` is stated in units of
+    the row's largest weighted node: the largest ``r * w * f`` it has met,
+    for half interval ``r`` and node weight ``w``.  In those units a level's
+    value is at least its step ``2**-level``, so an ``abs_tol`` below
+    ``rel_tol * 2**-max_levels`` never decides convergence.  The row's error
+    floor also holds ``|S| * 2**-52``, the spacing of log values at its
+    shift ``S``.
     """
 
     rel_tol: float = 1e-9
@@ -131,6 +146,8 @@ def integrate_rows(
     a: float,
     b: float,
     spec: QuadratureSpec | None = None,
+    *,
+    log: bool = False,
 ) -> QuadratureRows:
     """Integrate ``n_rows`` vectorized integrands over one open interval ``(a, b)``.
 
@@ -147,6 +164,15 @@ def integrate_rows(
         Finite limits with ``a < b``.
     spec : QuadratureSpec, optional
         Tolerances and budget; defaults to ``QuadratureSpec()``.
+    log : bool, keyword-only
+        ``f`` returns the log of a nonnegative integrand, and each row comes
+        back as the log of its integral with a relative error.  Each row
+        sums ``exp(log f + log w - S)`` over its nodes, where the shift ``S``
+        is the largest ``log f + log w`` it has met so far; when a level
+        raises ``S``, the running sum and the previous level's value are
+        rescaled by ``exp(S_old - S_new)``.  So every term is at most 1, and
+        the tiny weights of deep nodes keep an endpoint singularity from
+        dragging the shift away from the body.
 
     Returns
     -------
@@ -154,7 +180,14 @@ def integrate_rows(
         Each row follows the rule of :func:`integrate` on its own: it stops
         refining once its successive-level difference meets the tolerance,
         or with ``error = inf`` and ``converged`` False once its value is not
-        finite.  ``evaluations`` counts each row's points.
+        finite.  A log row also stops so once its rounding floor
+        ``|S| * 2**-52`` alone exceeds ``rel_tol``.  ``evaluations`` counts
+        each row's points.
+
+    Raises
+    ------
+    ConvergenceError
+        A log row has no finite value on the first level.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -178,6 +211,8 @@ def integrate_rows(
 
     evaluations = np.zeros(n_rows, dtype=np.int64)
     weighted_sum = np.zeros(n_rows)
+    # a linear row keeps shift 0; a log row's sums are in units of exp(shift)
+    shift = np.full(n_rows, -math.inf if log else 0.0)
     values = np.full(n_rows, math.nan)
     errors = np.full(n_rows, math.inf)
     converged = np.zeros(n_rows, dtype=bool)
@@ -186,46 +221,71 @@ def integrate_rows(
     for level in range(spec.max_levels + 1):
         if active.size == 0:
             break
-        if level == 0:
-            center = _evaluate(f, active, np.array([m]))[:, 0]
-            evaluations += 1
-            weighted_sum += 0.5 * math.pi * center
         delta, weight = _nodes(level)
         x_left = a + r * delta
         x_right = b - r * delta
         # mask each side on its own: near a singular endpoint one side keeps
-        # representable nodes long after the other has rounded onto its limit
+        # representable nodes long after the other has rounded onto its limit;
+        # the centre joins level 0, so each level is one integrand call
         left_ok = x_left > a
         right_ok = x_right < b
-        xs = np.concatenate([x_left[left_ok], x_right[right_ok]])
+        centre = [m] if level == 0 else []
+        xs = np.concatenate([centre, x_left[left_ok], x_right[right_ok]])
+        ws = np.concatenate([[0.5 * math.pi] * len(centre), weight[left_ok], weight[right_ok]])
         if xs.size:
             fv = _evaluate(f, active, xs)
             evaluations[active] += xs.size
-            n = int(left_ok.sum())
-            # vecdot takes each row's dot product exactly as np.dot would; a
-            # row whose sum overflows or meets inf - inf is stopped below
-            with np.errstate(over="ignore", invalid="ignore"):
-                weighted_sum[active] += np.vecdot(fv[:, :n], weight[left_ok])
-                weighted_sum[active] += np.vecdot(fv[:, n:], weight[right_ok])
+            if log:
+                terms = fv + np.log(ws)
+                if level == 0 and not np.isfinite(terms).any(axis=1).all():
+                    raise ConvergenceError(
+                        "log-integrand is not finite anywhere on the first level"
+                    )
+                # a +inf or nan term makes the shift non-finite: the row stops below
+                with np.errstate(invalid="ignore"):
+                    new = np.maximum(shift[active], terms.max(axis=1))
+                    rescale = np.exp(shift[active] - new)
+                    level_sum = np.exp(terms - new[:, None]).sum(axis=1)
+                weighted_sum[active] = weighted_sum[active] * rescale + level_sum
+                values[active] *= rescale
+                shift[active] = new
+            else:
+                # vecdot takes each row's dot product exactly as np.dot would;
+                # a row whose sum overflows or meets inf - inf is stopped below
+                n = len(centre)
+                k = n + int(left_ok.sum())
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for lo, hi in ((0, n), (n, k), (k, xs.size)):
+                        weighted_sum[active] += np.vecdot(fv[:, lo:hi], ws[lo:hi])
         h = 2.0 ** (-level)
         # scaling a finite sum by a huge interval overflows too, and is
-        # stopped below like the sum itself
+        # stopped below like the sum itself; a log row keeps r out of its sum
         with np.errstate(over="ignore"):
-            value = r * h * weighted_sum[active]
+            value = (h if log else r * h) * weighted_sum[active]
+        # neighbouring log values at a shift S lie |S| * 2**-52 apart, so a
+        # log row cannot be resolved more finely than that; a row whose
+        # rounding floor alone misses rel_tol would refine for nothing
+        round_floor = np.abs(shift[active]) * 2.0**-52
+        floor = np.maximum(rep_floor, round_floor)
         # an inf or nan never refines away, and rel_tol * |value| would
         # otherwise accept it as converged
-        finite = np.isfinite(value)
+        finite = np.isfinite(value) & (round_floor <= spec.rel_tol)
         errors[active[~finite]] = math.inf
         if level >= 1:
             ok = active[finite]
             v = value[finite]
-            error = np.maximum(np.abs(v - values[ok]), rep_floor * np.abs(v))
+            error = np.maximum(np.abs(v - values[ok]), floor[finite] * np.abs(v))
             errors[ok] = error
             if level >= 2:
                 converged[ok] = error <= np.maximum(spec.rel_tol * np.abs(v), spec.abs_tol)
         values[active] = value
         active = active[finite & ~converged[active]]
 
+    if log:
+        # a row that met +inf or nan keeps it as its value, with error inf
+        ok = np.isfinite(shift)
+        errors = np.where(ok, errors / values, math.inf)
+        values = np.where(ok, shift + math.log(r) + np.log(values), shift)
     return QuadratureRows(values, errors, evaluations, converged)
 
 

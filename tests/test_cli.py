@@ -7,7 +7,7 @@ import signal
 import numpy as np
 import pytest
 
-from besqlab import besq, cli, nonmarkov
+from besqlab import besq, cli, nonmarkov, quadrature
 from besqlab.nonmarkov import ScenarioParams
 
 
@@ -350,7 +350,7 @@ def test_lemma3_coupling_outside_open_unit_interval_is_config_error(capsys, monk
     def no_integral(*args, **kwargs):
         raise AssertionError("an integral ran before the coupling check")
 
-    monkeypatch.setattr(nonmarkov, "_log_integral", no_integral)
+    monkeypatch.setattr(quadrature, "integrate_rows", no_integral)
     assert run_cli(
         "lemma3", "--c", c, "--delta1", "1", "--delta2", "1",
         "--r1", "1", "--r2", "4", "--z2", "10",

@@ -8,7 +8,7 @@ import pytest
 
 from besqlab import besq, nonmarkov, quadrature
 from besqlab.besq import BesqParams
-from besqlab.errors import DomainError, UnreliableRatioError
+from besqlab.errors import ConvergenceError, DomainError, UnreliableRatioError
 from besqlab.nonmarkov import LaplaceProblem, ScenarioParams
 from besqlab.quadrature import QuadratureSpec
 
@@ -125,25 +125,27 @@ def test_triple_marginalizes_to_pair(c, d1, d2, eps, z1, z2):
 def _recursive_kernel_logs(s, use_eps):
     """Pair and triple kernel integrals node by node, as the batched pass's oracle.
 
-    Same shifted integrands as nonmarkov's one outer pass over x2, but each
-    row's x2 axis runs through its own quadrature.integrate call, and every
-    g(x2) = int A11 A12 dx1 and h(x2) = int A13 dx3 is its own probed
-    quadrature.integrate call.  Returns the pair and triple logs and the x1
-    plus x3 points the batched pass spends: g and h at every probe node, g at
-    every x2 node of either row and h at every x2 node of the triple.
+    Same log-integrands as nonmarkov's one outer pass over x2, but each
+    row's x2 axis runs as its own one-row log-mode quadrature.integrate_rows
+    call, and so does every g(x2) = int A11 A12 dx1 and h(x2) = int A13 dx3.
+    Returns the pair and triple logs and the x1 plus x3 points the batched
+    pass spends: g at every x2 node of either row and h at every x2 node of
+    the triple.
     """
     specs = nonmarkov._scenario_specs(s.delta1, s.delta2)
     b1, b2, b3 = (nonmarkov._upper_support(z, s.c) for z in (s.z1, s.z2, s.z3))
 
     def log_integral(log_f, hi, spec):
-        # (log value, points), shifted by the peak of the probe grid
-        probe = log_f(hi * nonmarkov._PROBE)
-        shift = float(np.max(probe[np.isfinite(probe)]))
-        res = quadrature.integrate(
-            lambda x: nonmarkov._shifted_exp(log_f(x) - shift), 0.0, hi, spec
-        )
+        # (log value, points, x nodes in the order the rule visits them)
+        nodes = []
+
+        def one_row(rows, x):
+            nodes.extend(x.tolist())
+            return log_f(x)
+
+        res = quadrature.integrate_rows(one_row, 1, 0.0, hi, spec, log=True).row(0)
         assert res.converged
-        return shift + math.log(res.value), res.evaluations
+        return res.value, res.evaluations, nodes
 
     memo = {}
 
@@ -154,40 +156,26 @@ def _recursive_kernel_logs(s, use_eps):
                 g = log_integral(
                     lambda x1: nonmarkov.log_kernel_a11(s, x1) + nonmarkov._log_a12(s, x1, x2),
                     b1, specs["x2"],
-                )
+                )[:2]
             else:
                 g = (float(nonmarkov._log_a21(s.c, s.delta1, s.delta2, s.z1, s.z2, x2)), 0)
-            h = log_integral(lambda x3: nonmarkov._log_a13(s, x2, x3), b3, specs["x3"])
+            h = log_integral(lambda x3: nonmarkov._log_a13(s, x2, x3), b3, specs["x3"])[:2]
             memo[x2] = g + h
         return memo[x2]
 
     def row(with_h):
         # (log value, x2 nodes in the order the rule visits them)
         def log_f(x2):
-            return np.array([
-                f[0] + (f[2] if with_h else 0.0) for f in map(factors, np.ravel(x2).tolist())
-            ])
+            return np.array([f[0] + (f[2] if with_h else 0.0) for f in map(factors, x2.tolist())])
 
-        probe = log_f(b2 * nonmarkov._PROBE)
-        shift = float(np.max(probe[np.isfinite(probe)]))
-        nodes = []
-
-        def integrand(x2):
-            nodes.extend(x2.tolist())
-            return nonmarkov._shifted_exp(log_f(x2) - shift)
-
-        spec = specs["x1" if use_eps else "limit"]
-        res = quadrature.integrate(integrand, 0.0, b2, spec)
-        assert res.converged
-        return shift + math.log(res.value), nodes
+        value, _, nodes = log_integral(log_f, b2, specs["x1" if use_eps else "limit"])
+        return value, nodes
 
     (pair, pair_nodes), (triple, triple_nodes) = row(False), row(True)
     # both rows visit the same level sequence; the longer list is its union
     union = max(pair_nodes, triple_nodes, key=len)
     assert union[: min(len(pair_nodes), len(triple_nodes))] == min(pair_nodes, triple_nodes, key=len)
-    probe = (b2 * nonmarkov._PROBE).tolist()
-    points = sum(factors(v)[1] + factors(v)[3] for v in probe)
-    points += sum(factors(v)[1] for v in union) + sum(factors(v)[3] for v in triple_nodes)
+    points = sum(factors(v)[1] for v in union) + sum(factors(v)[3] for v in triple_nodes)
     return pair, triple, points
 
 
@@ -205,7 +193,7 @@ def test_batched_kernel_integrals_match_recursive_oracle(s):
         want_pair, want_triple, points = _recursive_kernel_logs(s, use_eps)
         for batched, log_value in ((pair, want_pair), (triple, want_triple)):
             assert batched.converged
-            assert math.exp(batched.log_value - log_value) == pytest.approx(1.0, abs=1e-12)
+            assert math.exp(batched.value - log_value) == pytest.approx(1.0, abs=1e-12)
             assert batched.evaluations == points
 
 
@@ -213,12 +201,12 @@ def test_batched_kernel_integrals_match_recursive_oracle(s):
 # plus x3 points; the eps -> 0 kernel has no x1 axis), frozen from the
 # per-node oracle above: (delta1, delta2, z3) -> (finite eps, eps -> 0).
 RATIO_EVALUATIONS = {
-    (1.0, 1.0, 1.0): (15900, 7950),
-    (1.0, 1.0, 4.0): (15900, 7950),
-    (1.0, 1.0, 8.0): (15900, 7950),
-    (2.0, 3.0, 1.0): (20784, 13500),
-    (2.0, 3.0, 4.0): (28406, 15572),
-    (2.0, 3.0, 8.0): (28628, 26820),
+    (1.0, 1.0, 1.0): (11250, 5625),
+    (1.0, 1.0, 4.0): (11250, 5625),
+    (1.0, 1.0, 8.0): (11250, 5625),
+    (2.0, 3.0, 1.0): (14876, 11175),
+    (2.0, 3.0, 4.0): (20426, 11175),
+    (2.0, 3.0, 8.0): (20426, 22201),
 }
 
 
@@ -229,6 +217,16 @@ def test_ratio_evaluation_counts_frozen(d1, d2, z3):
         detail = nonmarkov.conditional_ratio_detail(s, use_eps=use_eps)
         assert detail.converged
         assert detail.evaluations == want
+
+
+def test_log_integrand_not_finite_on_the_first_level_raises(monkeypatch):
+    # an A13 kernel that underflowed to -inf at every node leaves h with no
+    # scale to integrate on: a typed failure, not a ratio of 0
+    monkeypatch.setattr(
+        nonmarkov, "_log_a13", lambda s, x2, x3: np.full(np.broadcast(x2, x3).shape, -np.inf)
+    )
+    with pytest.raises(ConvergenceError, match="not finite anywhere on the first level"):
+        nonmarkov.conditional_ratio_detail(witness_scenario(0.5, 1.0))
 
 
 def test_conditional_ratio_normalizes():
@@ -266,8 +264,8 @@ def test_unit_coupling_ratio_forgets_the_past(d1, d2, eps, z1, z2, z3):
     want = besq.transition_density(BesqParams(d1 + d2), 1.0, z2, z3)
     for use_eps in (True, False):
         pair, triple = nonmarkov._kernel_logs(s, use_eps, nonmarkov._x3_rows(s))
-        got = math.exp(triple.log_value - pair.log_value)
-        rel_error = pair.rel_error + triple.rel_error
+        got = math.exp(triple.value - pair.value)
+        rel_error = pair.error_estimate + triple.error_estimate
         assert got == pytest.approx(want, rel=1e-5)
         assert abs(got - want) <= rel_error * want
         assert rel_error <= 1e-6

@@ -105,8 +105,19 @@ MIXED_ROWS = [
 MIXED_SPEC = QuadratureSpec(1e-7, 1e-15, 4, right_exponent=0.5)
 
 
-@pytest.mark.parametrize("budget", [None, 7])
-def test_rows_match_scalar_integrate(monkeypatch, budget):
+@pytest.mark.parametrize(
+    "budget,log",
+    [
+        pytest.param(None, False, id="None"),
+        pytest.param(7, False, id="7"),
+        pytest.param(None, True, id="None-log"),
+        pytest.param(7, True, id="7-log"),
+    ],
+)
+def test_rows_match_scalar_integrate(monkeypatch, budget, log):
+    # in log mode the same functions are log-integrands: exp((1 - x)**-0.5)
+    # is not integrable at b=1, and the batch must equal one-row calls bit
+    # for bit
     if budget is not None:
         # below one level's node count: every grid is split into single rows
         monkeypatch.setattr(quadrature, "_GRID_BUDGET", budget)
@@ -118,19 +129,81 @@ def test_rows_match_scalar_integrate(monkeypatch, budget):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = integrate_rows(f, len(MIXED_ROWS), 0.0, 1.0, MIXED_SPEC)
+        got = integrate_rows(f, len(MIXED_ROWS), 0.0, 1.0, MIXED_SPEC, log=log)
+        wants = [
+            integrate_rows(lambda rows, xs: g(xs), 1, 0.0, 1.0, MIXED_SPEC, log=True).row(0)
+            if log else integrate(g, 0.0, 1.0, MIXED_SPEC)
+            for g in MIXED_ROWS
+        ]
     if budget is not None:
         assert all(rows == 1 or rows * n <= budget for rows, n in sizes)
-    for i, g in enumerate(MIXED_ROWS):
-        want = integrate(g, 0.0, 1.0, MIXED_SPEC)
+    for i, want in enumerate(wants):
         row = got.row(i)
+        if log:
+            assert row == want
         assert row.evaluations == want.evaluations
         assert row.converged == want.converged
         assert row.value == pytest.approx(want.value, rel=1e-14)
         assert row.error_estimate == pytest.approx(want.error_estimate, rel=1e-14)
-    assert [r.converged for r in map(got.row, range(4))] == [True, True, False, False]
+    assert [r.converged for r in map(got.row, range(4))] == [True, not log, False, False]
     assert math.isinf(got.values[2]) and math.isinf(got.errors[2])
     assert got.evaluations[3] > got.evaluations[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_log_rows_past_the_overflow_of_exp():
+    # int_0^1 e**100 x**(alpha - 1) = e**100 / alpha.  At the first level's
+    # deepest node (alpha - 1) log x is 621, so the log-integrand passes
+    # log(DBL_MAX) there, but the node's weight keeps every term at most 1.
+    # The mass below the smallest node, 3.4e-7 of the total, sets the spec
+    alpha = 0.02
+    spec = QuadratureSpec(1e-6, 1e-15, 12, left_exponent=alpha)
+    peaks = []
+
+    def log_f(rows, x):
+        v = 100.0 + (alpha - 1.0) * np.log(x)
+        peaks.append(float(v.max()))
+        return v
+
+    r = integrate_rows(log_f, 1, 0.0, 1.0, spec, log=True).row(0)
+    assert peaks[0] > math.log(np.finfo(float).max)
+    assert r.converged
+    assert math.exp(r.value - 100.0) == pytest.approx(1.0 / alpha, rel=spec.rel_tol)
+
+
+def test_log_rows_raise_their_shift_at_a_later_level():
+    # a narrow peak far below the first level's nodes, 1000 nats down: its
+    # log integral in closed form is off + log(sigma sqrt(pi/2) (erf + erf))
+    mu, sigma, off = 0.8, 0.01, -1000.0
+    s2 = sigma * math.sqrt(2.0)
+    truth = off + math.log(
+        sigma * math.sqrt(0.5 * math.pi) * (math.erf((1.0 - mu) / s2) + math.erf(mu / s2))
+    )
+    peaks = []
+
+    def log_f(rows, x):
+        v = off - 0.5 * ((x - mu) / sigma) ** 2
+        peaks.append(float(v.max()))
+        return v
+
+    r = integrate_rows(log_f, 1, 0.0, 1.0, TIGHT, log=True).row(0)
+    assert peaks[0] < off - 100.0 < off - 1.0 < max(peaks)
+    assert r.converged
+    assert abs(math.expm1(r.value - truth)) <= r.error_estimate
+
+
+def test_log_row_below_its_rounding_floor_stops_on_the_first_level():
+    # log values near -1e300 lie about 2e284 apart, so no tolerance can be met
+    calls = []
+
+    def log_f(rows, x):
+        calls.append(x.size)
+        return np.full((rows.size, x.size), -1e300)
+
+    r = integrate_rows(log_f, 1, 0.0, 1.0, TIGHT, log=True).row(0)
+    assert len(calls) == 1 and r.evaluations == calls[0]
+    assert not r.converged
+    assert math.isinf(r.error_estimate)
 
 
 def test_singular_interval_not_at_origin():
