@@ -22,6 +22,10 @@ require an explicit nonnegative ``--seed``.  Exit codes: 0 success,
 With ``--output``, a ``.meta.json`` sidecar records the parameters, the exit
 status and the wall time on exits 0, 3 and 4; on exit 3 it also carries the
 error message.
+
+The parser is built once per process, at import, and :func:`main` parses
+with it on every call.  It keeps no per-call state: each parse makes a fresh
+namespace, no default is mutable and every list value is a new list.
 """
 
 from __future__ import annotations
@@ -164,6 +168,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _config_argv(args: argparse.Namespace) -> list[str]:
     """The flags that the ``--config`` file of ``args`` stands for."""
     try:
@@ -212,8 +219,10 @@ def _write(path, text: str) -> None:
             fh.write(text)
 
 
-def _write_rows(path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
+def _write_rows(path, header: list[str], rows) -> None:
+    # tolist() gives Python floats, whose repr is the shortest round-trip text
+    rows = np.asarray(rows, dtype=float).tolist()
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
     _write(path, "\n".join(lines) + "\n")
 
 
@@ -270,7 +279,7 @@ def _run_simulate(config: RunConfig) -> int:
     _write_rows(
         config.output_path,
         ["t", "value"],
-        [[t, v] for t, v in zip(path.times, path.values)],
+        np.column_stack((path.times, path.values)),
     )
     return 0
 
@@ -288,7 +297,7 @@ def _run_eigen(config: RunConfig) -> int:
     _write_rows(
         config.output_path,
         ["t", "lambda1", "lambda2"],
-        [[t, a, b] for t, a, b in zip(lam1.times, lam1.values, lam2.values)],
+        np.column_stack((lam1.times, lam1.values, lam2.values)),
     )
     return 0
 
@@ -400,14 +409,13 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.config is not None:
             # the file's flags go ahead of the command line's, so an explicit
             # flag wins; the parser converts and checks both alike
             at = argv.index(args.command) + 1
-            args = parser.parse_args([*argv[:at], *_config_argv(args), *argv[at:]])
+            args = _PARSER.parse_args([*argv[:at], *_config_argv(args), *argv[at:]])
         if args.command in _STOCHASTIC and args.seed is None:
             raise _ConfigError(f"--seed is required for '{args.command}'")
         skip = ("command", "config", "seed", "output")

@@ -128,19 +128,31 @@ def _brownian_path(rng: np.random.Generator, shape: tuple, steps: np.ndarray) ->
     return np.cumsum(rng.normal(0.0, np.sqrt(steps), shape + steps.shape), axis=-1)
 
 
-def simulate_drivers(rng: np.random.Generator, config: MatrixProcessConfig) -> DriverState:
-    """Exact joint draw of the three independent drivers on the time grid."""
+def simulate_drivers(
+    rng: np.random.Generator, config: MatrixProcessConfig, n: int | None = None
+) -> DriverState:
+    """Exact joint draw of the three independent drivers on the time grid.
+
+    With ``n`` omitted the fields are one path of shape ``(T,)``; with ``n``
+    they are ``n`` independent paths, of shape ``(n, T)``.
+    """
     times, steps = besq.time_grid(config.times)
+    shape, xi0 = ((), 0.0) if n is None else ((n,), np.zeros(n))
     s1, s2, s3 = rng.spawn(3)
-    b1 = _brownian_path(s1, (), steps)
-    b2 = _brownian_path(s2, (), steps)
-    xi = besq.bessel_path(s3, BesqParams(config.delta), 0.0, times).values
+    b1 = _brownian_path(s1, shape, steps)
+    b2 = _brownian_path(s2, shape, steps)
+    xi = besq.bessel_path(s3, BesqParams(config.delta), xi0, times).values
     return DriverState(b1, b2, xi)
 
 
-def eigen_paths(rng: np.random.Generator, config: MatrixProcessConfig) -> tuple[PathSample, PathSample]:
-    """Eigenvalue paths obtained from simulated drivers via the closed form."""
-    pair = eigenvalues(simulate_drivers(rng, config), config.c)
+def eigen_paths(
+    rng: np.random.Generator, config: MatrixProcessConfig, n: int | None = None
+) -> tuple[PathSample, PathSample]:
+    """Eigenvalue paths obtained from simulated drivers via the closed form.
+
+    ``n`` shapes the paths as in :func:`simulate_drivers`.
+    """
+    pair = eigenvalues(simulate_drivers(rng, config, n), config.c)
     return PathSample(config.times, pair.lambda1), PathSample(config.times, pair.lambda2)
 
 

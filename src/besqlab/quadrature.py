@@ -199,13 +199,19 @@ def integrate_rows(
     m = 0.5 * (a + b)
     r = 0.5 * (b - a)
 
-    # A singular endpoint that is not exactly 0.0 cannot be approached closer
-    # than its ulp, and the mass inside that band is lost to double precision
-    # no matter how deep the refinement goes.  Fold that floor into the error
-    # estimate so convergence is never claimed below what is representable.
+    # A singular endpoint cannot be approached closer than its ulp, or than
+    # the smallest subnormal when it is exactly 0.0, and the mass inside that
+    # band is lost to double precision no matter how deep the refinement
+    # goes.  Fold that floor into the error estimate so convergence is never
+    # claimed below what is representable; at 0.0 the band holds the share
+    # (x_min / (b - a))**alpha of the mass of x**(alpha - 1).
     rep_floor = 0.0
     for endpoint, alpha in ((a, spec.left_exponent), (b, spec.right_exponent)):
-        if alpha < 1.0 and endpoint != 0.0:
+        if alpha == 1.0:
+            continue
+        if endpoint == 0.0:
+            rep_floor = max(rep_floor, (math.ulp(0.0) / (b - a)) ** alpha)
+        else:
             gap = 0.5 * math.ulp(abs(endpoint)) / (b - a)
             rep_floor = max(rep_floor, gap**alpha / alpha)
 

@@ -1,8 +1,13 @@
 """Exit codes, config merging, emitted files, and input checks."""
 
+import argparse
 import json
 import math
+import os
+import pathlib
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -286,6 +291,54 @@ def test_negative_seed_is_refused(tmp_path, capsys, argv):
     for source in (("--seed", "-1"), ("--config", str(cfg))):
         assert exit_code(*argv, *source) == 2
         assert "a seed must be nonnegative" in capsys.readouterr().err
+
+
+def test_main_builds_no_parser(tmp_path, monkeypatch, capsys):
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"y": 1.0}))
+    argv = ("density", "--delta", "2", "--t", "0.5", "--x", "0")
+    assert run_cli(*argv, "--y", "1") == 0
+    assert run_cli(*argv, "--config", str(cfg)) == 0
+    assert capsys.readouterr().out == "0.3678794412\n" * 2
+    assert calls == []
+
+
+def test_nothing_leaks_between_main_calls(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    ratio = (
+        "ratio", "--c", "0.5", "--delta1", "1", "--delta2", "1", "--eps", "0.5",
+        "--z1", "1", "--z2", "4", "--z3", "4",
+    )
+    cfg.write_text(json.dumps({"limit_eps": True}))
+    assert run_cli(*ratio, "--config", str(cfg)) == 0
+    assert run_cli(*ratio) == 0
+    assert capsys.readouterr().out == "0.1109372946\n0.1145384067\n"
+
+    assert exit_code(*_SIMULATE, "--kind", "cubic") == 2
+    capsys.readouterr()
+    assert run_cli(*_SIMULATE) == 0
+    # the same call in a process whose parser has never refused anything
+    code = "import sys; from besqlab import cli; sys.exit(cli.main(sys.argv[1:]))"
+    fresh = subprocess.run(
+        [sys.executable, "-c", code, *_SIMULATE], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])},
+    )
+    assert capsys.readouterr().out == fresh.stdout
+
+    out = tmp_path / "probe.json"
+    cfg.write_text(json.dumps({"alpha": 0.05}))
+    for extra, alpha in ((("--config", str(cfg)), 0.05), ((), 0.001)):
+        assert run_cli(*_ZC_FLAGS, *extra, "--output", str(out)) == 0
+        meta = json.loads((tmp_path / "probe.json.meta.json").read_text())
+        assert meta["params"]["alpha"] == alpha
 
 
 def test_config_file_sets_arm_sizes(tmp_path):

@@ -149,12 +149,10 @@ def test_gap_is_monotone_in_coupling_on_shared_drivers():
 def test_driver_moments():
     rng = np.random.default_rng(75)
     cfg = MatrixProcessConfig(1.0, 2.5, (0.7,))
-    b1 = np.empty(3000)
-    xisq = np.empty(3000)
-    for i in range(b1.size):
-        state = dyson.simulate_drivers(rng, cfg)
-        b1[i] = state.b1[0]
-        xisq[i] = state.xi[0] ** 2
+    state = dyson.simulate_drivers(rng, cfg, 3000)
+    assert state.b1.shape == state.b2.shape == state.xi.shape == (3000, 1)
+    b1 = state.b1[:, 0]
+    xisq = state.xi[:, 0] ** 2
     t = cfg.times[0]
     assert abs(np.mean(b1)) < 4.0 * np.sqrt(t / b1.size)
     assert np.var(b1) == pytest.approx(t, rel=0.15)
@@ -275,15 +273,9 @@ def test_sde_matches_matrix_model_at_unit_time():
         np.random.default_rng(82), 1.0, (1.0,), zeros_pair(n)
     )
     out = {"sde": (lam1.values[:, 0], lam1.values[:, 0] - lam2.values[:, 0])}
-    rng = np.random.default_rng(82)
     cfg = MatrixProcessConfig(1.0, 1.0, (1.0,))
-    lam1 = np.empty(n)
-    gap = np.empty(n)
-    for i in range(n):
-        a, b = dyson.eigen_paths(rng, cfg)
-        lam1[i] = a.values[0]
-        gap[i] = a.values[0] - b.values[0]
-    out["mat"] = (lam1, gap)
+    a, b = dyson.eigen_paths(np.random.default_rng(82), cfg, n)
+    out["mat"] = (a.values[:, 0], a.values[:, 0] - b.values[:, 0])
     for k in (0, 1):
         rep = stattest.ks_two_sample(out["sde"][k], out["mat"][k], alpha=0.001, seed=0)
         assert rep.verdict == "consistent"

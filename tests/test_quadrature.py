@@ -171,6 +171,20 @@ def test_log_rows_past_the_overflow_of_exp():
     assert math.exp(r.value - 100.0) == pytest.approx(1.0 / alpha, rel=spec.rel_tol)
 
 
+def test_log_row_counts_the_mass_below_its_smallest_node_at_zero():
+    # int_0^1 x**(alpha - 1) = 1 / alpha, but the share x_min**alpha = 3.4e-7
+    # of it lies below the smallest subnormal node, past any refinement
+    alpha = 0.02
+    spec = QuadratureSpec(1e-9, 1e-15, 12, left_exponent=alpha)
+    r = integrate_rows(
+        lambda rows, x: (alpha - 1.0) * np.log(x), 1, 0.0, 1.0, spec, log=True
+    ).row(0)
+    true_error = abs(math.expm1(r.value + math.log(alpha)))
+    assert true_error > 1e-7
+    assert not r.converged
+    assert r.error_estimate >= true_error
+
+
 def test_log_rows_raise_their_shift_at_a_later_level():
     # a narrow peak far below the first level's nodes, 1000 nats down: its
     # log integral in closed form is off + log(sigma sqrt(pi/2) (erf + erf))
