@@ -1,12 +1,11 @@
 """Command line front end: scenario configuration, sweeps, CSV/JSON emission.
 
-Eight subcommands map onto the library modules:
+Seven subcommands map onto the library modules:
 
     density      squared Bessel transition density at a point
     simulate     exact squared Bessel (or Bessel) path
     eigen        eigenvalue pair paths, from the matrix model or the SDE form
     ratio        conditional-density ratio of the weighted sum
-    laplace      endpoint Laplace integral vs its asymptotic, over lambda
     lemma3       large-z2 double-ratio residual sweep
     markov-test  Monte Carlo Markov probe for the weighted sum
     cmx-test     the same probe for c*max - Brownian motion
@@ -129,11 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z2", type=float)
     p.add_argument("--z3", type=float)
     p.add_argument("--limit-eps", action="store_true", help="use the eps->0 kernel")
-    common(p)
-
-    p = sub.add_parser("laplace", help="Laplace integral vs asymptotic")
-    p.add_argument("--problem", choices=sorted(nonmarkov.standard_laplace_problems()))
-    p.add_argument("--lam", type=_float_list, help="comma-separated lambda values")
     common(p)
 
     p = sub.add_parser("lemma3", help="large-z2 double-ratio residual sweep")
@@ -327,18 +321,6 @@ def _run_ratio(config: RunConfig) -> int:
     return 0
 
 
-def _run_laplace(config: RunConfig) -> int:
-    problem_name, lams = _require(config.params, "problem", "lam")
-    problem = nonmarkov.standard_laplace_problems()[problem_name]
-    rows = []
-    for value in lams:
-        numeric = nonmarkov.laplace_numeric(problem, value)
-        asymptotic = nonmarkov.laplace_asymptotic(problem, value)
-        rows.append([value, numeric, asymptotic, numeric / asymptotic])
-    _write_rows(config.output_path, ["lambda", "numeric", "asymptotic", "ratio"], rows)
-    return 0
-
-
 def _run_lemma3(config: RunConfig) -> int:
     c, delta1, delta2, r1, r2, z2_values = _require(
         config.params, "c", "delta1", "delta2", "r1", "r2", "z2"
@@ -391,7 +373,6 @@ def run(config: RunConfig) -> int:
         "simulate": _run_simulate,
         "eigen": _run_eigen,
         "ratio": _run_ratio,
-        "laplace": _run_laplace,
         "lemma3": _run_lemma3,
         "markov-test": lambda cfg: _run_markov(cfg, "zc"),
         "cmx-test": lambda cfg: _run_markov(cfg, "cmx"),

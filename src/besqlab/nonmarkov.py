@@ -59,8 +59,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import special
 
-from . import besq, quadrature, specfun
+from . import besq, quadrature
 from .besq import BesqParams
 from .errors import ConvergenceError, DomainError, UnreliableRatioError
 from .quadrature import QuadratureResult, QuadratureSpec
@@ -351,12 +352,7 @@ def zero_limit_weighted_triple(s: ScenarioParams) -> float:
     )[1]
     if not qt.converged:
         raise ConvergenceError("weighted zero-limit quadrature did not converge")
-    log_beta = (
-        specfun.ln_gamma(0.5 * s.delta1)
-        + specfun.ln_gamma(0.5 * s.delta2)
-        - specfun.ln_gamma(0.5 * (s.delta1 + s.delta2))
-    )
-    log_c1 = log_beta - 0.5 * s.delta1 * math.log(s.c)
+    log_c1 = special.betaln(0.5 * s.delta1, 0.5 * s.delta2) - 0.5 * s.delta1 * math.log(s.c)
     return math.exp(log_c1 + qt.value)
 
 
@@ -385,10 +381,10 @@ def lemma3_ratio_check(
     """
     if not 0.0 < c < 1.0:
         raise DomainError("c must lie in (0, 1)")
-    if not (r1 > 0.0 and r2 > 0.0):
-        raise DomainError("ratios r must be positive")
-    if not z2 > 0.0:
-        raise DomainError("z2 must be positive")
+    if not (0.0 < r1 < math.inf and 0.0 < r2 < math.inf):
+        raise DomainError("ratios r must be positive and finite")
+    if not 0.0 < z2 < math.inf:
+        raise DomainError("z2 must be positive and finite")
     if not (0.0 < delta1 < math.inf and 0.0 < delta2 < math.inf):
         raise DomainError("dimensions must be positive and finite")
     # rows: q_tilde and q at r1, then at r2, sharing (0, z2/c) and one spec
@@ -413,89 +409,3 @@ def lemma3_ratio_check(
     double_ratio = math.exp(logs[0] - logs[1])
     predicted = (d_of_r(r1, c) / d_of_r(r2, c)) ** (-0.5 * delta1)
     return double_ratio - predicted
-
-
-# ---------------------------------------------------------------------------
-# Generic endpoint Laplace asymptotics.
-
-@dataclass(frozen=True)
-class LaplaceProblem:
-    """Data of an endpoint Laplace integral ``int_0^1 e^{-lam phi} f x^{nu-1} dx``.
-
-    ``phi`` must be strictly increasing on (0, 1) with ``phi(0+) = a`` and
-    ``phi'(0+) = b > 0``; ``f(lam, .)`` bounded with ``f(lam, x/lam)``
-    converging to the constant ``f_limit``.
-    """
-
-    a: float
-    b: float
-    nu: float
-    phi: Callable[[np.ndarray], np.ndarray]
-    f: Callable[[float, np.ndarray], np.ndarray]
-    f_limit: float
-
-    def __post_init__(self):
-        if not self.b > 0.0:
-            raise DomainError("phi'(0+) must be positive")
-        if not self.nu > 0.0:
-            raise DomainError("nu must be positive")
-
-
-def laplace_asymptotic(p: LaplaceProblem, lam: float) -> float:
-    """Leading term ``f_limit Gamma(nu) b^{-nu} lam^{-nu} e^{-a lam}``."""
-    if not lam > 0.0:
-        raise DomainError("lam must be positive")
-    return p.f_limit * math.exp(
-        specfun.ln_gamma(p.nu) - p.nu * (math.log(p.b) + math.log(lam)) - p.a * lam
-    )
-
-
-def laplace_numeric(p: LaplaceProblem, lam: float, spec: QuadratureSpec | None = None) -> float:
-    """Direct quadrature of the Laplace integral, the oracle for the asymptotic.
-
-    The constant part ``e^{-a lam}`` is factored out before integrating so
-    that large ``lam`` with ``a > 0`` cannot underflow the whole integrand.
-    """
-    if not lam > 0.0:
-        raise DomainError("lam must be positive")
-    if spec is None:
-        spec = QuadratureSpec(1e-11, 1e-18, 13, min(p.nu, 1.0), 1.0)
-
-    def integrand(x):
-        return np.exp(-lam * (p.phi(x) - p.a)) * p.f(lam, x) * x ** (p.nu - 1.0)
-
-    res = quadrature.integrate(integrand, 0.0, 1.0, spec)
-    if not res.converged:
-        raise ConvergenceError("Laplace quadrature did not converge")
-    return math.exp(-p.a * lam) * res.value
-
-
-def laplace_hypothesis_margin(p: LaplaceProblem, n: int = 1000) -> float:
-    """Grid check of the growth bound ``(phi(x) - a) / x >= K > 0``.
-
-    Returns the grid minimum of the quotient; a positive value certifies the
-    hypothesis that justifies trusting :func:`laplace_asymptotic`.
-    """
-    x = (np.arange(n) + 0.5) / n
-    return float(np.min((p.phi(x) - p.a) / x))
-
-
-def standard_laplace_problems() -> dict[str, LaplaceProblem]:
-    """Three reference problems covering curvature, offset, and nu variety.
-
-    quadratic: phi = x + x^2/2 (a=0, b=1), nu=1, f constant.
-    affine:    phi = 3 + 2x (a=3, b=2), nu=1/2, f = 1/(1+x).
-    log:       phi = -log(1 - x/2) (a=0, b=1/2), nu=2, f constant.
-    """
-    one = lambda lam, x: np.ones_like(x)
-    return {
-        "quadratic": LaplaceProblem(
-            0.0, 1.0, 1.0, lambda x: x + 0.5 * x * x, one, 1.0
-        ),
-        "affine": LaplaceProblem(
-            3.0, 2.0, 0.5, lambda x: 3.0 + 2.0 * x, lambda lam, x: 1.0 / (1.0 + x), 1.0
-        ),
-        "log": LaplaceProblem(
-            0.0, 0.5, 2.0, lambda x: -np.log1p(-0.5 * x), one, 1.0
-        ),
-    }

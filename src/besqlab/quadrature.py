@@ -1,4 +1,4 @@
-"""Tanh-sinh quadrature on finite intervals, with semi-infinite and nested variants.
+"""Tanh-sinh quadrature on finite intervals, with a nested variant.
 
 The tanh-sinh substitution ``x = m + r tanh((pi/2) sinh t)`` pushes the
 endpoints to infinity double-exponentially fast, so integrable endpoint
@@ -27,7 +27,7 @@ evaluated only to choose a shift and no term can overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -323,41 +323,6 @@ def integrate(
         case of :func:`integrate_rows`.
     """
     return integrate_rows(lambda rows, xs: f(xs), 1, a, b, spec).row(0)
-
-
-def integrate_to_inf(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    spec: QuadratureSpec | None = None,
-) -> QuadratureResult:
-    """Integrate over ``(a, inf)`` via the substitution ``y = a + s/(1-s)``.
-
-    Suited to integrands with at-least-exponential tail decay; the far tail
-    maps to an invisible sliver near ``s = 1``.
-    """
-    a = float(a)
-    if not math.isfinite(a):
-        raise DomainError("integrate_to_inf requires a finite lower limit")
-    if spec is None:
-        spec = QuadratureSpec()
-    # the far tail maps to s -> 1 where a decaying integrand is smooth, so the
-    # caller's right-endpoint hint does not survive the substitution
-    spec = replace(spec, right_exponent=1.0)
-
-    def transformed(s: np.ndarray) -> np.ndarray:
-        y = a + s / (1.0 - s)
-        out = np.zeros_like(s)
-        ok = np.isfinite(y)
-        if np.any(ok):
-            fv = np.asarray(f(y[ok]), dtype=float)
-            with np.errstate(over="ignore", invalid="ignore"):
-                contrib = fv / (1.0 - s[ok]) ** 2
-            # where f already underflowed to 0, the Jacobian blowup is moot
-            contrib[fv == 0.0] = 0.0
-            out[ok] = contrib
-        return out
-
-    return integrate(transformed, 0.0, 1.0, spec)
 
 
 def propagated_error(

@@ -344,6 +344,9 @@ class MarkovTestConfig:
             raise DomainError("process must be 'zc' or 'cmx'")
         if not self.cells:
             raise DomainError("need at least one cell")
+        if not 0.0 < self.alpha < 1.0:
+            # checked before any arm samples, not only by the KS test after
+            raise DomainError("alpha must lie in (0, 1)")
         object.__setattr__(self, "cells", tuple(self.cells))
 
 

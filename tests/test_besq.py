@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from besqlab import besq, specfun, stattest
 from besqlab.besq import BesqParams, PathSample
 from besqlab.errors import DomainError
-from besqlab.quadrature import QuadratureSpec, integrate_to_inf
+from besqlab.quadrature import QuadratureSpec, integrate
 
 # mpmath oracle (30 digits): (1/2t) (y/x)^{nu/2} e^{-(x+y)/2t} I_nu(sqrt(xy)/t)
 P_3_07_12_08 = 0.19858315741551859
@@ -21,13 +21,6 @@ LOG_P_8_1_1EM300_4 = -2.4054651081081644
 LOG_IVE_1000_500 = -830.03012578722849
 
 rng = np.random.default_rng
-
-
-def _normalization(delta, t, x):
-    spec = QuadratureSpec(1e-10, 1e-16, 12, left_exponent=min(0.5 * delta, 1.0))
-    return integrate_to_inf(
-        lambda y: besq.transition_density(BesqParams(delta), t, x, y), 0.0, spec
-    )
 
 
 def test_density_matches_high_precision_points():
@@ -82,17 +75,27 @@ def test_grid_matches_scalar_calls(delta, t):
 @pytest.mark.parametrize("delta", [0.7, 1.0, 2.0, 3.0, 4.5])
 @pytest.mark.parametrize("x", [0.0, 0.5, 3.0])
 def test_normalization(delta, x):
-    r = _normalization(delta, 1.0, x)
-    assert r.value == pytest.approx(1.0, abs=1e-7)
+    # BESQ(delta) from x at time t is t times a noncentral chi-square with
+    # delta degrees of freedom and noncentrality x/t (Revuz-Yor XI.1), so the
+    # density's mass below b is chndtr(b/t, delta, x/t); at b = 80 that is
+    # the total mass to within 1e-12
+    t = 1.0
+    spec = QuadratureSpec(1e-10, 1e-16, 12, left_exponent=min(0.5 * delta, 1.0))
+    for b in (0.5, 2.0, 8.0, 80.0):
+        r = integrate(lambda y: besq.transition_density(BesqParams(delta), t, x, y), 0.0, b, spec)
+        assert r.converged
+        assert r.value == pytest.approx(special.chndtr(b / t, delta, x / t), abs=1e-12)
 
 
 def test_chapman_kolmogorov_spot():
     p = BesqParams(2.5)
     s, t, x, y = 0.3, 1.0, 0.5, 2.0
     spec = QuadratureSpec(1e-10, 1e-16, 12, left_exponent=1.0)
-    conv = integrate_to_inf(
+    # the first kernel puts less than 1e-30 of its mass past z = 200
+    conv = integrate(
         lambda z: besq.transition_density(p, s, x, z) * besq.transition_density(p, t, z, y),
         0.0,
+        200.0,
         spec,
     )
     direct = besq.transition_density(p, s + t, x, y)
@@ -206,18 +209,15 @@ def test_sampler_chisquare_against_density():
     t, x, n = 1.0, 3.0, 100_000
     xs = besq.sample_transitions(r, p, t, np.full(n, x))
     edges = np.quantile(xs, np.linspace(0.0, 1.0, 41))
-    edges[0], edges[-1] = 0.0, np.inf
+    # the last bin stops where the law's remaining mass drops below 1e-15
+    edges[0], edges[-1] = 0.0, 100.0
+    assert stats.ncx2.sf(edges[-1] / t, 2.5, x / t) < 1e-15
     counts, _ = np.histogram(xs, edges)
     spec = QuadratureSpec(1e-9, 1e-15, 12)
 
     probs = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        if np.isinf(hi):
-            r_int = integrate_to_inf(lambda y: besq.transition_density(p, t, x, y), lo, spec)
-        else:
-            from besqlab.quadrature import integrate
-
-            r_int = integrate(lambda y: besq.transition_density(p, t, x, y), lo, hi, spec)
+        r_int = integrate(lambda y: besq.transition_density(p, t, x, y), lo, hi, spec)
         probs.append(r_int.value)
     probs = np.array(probs)
     probs /= probs.sum()

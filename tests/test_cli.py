@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from besqlab import besq, cli, nonmarkov, quadrature
+from besqlab import besq, cli, nonmarkov, quadrature, stattest
 from besqlab.nonmarkov import ScenarioParams
 
 
@@ -255,9 +255,8 @@ def test_config_switch_takes_true_or_false(tmp_path, capsys):
     [
         (("simulate", "--delta", "2", "--times", "1", "--seed", "1"), "kind"),
         (("eigen", "--c", "1", "--delta", "1", "--times", "1", "--seed", "1"), "source"),
-        (("laplace", "--lam", "10"), "problem"),
     ],
-    ids=["simulate", "eigen", "laplace"],
+    ids=["simulate", "eigen"],
 )
 def test_config_value_outside_choices_is_refused(tmp_path, capsys, argv, key):
     cfg = tmp_path / "run.json"
@@ -291,6 +290,24 @@ def test_negative_seed_is_refused(tmp_path, capsys, argv):
     for source in (("--seed", "-1"), ("--config", str(cfg))):
         assert exit_code(*argv, *source) == 2
         assert "a seed must be nonnegative" in capsys.readouterr().err
+
+
+def test_removed_laplace_command_is_refused(capsys):
+    # this call once divided by an asymptotic that underflowed to 0; the
+    # command is gone, and argparse refuses it like any unknown command
+    assert exit_code("laplace", "--problem", "affine", "--lam", "250.5") == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'laplace'" in err
+    assert "Traceback" not in err
+
+
+def test_docstring_lists_exactly_the_subcommands():
+    intro, table = cli.__doc__.split("\n\n")[1:3]
+    listed = [line.split()[0] for line in table.splitlines()]
+    sub = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    assert listed == list(sub.choices)
+    numbers = "zero one two three four five six seven eight nine ten".split()
+    assert intro.split()[0].lower() == numbers[len(listed)]
 
 
 def test_main_builds_no_parser(tmp_path, monkeypatch, capsys):
@@ -425,7 +442,6 @@ _PROBE_FLAGS = (
 LIST_KEYS = [
     (("simulate", "--delta", "2", "--seed", "1"), "times", 1.0),
     (("eigen", "--c", "0.5", "--delta", "1", "--seed", "1"), "times", 1.0),
-    (("laplace", "--problem", "quadratic"), "lam", 10.0),
     (("lemma3", "--c", "0.5", "--delta1", "1", "--delta2", "1", "--r1", "1", "--r2", "4"),
      "z2", 10.0),
     (("markov-test", "--w2-center", "2.0", *_PROBE_FLAGS), "c_values", 1.0),
@@ -468,6 +484,12 @@ def test_config_list_key_takes_a_number_or_a_list(tmp_path, capsys, argv, key, v
           "--z1", "1", "--z2", "4", "--z3", "1"), "dimensions"),
         (("lemma3", "--c", "0.5", "--delta1", "inf", "--delta2", "1",
           "--r1", "1", "--r2", "4", "--z2", "10"), "dimensions"),
+        (("lemma3", "--c", "0.5", "--delta1", "1", "--delta2", "1",
+          "--r1", "inf", "--r2", "2", "--z2", "10"), "ratios r must be positive and finite"),
+        (("lemma3", "--c", "0.5", "--delta1", "1", "--delta2", "1",
+          "--r1", "0.5", "--r2", "inf", "--z2", "10"), "ratios r must be positive and finite"),
+        (("lemma3", "--c", "0.5", "--delta1", "1", "--delta2", "1",
+          "--r1", "0.5", "--r2", "2", "--z2", "inf"), "z2 must be positive and finite"),
         (("markov-test", "--c-values", "1", "--delta1", "inf", "--w2-center", "2",
           *_PROBE_FLAGS), "delta"),
         (("markov-test", "--c-values", "inf", "--w2-center", "2", *_PROBE_FLAGS),
@@ -476,7 +498,8 @@ def test_config_list_key_takes_a_number_or_a_list(tmp_path, capsys, argv, key, v
     ],
     ids=[
         "density-delta", "density-t", "simulate-delta", "eigen-matrix-delta", "eigen-sde-delta",
-        "ratio-delta1", "lemma3-delta1", "markov-delta1", "markov-c", "markov-center",
+        "ratio-delta1", "lemma3-delta1", "lemma3-r1", "lemma3-r2", "lemma3-z2",
+        "markov-delta1", "markov-c", "markov-center",
     ],
 )
 def test_non_finite_dimension_time_coupling_or_center_is_config_error(capsys, argv, message):
@@ -616,15 +639,6 @@ def test_ratio_csv_schema(tmp_path, capsys):
     assert float(row[8]) > 0.0
 
 
-def test_laplace_sweep_csv(tmp_path):
-    out = tmp_path / "lap.csv"
-    assert run_cli("laplace", "--problem", "quadratic", "--lam", "20,50", "--output", str(out)) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "lambda,numeric,asymptotic,ratio"
-    ratios = [float(line.split(",")[3]) for line in lines[1:]]
-    assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
-
-
 def test_lemma3_sweep_csv(tmp_path):
     out = tmp_path / "l3.csv"
     assert run_cli(
@@ -653,6 +667,18 @@ def test_markov_probe_json_and_exit_codes(tmp_path):
     meta = json.loads((tmp_path / "probe.json.meta.json").read_text())
     assert meta["seed"] == 5
     assert meta["status"] == 0 and "error" not in meta
+
+
+@pytest.mark.parametrize("alpha", ["0", "1", "2", "nan"])
+def test_markov_probe_bad_alpha_is_refused_before_sampling(tmp_path, capsys, monkeypatch, alpha):
+    def no_arm(*args, **kwargs):
+        raise AssertionError("an arm sampled before the alpha check")
+
+    monkeypatch.setattr(stattest, "_run_arm", no_arm)
+    out = tmp_path / "probe.json"
+    assert run_cli(*_ZC_FLAGS, "--alpha", alpha, "--output", str(out)) == 2
+    assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "probe.json.meta.json").exists()
 
 
 def test_markov_probe_inconclusive_exit(tmp_path):

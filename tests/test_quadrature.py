@@ -12,7 +12,6 @@ from besqlab.quadrature import (
     integrate,
     integrate_iterated,
     integrate_rows,
-    integrate_to_inf,
 )
 
 TIGHT = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-15, max_levels=12)
@@ -257,24 +256,6 @@ def test_evaluation_count_grows_with_level():
     spec_hi = QuadratureSpec(1e-12, 1e-16, 12)
     f = lambda x: np.exp(-x) * np.sin(7 * x)
     assert integrate(f, 0.0, 4.0, spec_hi).evaluations > integrate(f, 0.0, 4.0, spec_lo).evaluations
-
-
-def test_half_line_exponential_moments():
-    assert integrate_to_inf(lambda x: np.exp(-x), 0.0, TIGHT).value == pytest.approx(1.0, rel=1e-10)
-    r = integrate_to_inf(lambda x: x * x * np.exp(-x), 0.0, TIGHT)
-    assert r.value == pytest.approx(2.0, rel=1e-10)
-
-
-def test_half_line_gaussian():
-    r = integrate_to_inf(lambda x: np.exp(-0.5 * x * x), 0.0, TIGHT)
-    assert r.value == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-10)
-
-
-def test_half_line_with_singular_origin():
-    # Gamma(1/2) = sqrt(pi)
-    spec = QuadratureSpec(1e-9, 1e-15, 12, left_exponent=0.5)
-    r = integrate_to_inf(lambda x: x**-0.5 * np.exp(-x), 0.0, spec)
-    assert r.value == pytest.approx(math.sqrt(math.pi), rel=1e-9)
 
 
 def test_iterated_triangle_area():
