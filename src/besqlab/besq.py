@@ -269,9 +269,13 @@ def sample_path(
     values = np.empty(starts.shape + times.shape)
     # one path steps as a Python float, which takes numpy's scalar draws
     current = starts if starts.ndim else float(starts)
-    for i, t in enumerate(steps.tolist()):
-        current = _step(rng, p.delta, t, current)
-        values[..., i] = current
+    try:
+        for i, t in enumerate(steps.tolist()):
+            current = _step(rng, p.delta, t, current)
+            values[..., i] = current
+    except ValueError as exc:
+        # a large dimension drifts by about delta t, past the Poisson cap
+        raise DomainError(f"path grew past the Poisson sampler's range ({exc})") from exc
     return PathSample(times, values)
 
 

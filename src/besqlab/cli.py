@@ -64,9 +64,13 @@ class _ConfigError(Exception):
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number or a list of numbers: {text!r}") from None
+    if not values:
+        # an empty sweep or grid would otherwise print a header alone and exit 0
+        raise argparse.ArgumentTypeError(f"need at least one number: {text!r}")
+    return values
 
 
 def _seed(text: str) -> int:
@@ -350,10 +354,10 @@ def _run_markov(config: RunConfig, process: str) -> int:
     n_ref, n_alt = params.get("n_ref", n_target), params.get("n_alt", n_target)
     ref = stattest.ArmSpec(params["eps_ref"], _window(params, "w1_ref"), n_ref)
     alt = stattest.ArmSpec(params["eps_alt"], _window(params, "w1_alt"), n_alt)
+    w2 = _window(params, "w2")
     test_config = stattest.MarkovTestConfig(
         process=process,
-        cells=tuple(stattest.MarkovCell(v, ref, alt) for v in c_values),
-        w2=_window(params, "w2"),
+        cells=tuple(stattest.MarkovCell(v, ref, alt, w2) for v in c_values),
         seed=config.seed,
         alpha=params["alpha"],
         **kwargs,

@@ -22,8 +22,9 @@ Dyson-type system
 
 and in rotated coordinates (sum, gap) that system decouples into a Brownian
 motion and a rescaled Bessel process, both of which we can sample exactly.
-The integrator broadcasts over its start: an ``initial`` pair of shape
-``(n,)`` gives ``n`` independent paths, ``values`` of shape ``(n, T)``.
+Like :func:`eigen_paths`, the integrator batches by ``n``: with ``n``
+omitted it gives one path, ``values`` of shape ``(T,)``, and with ``n`` it
+gives ``n`` independent paths, ``values`` of shape ``(n, T)``.
 """
 
 from __future__ import annotations
@@ -160,27 +161,26 @@ def integrate_dyson_sde(
     rng: np.random.Generator,
     delta: float,
     times,
-    initial: EigenPair | None = None,
+    n: int | None = None,
 ) -> tuple[PathSample, PathSample]:
     """Integrate the c = 1 Dyson-type SDE exactly in rotated coordinates.
 
     The sum of the pair is a Brownian motion of variance 2t and the gap is
     ``sqrt(2)`` times a Bessel process of dimension ``1 + delta``; both
     transitions are sampled exactly, so there is no time-discretization
-    error.  ``initial`` defaults to one path from the double-zero entrance
-    state; an ``initial`` pair of shape ``(n,)`` gives ``n`` independent
-    paths, ``values`` of shape ``(n, T)``.
+    error.  Paths start from the double-zero entrance state, and ``n``
+    shapes them as in :func:`simulate_drivers`.
     """
     if not delta > 0.0:
         raise DomainError("delta must be positive")
     times, steps = besq.time_grid(times)
     if not times.size:
         raise DomainError("times must be nonempty")
-    sum0, gap0 = (0.0, 0.0) if initial is None else decompose(initial)
+    shape, w0 = ((), 0.0) if n is None else ((n,), np.zeros(n))
     s_sum, s_gap = rng.spawn(2)
-    total = np.expand_dims(sum0, -1) + _SQRT2 * _brownian_path(s_sum, np.shape(sum0), steps)
+    total = _SQRT2 * _brownian_path(s_sum, shape, steps)
     # gap/sqrt(2) is Bessel(1+delta); sample its square exactly
-    w = besq.sample_path(s_gap, BesqParams(1.0 + delta), 0.5 * gap0 * gap0, times)
+    w = besq.sample_path(s_gap, BesqParams(1.0 + delta), w0, times)
     gap = np.sqrt(2.0 * w.values)
     return (
         PathSample(times, 0.5 * (total + gap)),

@@ -196,8 +196,8 @@ def _scenario_specs(delta1: float, delta2: float) -> dict:
             "limit": QuadratureSpec(1e-7, 1e-16, 13, left, right),
         }
     return {
-        "x1": QuadratureSpec(1e-8, 1e-15, 12, left, right),
-        "x2": QuadratureSpec(1e-9, 1e-15, 12, left, right),
+        "x1": QuadratureSpec(1e-9, 1e-15, 12, left, right),
+        "x2": QuadratureSpec(1e-8, 1e-15, 12, left, right),
         "x3": QuadratureSpec(1e-10, 1e-16, 12, left, right),
         "limit": QuadratureSpec(1e-10, 1e-16, 13, left, right),
     }
@@ -245,7 +245,7 @@ def _kernel_logs(
             return _log_a21(s.c, s.delta1, s.delta2, s.z1, s.z2, x2), 0.0, 0, True
         return _factor(quadrature.integrate_rows(
             lambda r, x1: log_kernel_a11(s, x1) + _log_a12(s, x1, x2[r, None]),
-            x2.size, 0.0, b1, specs["x2"], log=True,
+            x2.size, 0.0, b1, specs["x1"], log=True,
         ))
 
     n_rows = 1 if log_h is None else 2
@@ -263,7 +263,7 @@ def _kernel_logs(
         return np.cumsum(logs, axis=0)[rows]
 
     outer = quadrature.integrate_rows(
-        log_f, n_rows, 0.0, _upper_support(s.z2, s.c), specs["x1" if use_eps else "limit"],
+        log_f, n_rows, 0.0, _upper_support(s.z2, s.c), specs["x2" if use_eps else "limit"],
         log=True,
     )
     outer.errors += inner_rel

@@ -17,7 +17,9 @@ only for sums that can still meet the first window) and moves by
 Poisson-Gamma transitions.  ``c M - X`` moves by the Brownian endpoint plus
 the exact maximum of the Brownian bridge across each segment, so the
 running maximum carries no discretization bias.  One staged-rejection
-loop, :func:`_staged_sample`, conditions either process.
+loop, :func:`_staged_sample`, conditions either process, in batches of a
+fixed size per process; its one stopping rule besides success is the
+acceptance-rate floor, which makes a cell inconclusive.
 """
 
 from __future__ import annotations
@@ -56,20 +58,19 @@ class TestReport:
     """Outcome of one two-sample comparison.
 
     ``verdict`` is "rejected" exactly when ``statistic > threshold``;
-    "inconclusive" reports (budget exhaustion) carry NaN statistic and
-    threshold.  ``n_samples`` is the combined size of both samples and
-    ``pvalue`` the asymptotic Kolmogorov-Smirnov tail probability.
+    "inconclusive" reports (an arm fell below the rate floor) carry NaN
+    statistic and threshold.  ``n_samples`` is the combined size of both
+    samples and ``pvalue`` the asymptotic Kolmogorov-Smirnov tail probability.
     """
 
     statistic: float
     threshold: float
     n_samples: int
     verdict: str
-    seed: int
     pvalue: float = float("nan")
 
 
-def ks_two_sample(a, b, alpha: float = 0.001, seed: int = 0) -> TestReport:
+def ks_two_sample(a, b, alpha: float = 0.001) -> TestReport:
     """Two-sample Kolmogorov-Smirnov test at significance level ``alpha``.
 
     The threshold inverts the leading term of the asymptotic Kolmogorov
@@ -92,7 +93,7 @@ def ks_two_sample(a, b, alpha: float = 0.001, seed: int = 0) -> TestReport:
     threshold = math.sqrt(-0.5 * math.log(0.5 * alpha)) / effective
     pvalue = float(kolmogorov(effective * statistic))
     verdict = "rejected" if statistic > threshold else "consistent"
-    return TestReport(statistic, threshold, n + m, verdict, seed, pvalue)
+    return TestReport(statistic, threshold, n + m, verdict, pvalue)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +115,12 @@ class ConditionalSampleResult:
 _RATE_FLOOR = 1e-6
 _RATE_PROBE_MIN = 4_000_000
 
+# Proposals per batch.  The zc sum-split first stage drops most proposals
+# before they advance, so a large batch costs little; the cmx first stage
+# advances the whole batch, and a larger one only raises peak memory.
+_ZC_BATCH = 400_000
+_CMX_BATCH = 50_000
+
 
 def _staged_sample(
     rng: np.random.Generator,
@@ -124,36 +131,30 @@ def _staged_sample(
     w1: ConditioningWindow,
     w2: ConditioningWindow,
     n_target: int,
-    batch_size: int,
-    max_proposals: int,
+    batch: int,
 ) -> ConditionalSampleResult:
     """Window-conditioned draw of a process observed at ``(eps, 1, 2)``.
 
     The hidden state is a tuple of equal-length arrays.  ``start(rng, eps, n)``
     draws ``n`` states at time ``eps``, ``advance(rng, state, t)`` moves each
     state ``t`` forward, and ``observe(state)`` maps states to the observed
-    values.  Each batch is filtered through ``w1`` and then ``w2`` before its
-    survivors are advanced, which is exact whenever the hidden state is
-    Markov.  Raises ``BudgetExhaustedError`` when the acceptance rate falls
-    below 1e-6 (established over at least a few million proposals) or the
-    proposal budget runs out.
+    values.  Each batch of ``batch`` proposals is filtered through ``w1``
+    and then ``w2`` before its survivors are advanced, which is exact
+    whenever the hidden state is Markov.  The rate floor is the one stop:
+    ``BudgetExhaustedError`` once the acceptance rate falls below 1e-6,
+    established over at least a few million proposals.  Above the floor the
+    accepted count grows with the proposals, so the loop ends.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
     if n_target <= 0:
         raise DomainError("n_target must be positive")
-    if not batch_size >= 1:
-        raise DomainError("batch_size must be positive")
     accepted: list[np.ndarray] = []
     n_accepted = 0
     n_proposed = 0
     while n_accepted < n_target:
-        if n_proposed >= max_proposals:
-            raise BudgetExhaustedError(
-                f"proposal budget {max_proposals} exhausted with {n_accepted} accepted"
-            )
-        state = start(rng, eps, batch_size)
-        n_proposed += batch_size
+        state = start(rng, eps, batch)
+        n_proposed += batch
         for window, length in ((w1, 1.0 - eps), (w2, 1.0)):
             keep = window.contains(observe(state))
             state = tuple(part[keep] for part in state)
@@ -181,8 +182,6 @@ def conditional_sample(
     w1: ConditioningWindow,
     w2: ConditioningWindow,
     n_target: int,
-    batch_size: int = 200_000,
-    max_proposals: int = 200_000_000,
 ) -> ConditionalSampleResult:
     """Window-conditioned draw of ``Z(2)`` given ``Z(eps) in w1`` and ``Z(1) in w2``.
 
@@ -214,8 +213,7 @@ def conditional_sample(
         return besq.sample_transitions(rng, p1, t, x), besq.sample_transitions(rng, p2, t, y)
 
     return _staged_sample(
-        rng, start, advance, lambda s: c * s[0] + s[1],
-        eps, w1, w2, n_target, batch_size, max_proposals,
+        rng, start, advance, lambda s: c * s[0] + s[1], eps, w1, w2, n_target, _ZC_BATCH
     )
 
 
@@ -263,8 +261,6 @@ def conditional_sample_cmx(
     w1: ConditioningWindow,
     w2: ConditioningWindow,
     n_target: int,
-    batch_size: int = 50_000,
-    max_proposals: int = 100_000_000,
 ) -> ConditionalSampleResult:
     """Window-conditioned draw of ``(c M - X)(2)`` given its values at ``eps`` and 1.
 
@@ -276,8 +272,7 @@ def conditional_sample_cmx(
         return _advance_max(rng, (np.zeros(n), np.zeros(n)), t)
 
     return _staged_sample(
-        rng, start, _advance_max, lambda s: c * s[1] - s[0],
-        eps, w1, w2, n_target, batch_size, max_proposals,
+        rng, start, _advance_max, lambda s: c * s[1] - s[0], eps, w1, w2, n_target, _CMX_BATCH
     )
 
 
@@ -301,20 +296,18 @@ class ArmSpec:
 
 @dataclass(frozen=True)
 class MarkovCell:
-    """Two arms at one coupling, sharing a level-1 window.
+    """Two arms at one coupling, sharing the level-1 window ``w2``.
 
     Under the Markov property the conditional law of the endpoint cannot see
     the ``(eps, w1)`` difference between the arms; a rejected cell is
     evidence against it.  Arm sizes may differ: when one arm is much cheaper
     to condition, a larger cheap arm sharpens the comparison at fixed cost.
-    ``w2`` overrides the config-wide window for processes whose scale moves
-    with the coupling (the running-maximum family); leave it None to share.
     """
 
     c: float
     ref: ArmSpec
     alt: ArmSpec
-    w2: ConditioningWindow | None = None
+    w2: ConditioningWindow
 
     def __post_init__(self):
         if not 0.0 <= self.c < math.inf:
@@ -332,12 +325,10 @@ class MarkovTestConfig:
 
     process: str
     cells: tuple
-    w2: ConditioningWindow
     seed: int
     alpha: float = 0.001
     delta1: float = 1.0
     delta2: float = 1.0
-    max_proposals: int | None = None
 
     def __post_init__(self):
         if self.process not in ("zc", "cmx"):
@@ -372,52 +363,25 @@ class MarkovReport:
         }
 
 
-# Proposals per zc batch in the probe grids.  The sum-split first stage drops
-# most proposals before they advance; the cmx sampler keeps its own default,
-# since its first stage advances the whole batch and a larger one only raises
-# peak memory.
-_ZC_BATCH_SIZE = 400_000
-
-
-def _arm_budget(config: MarkovTestConfig, arm: ArmSpec) -> int:
-    if config.max_proposals is not None:
-        return config.max_proposals
-    # twice the proposals the feasibility floor itself would need; the rate
-    # guard inside the samplers trips long before this cap can
-    return int(2 * arm.n_target / _RATE_FLOOR)
-
-
 def _run_arm(
     config: MarkovTestConfig, rng, cell: MarkovCell, arm: ArmSpec
 ) -> ConditionalSampleResult:
-    w2 = cell.w2 if cell.w2 is not None else config.w2
     if config.process == "zc":
         return conditional_sample(
-            rng,
-            cell.c,
-            config.delta1,
-            config.delta2,
-            arm.eps,
-            arm.w1,
-            w2,
-            arm.n_target,
-            batch_size=_ZC_BATCH_SIZE,
-            max_proposals=_arm_budget(config, arm),
+            rng, cell.c, config.delta1, config.delta2, arm.eps, arm.w1, cell.w2, arm.n_target
         )
-    return conditional_sample_cmx(
-        rng, cell.c, arm.eps, arm.w1, w2, arm.n_target, max_proposals=_arm_budget(config, arm)
-    )
+    return conditional_sample_cmx(rng, cell.c, arm.eps, arm.w1, cell.w2, arm.n_target)
 
 
 def markov_discrepancy_report(config: MarkovTestConfig) -> MarkovReport:
     """Run both conditioning arms of every cell and compare with KS.
 
     Each cell's params carry every finished arm's proposal count and
-    acceptance rate (``proposed_ref``/``accept_ref`` and the ``_alt`` pair).
-    Budget exhaustion in either arm yields an "inconclusive" cell instead of
-    an exception.  Seeding is hierarchical (one child stream per cell and
-    arm), so a fixed config and seed reproduce every report bit for bit
-    regardless of evaluation order.
+    acceptance rate (``proposed_ref``/``accept_ref`` and the ``_alt`` pair)
+    and the config's ``seed``.  An arm that falls below the rate floor
+    yields an "inconclusive" cell instead of an exception.  Seeding is
+    hierarchical (one child stream per cell and arm), so a fixed config and
+    seed reproduce every report bit for bit regardless of evaluation order.
     """
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(len(config.cells))
@@ -425,7 +389,6 @@ def markov_discrepancy_report(config: MarkovTestConfig) -> MarkovReport:
     summary = {}
     for cell, child in zip(config.cells, children):
         rng_ref, rng_alt = [np.random.Generator(np.random.PCG64(s)) for s in child.spawn(2)]
-        w2 = cell.w2 if cell.w2 is not None else config.w2
         params = {
             "process": config.process,
             "c": cell.c,
@@ -433,10 +396,11 @@ def markov_discrepancy_report(config: MarkovTestConfig) -> MarkovReport:
             "eps_alt": cell.alt.eps,
             "w1_ref": [cell.ref.w1.center, cell.ref.w1.halfwidth],
             "w1_alt": [cell.alt.w1.center, cell.alt.w1.halfwidth],
-            "w2": [w2.center, w2.halfwidth],
+            "w2": [cell.w2.center, cell.w2.halfwidth],
             "n_ref": cell.ref.n_target,
             "n_alt": cell.alt.n_target,
             "alpha": config.alpha,
+            "seed": config.seed,
         }
         try:
             ref = _run_arm(config, rng_ref, cell, cell.ref)
@@ -444,11 +408,9 @@ def markov_discrepancy_report(config: MarkovTestConfig) -> MarkovReport:
             alt = _run_arm(config, rng_alt, cell, cell.alt)
             params.update(proposed_alt=alt.n_proposed, accept_alt=alt.acceptance_rate)
         except BudgetExhaustedError:
-            report = TestReport(
-                float("nan"), float("nan"), 0, "inconclusive", config.seed
-            )
+            report = TestReport(float("nan"), float("nan"), 0, "inconclusive")
         else:
-            report = ks_two_sample(ref.values, alt.values, config.alpha, config.seed)
+            report = ks_two_sample(ref.values, alt.values, config.alpha)
         cells.append(GridCellReport(params, report))
         summary[cell.c] = report.verdict
     return MarkovReport(cells, summary)
@@ -481,14 +443,14 @@ def zc_witness_config(seed: int) -> MarkovTestConfig:
     w_near = ConditioningWindow(1.0, 0.1)
     w_far = ConditioningWindow(8.0, 0.8)
     w_mid = ConditioningWindow(2.0, 0.2)
+    w2 = ConditioningWindow(4.0, 0.4)
     return MarkovTestConfig(
         process="zc",
         cells=(
-            MarkovCell(0.0, ArmSpec(0.5, w_near, 5_000), ArmSpec(0.5, w_mid, 5_000)),
-            MarkovCell(0.5, ArmSpec(0.5, w_near, 1_080_000), ArmSpec(0.5, w_far, 90_000)),
-            MarkovCell(1.0, ArmSpec(0.5, w_near, 22_000), ArmSpec(0.5, w_far, 2_200)),
+            MarkovCell(0.0, ArmSpec(0.5, w_near, 5_000), ArmSpec(0.5, w_mid, 5_000), w2),
+            MarkovCell(0.5, ArmSpec(0.5, w_near, 1_080_000), ArmSpec(0.5, w_far, 90_000), w2),
+            MarkovCell(1.0, ArmSpec(0.5, w_near, 22_000), ArmSpec(0.5, w_far, 2_200), w2),
         ),
-        w2=ConditioningWindow(4.0, 0.4),
         seed=seed,
         delta1=1.0,
         delta2=1.0,
@@ -510,9 +472,9 @@ def zc_calibration_config(seed: int) -> MarkovTestConfig:
                 1.0,
                 ArmSpec(0.3, ConditioningWindow(0.6, 0.06), 4_000),
                 ArmSpec(0.7, ConditioningWindow(1.4, 0.14), 4_000),
+                ConditioningWindow(2.0, 0.2),
             ),
         ),
-        w2=ConditioningWindow(2.0, 0.2),
         seed=seed,
         delta1=1.0,
         delta2=1.0,
@@ -530,6 +492,7 @@ def cmx_witness_config(seed: int) -> MarkovTestConfig:
     (c M - X is nonnegative there) and to matching scales; acceptance rates
     run from 8.3e-4 to 1.5e-2, so every cell runs in well under a second.
     """
+    w2 = ConditioningWindow(0.2, 0.06)
     return MarkovTestConfig(
         process="cmx",
         cells=(
@@ -537,25 +500,26 @@ def cmx_witness_config(seed: int) -> MarkovTestConfig:
                 0.0,
                 ArmSpec(0.5, ConditioningWindow(-0.6, 0.1), 4_000),
                 ArmSpec(0.5, ConditioningWindow(1.2, 0.12), 4_000),
+                w2,
             ),
             MarkovCell(
                 0.5,
                 ArmSpec(0.5, ConditioningWindow(-0.6, 0.1), 6_000),
                 ArmSpec(0.5, ConditioningWindow(1.2, 0.12), 6_000),
+                w2,
             ),
             MarkovCell(
                 1.0,
                 ArmSpec(0.5, ConditioningWindow(0.15, 0.05), 4_000),
                 ArmSpec(0.5, ConditioningWindow(1.0, 0.1), 4_000),
-                w2=ConditioningWindow(0.35, 0.07),
+                ConditioningWindow(0.35, 0.07),
             ),
             MarkovCell(
                 2.0,
                 ArmSpec(0.5, ConditioningWindow(0.5, 0.05), 4_000),
                 ArmSpec(0.5, ConditioningWindow(1.8, 0.18), 4_000),
-                w2=ConditioningWindow(1.1, 0.11),
+                ConditioningWindow(1.1, 0.11),
             ),
         ),
-        w2=ConditioningWindow(0.2, 0.06),
         seed=seed,
     )

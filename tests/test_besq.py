@@ -233,7 +233,7 @@ def test_additivity_in_law():
     a = besq.sample_transitions(r, BesqParams(1.5), 1.0, np.zeros(n))
     b = besq.sample_transitions(r, BesqParams(2.5), 1.0, np.zeros(n))
     c = besq.sample_transitions(r, BesqParams(4.0), 1.0, np.zeros(n))
-    rep = stattest.ks_two_sample(a + b, c, alpha=0.001, seed=0)
+    rep = stattest.ks_two_sample(a + b, c, alpha=0.001)
     assert rep.verdict == "consistent"
 
 
@@ -271,6 +271,18 @@ def test_sample_path_start_validation():
         besq.sample_path(r, p, 1e17, [1.0, 1.01])
     assert besq.sample_path(r, p, 1e17, [1.0, 2.0]).values.shape == (2,)
     assert besq.bessel_path(r, p, np.ones(4), [0.5, 1.0]).values.shape == (4, 2)
+
+
+def test_path_that_outgrows_the_poisson_range_is_domain_error():
+    # the start passes its check, but a path of dimension 1e16 drifts by about
+    # delta t, so x / (2 step) passes numpy's Poisson cap on a 1e-3 grid; at
+    # 1e15 it stays below
+    grid = np.round(0.001 * np.arange(1, 2001), 6)
+    for start in (0.0, np.zeros(3)):
+        with pytest.raises(DomainError, match="sampler's range"):
+            besq.sample_path(rng(17), BesqParams(1e16), start, grid)
+        path = besq.sample_path(rng(17), BesqParams(1e15), start, grid)
+        assert np.all(np.isfinite(path.values))
 
 
 @pytest.mark.parametrize(

@@ -472,6 +472,21 @@ def test_config_list_key_takes_a_number_or_a_list(tmp_path, capsys, argv, key, v
 
 
 @pytest.mark.parametrize(
+    "argv,key", [entry[:2] for entry in LIST_KEYS], ids=[f"{a[0]}-{k}" for a, k, _ in LIST_KEYS]
+)
+def test_empty_list_is_refused(tmp_path, capsys, argv, key):
+    # an empty simulate grid or lemma3 sweep printed a bare header and exited 0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: []}))
+    out = tmp_path / "out.csv"
+    name = "--" + key.replace("_", "-")
+    for source in ((name, ","), (name, ""), ("--config", str(cfg))):
+        assert exit_code(*argv, *source, "--output", str(out)) == 2
+        assert "need at least one number" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (("density", "--delta", "inf", "--t", "1", "--x", "1", "--y", "1"), "delta"),
@@ -617,6 +632,25 @@ def test_simulate_huge_start_is_config_error(capsys, x0):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "x0 must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate",),
+        ("eigen", "--c", "1", "--source", "matrix"),
+        ("eigen", "--c", "1", "--source", "sde"),
+    ],
+    ids=["simulate", "eigen-matrix", "eigen-sde"],
+)
+def test_path_past_the_sampler_range_is_config_error(capsys, argv):
+    # the start is in range, but a dimension of 1e16 grows the path past
+    # numpy's Poisson cap on this grid: once an uncaught ValueError (exit 1)
+    grid = ",".join(map(repr, np.round(0.001 * np.arange(1, 2001), 6).tolist()))
+    assert run_cli(*argv, "--delta", "1e16", "--times", grid, "--seed", "1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sampler's range" in captured.err
 
 
 def test_eigen_infinite_coupling_is_config_error(capsys):

@@ -25,18 +25,10 @@ FROZEN_SDE_1 = (
     [0.9585022955529401, 0.49539207907280064, 1.7423929511637903, 2.8686889216557283],
     [0.06234136845178523, -0.10807789054723532, -0.619123092461187, -1.7371076727056256],
 )
-FROZEN_SDE_2_FROM_21 = (
-    [3.092450816645401, 3.0927416665273713, 3.8732857852619196, 4.40745250742094],
-    [0.9283928473593241, 0.29457252199819384, 0.24998407344068352, -0.2758712584708385],
-)
 FROZEN_MATRIX_05_2 = (
     [1.0277835667826662, 0.4244432638722264, 0.994180066202955, 1.2316027268216898],
     [0.09660664675351427, -0.7040556472741095, -3.2258975995571593, -2.523663528511901],
 )
-
-
-def zeros_pair(n):
-    return EigenPair(np.zeros(n), np.zeros(n))
 
 
 def test_eigenvalues_diagonal_matrix_gives_order_statistics():
@@ -222,7 +214,7 @@ def test_config_validation():
 
 def test_sde_sum_variance_grows_like_2t():
     rng = np.random.default_rng(78)
-    lam1, lam2 = dyson.integrate_dyson_sde(rng, 1.0, (0.5, 1.0), zeros_pair(4000))
+    lam1, lam2 = dyson.integrate_dyson_sde(rng, 1.0, (0.5, 1.0), 4000)
     finals = lam1.values[:, -1] + lam2.values[:, -1]
     assert np.var(finals) == pytest.approx(2.0, rel=0.12)
     assert abs(np.mean(finals)) < 4.0 * np.sqrt(2.0 / finals.size)
@@ -231,26 +223,9 @@ def test_sde_sum_variance_grows_like_2t():
 def test_sde_gap_stays_positive():
     rng = np.random.default_rng(79)
     times = tuple(np.linspace(1e-4, 1.0, 2000))
-    lam1, lam2 = dyson.integrate_dyson_sde(rng, 1.0, times, zeros_pair(500))
+    lam1, lam2 = dyson.integrate_dyson_sde(rng, 1.0, times, 500)
     assert lam1.values.shape == (500, 2000)
     assert np.all(lam1.values - lam2.values > 0.0)
-
-
-def test_sde_accepts_ordered_initial_state():
-    rng = np.random.default_rng(80)
-    lam1, lam2 = dyson.integrate_dyson_sde(rng, 2.0, (0.5,), initial=EigenPair(2.0, 1.0))
-    assert lam1.values[0] > lam2.values[0]
-
-
-def test_sde_broadcasts_over_initial_state():
-    rng = np.random.default_rng(85)
-    initial = EigenPair(np.array([2.0, 5.0, 0.0]), np.array([1.0, -5.0, 0.0]))
-    lam1, lam2 = dyson.integrate_dyson_sde(rng, 2.0, (1e-12, 0.5), initial)
-    assert lam1.values.shape == lam2.values.shape == (3, 2)
-    assert np.all(lam1.values > lam2.values)
-    # over a step of 1e-12 each path stays at its own start
-    np.testing.assert_allclose(lam1.values[:, 0], initial.lambda1, atol=1e-4)
-    np.testing.assert_allclose(lam2.values[:, 0], initial.lambda2, atol=1e-4)
 
 
 def test_sde_rejects_bad_inputs():
@@ -269,25 +244,23 @@ def test_sde_rejects_bad_inputs():
 
 def test_sde_matches_matrix_model_at_unit_time():
     n = 20_000
-    lam1, lam2 = dyson.integrate_dyson_sde(
-        np.random.default_rng(82), 1.0, (1.0,), zeros_pair(n)
-    )
+    lam1, lam2 = dyson.integrate_dyson_sde(np.random.default_rng(82), 1.0, (1.0,), n)
     out = {"sde": (lam1.values[:, 0], lam1.values[:, 0] - lam2.values[:, 0])}
     cfg = MatrixProcessConfig(1.0, 1.0, (1.0,))
     a, b = dyson.eigen_paths(np.random.default_rng(82), cfg, n)
     out["mat"] = (a.values[:, 0], a.values[:, 0] - b.values[:, 0])
     for k in (0, 1):
-        rep = stattest.ks_two_sample(out["sde"][k], out["mat"][k], alpha=0.001, seed=0)
+        rep = stattest.ks_two_sample(out["sde"][k], out["mat"][k], alpha=0.001)
         assert rep.verdict == "consistent"
 
 
 def test_sde_gap_is_scaled_bessel_one_plus_delta():
     n = 20_000
     rng = np.random.default_rng(83)
-    lam1, lam2 = dyson.integrate_dyson_sde(rng, 1.0, (1.0,), zeros_pair(n))
+    lam1, lam2 = dyson.integrate_dyson_sde(rng, 1.0, (1.0,), n)
     gap = lam1.values[:, 0] - lam2.values[:, 0]
     ref = np.sqrt(besq.sample_transitions(rng, BesqParams(2.0), 1.0, np.zeros(n)))
-    rep = stattest.ks_two_sample(gap / np.sqrt(2.0), ref, alpha=0.001, seed=0)
+    rep = stattest.ks_two_sample(gap / np.sqrt(2.0), ref, alpha=0.001)
     assert rep.verdict == "consistent"
 
 
@@ -308,9 +281,6 @@ def test_one_path_streams_frozen():
     }
     pairs = {
         "sde": dyson.integrate_dyson_sde(rng(0), 1.0, FROZEN_GRID),
-        "sde_from_21": dyson.integrate_dyson_sde(
-            rng(0), 2.0, FROZEN_GRID, initial=EigenPair(2.0, 1.0)
-        ),
         "matrix": dyson.eigen_paths(rng(0), MatrixProcessConfig(0.5, 2.0, FROZEN_GRID)),
     }
     for key, (lam1, lam2) in pairs.items():
@@ -321,8 +291,6 @@ def test_one_path_streams_frozen():
         "bessel": FROZEN_BESSEL_15_X2,
         "sde1": FROZEN_SDE_1[0],
         "sde2": FROZEN_SDE_1[1],
-        "sde_from_211": FROZEN_SDE_2_FROM_21[0],
-        "sde_from_212": FROZEN_SDE_2_FROM_21[1],
         "matrix1": FROZEN_MATRIX_05_2[0],
         "matrix2": FROZEN_MATRIX_05_2[1],
     }

@@ -155,7 +155,7 @@ def _recursive_kernel_logs(s, use_eps):
             if use_eps:
                 g = log_integral(
                     lambda x1: nonmarkov.log_kernel_a11(s, x1) + nonmarkov._log_a12(s, x1, x2),
-                    b1, specs["x2"],
+                    b1, specs["x1"],
                 )[:2]
             else:
                 g = (float(nonmarkov._log_a21(s.c, s.delta1, s.delta2, s.z1, s.z2, x2)), 0)
@@ -168,7 +168,7 @@ def _recursive_kernel_logs(s, use_eps):
         def log_f(x2):
             return np.array([f[0] + (f[2] if with_h else 0.0) for f in map(factors, x2.tolist())])
 
-        value, _, nodes = log_integral(log_f, b2, specs["x1" if use_eps else "limit"])
+        value, _, nodes = log_integral(log_f, b2, specs["x2" if use_eps else "limit"])
         return value, nodes
 
     (pair, pair_nodes), (triple, triple_nodes) = row(False), row(True)
