@@ -9,7 +9,7 @@ quadrature
 besq
     Squared Bessel transition densities and exact transition sampling.
 dyson
-    The 2x2 matrix eigenvalue process, its driver decomposition and SDE form.
+    The 2x2 matrix eigenvalue process: closed-form eigenvalues and the SDE form.
 nonmarkov
     Joint-law integrals and asymptotics behind the Markov-property dichotomy.
 stattest

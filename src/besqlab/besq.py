@@ -229,13 +229,22 @@ _POISSON_MEAN_MAX = 1e18
 
 def _check_starts(x: np.ndarray, step: float, name: str) -> None:
     # starts are checked once, against the shortest step, so that the grid
-    # loop in sample_path carries no per-step check
+    # loop in sample_path carries no per-step check; the quotient cannot
+    # overflow where the product with a huge step would
     if not np.all(x >= 0.0):
         raise DomainError(f"{name} must be nonnegative")
-    if not np.max(x, initial=0.0) < _POISSON_MEAN_MAX * 2.0 * step:
+    if not 0.5 * np.max(x, initial=0.0) / _POISSON_MEAN_MAX < step:
         raise DomainError(
             f"{name} must be finite, with {name} / (2 step) below {_POISSON_MEAN_MAX:g}"
         )
+
+
+def _check_draws(values) -> None:
+    # at a dimension or step near the float limit the Gamma draw overflows to
+    # inf without a warning; the next Poisson draw refuses it, so only the
+    # last step of a path needs this check
+    if not np.isfinite(values).all():
+        raise DomainError("path grew past the sampler's range (a draw overflowed)")
 
 
 def _step(rng: np.random.Generator, delta: float, t: float, x: np.ndarray) -> np.ndarray:
@@ -249,7 +258,9 @@ def sample_transitions(rng: np.random.Generator, p: BesqParams, t: float, x) -> 
     t = _validate_t(t)
     x_arr = np.asarray(x, dtype=float)
     _check_starts(x_arr, t, "x")
-    return _step(rng, p.delta, t, x_arr)
+    out = _step(rng, p.delta, t, x_arr)
+    _check_draws(out)
+    return out
 
 
 def sample_path(
@@ -276,6 +287,7 @@ def sample_path(
     except ValueError as exc:
         # a large dimension drifts by about delta t, past the Poisson cap
         raise DomainError(f"path grew past the Poisson sampler's range ({exc})") from exc
+    _check_draws(current)
     return PathSample(times, values)
 
 

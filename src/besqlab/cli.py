@@ -34,7 +34,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -290,8 +290,7 @@ def _run_eigen(config: RunConfig) -> int:
             raise _ConfigError("--source sde integrates the fully coupled system; needs --c 1")
         lam1, lam2 = dyson.integrate_dyson_sde(rng, delta, grid)
     else:
-        cfg = dyson.MatrixProcessConfig(c, delta, tuple(grid))
-        lam1, lam2 = dyson.eigen_paths(rng, cfg)
+        lam1, lam2 = dyson.eigen_paths(rng, c, delta, grid)
     _write_rows(
         config.output_path,
         ["t", "lambda1", "lambda2"],
@@ -308,8 +307,9 @@ def _run_ratio(config: RunConfig) -> int:
     eps = config.params.get("eps")
     if not limit_eps and eps is None:
         raise _ConfigError("need --eps unless --limit-eps is given")
-    s = nonmarkov.ScenarioParams(c, delta1, delta2, eps if eps is not None else 0.5, z1, z2, z3)
-    detail = nonmarkov.conditional_ratio_detail(s, use_eps=not limit_eps)
+    s = nonmarkov.ScenarioParams(c, delta1, delta2, eps, z1, z2, z3)
+    # a given --eps is checked even where the eps -> 0 kernel replaces it
+    detail = nonmarkov.conditional_ratio_detail(replace(s, eps=None) if limit_eps else s)
     if not detail.converged:
         raise ConvergenceError("ratio quadrature did not converge")
     print(f"{detail.ratio:.10g}")

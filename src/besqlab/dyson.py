@@ -22,15 +22,20 @@ Dyson-type system
 
 and in rotated coordinates (sum, gap) that system decouples into a Brownian
 motion and a rescaled Bessel process, both of which we can sample exactly.
-Like :func:`eigen_paths`, the integrator batches by ``n``: with ``n``
-omitted it gives one path, ``values`` of shape ``(T,)``, and with ``n`` it
-gives ``n`` independent paths, ``values`` of shape ``(n, T)``.
+
+Results are plain tuples: :func:`eigenvalues` gives ``(lambda1, lambda2)``
+arrays, :func:`simulate_drivers` gives ``(b1, b2, xi)``, and
+:func:`eigen_paths` and :func:`integrate_dyson_sde` give a
+``(lambda1, lambda2)`` pair of :class:`~besqlab.besq.PathSample`.  The two
+path functions take the same arguments apart from the coupling and batch by
+``n``: with ``n`` omitted they give one path, ``values`` of shape ``(T,)``,
+and with ``n`` they give ``n`` independent paths, ``values`` of shape
+``(n, T)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,77 +46,39 @@ from .errors import DomainError
 _SQRT2 = np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class MatrixProcessConfig:
-    """Coupling, off-diagonal Bessel dimension and output time grid."""
-
-    c: float
-    delta: float
-    times: tuple
-
-    def __post_init__(self):
-        if not (self.c >= 0.0 and math.isfinite(self.c)):
-            raise DomainError("c must be finite and nonnegative")
-        if not self.delta > 0.0:
-            raise DomainError("delta must be positive")
-        times, _ = besq.time_grid(self.times)
-        if not times.size:
-            raise DomainError("times must be nonempty")
-        object.__setattr__(self, "times", tuple(times.tolist()))
-
-
-@dataclass
-class DriverState:
-    """Diagonal Brownian values and off-diagonal Bessel value(s).
-
-    Fields are scalars or arrays of a common shape (a whole path at once).
-    """
-
-    b1: np.ndarray
-    b2: np.ndarray
-    xi: np.ndarray
-
-    def __post_init__(self):
-        self.b1, self.b2, self.xi = np.broadcast_arrays(
-            np.asarray(self.b1, dtype=float),
-            np.asarray(self.b2, dtype=float),
-            np.asarray(self.xi, dtype=float),
-        )
-        if self.xi.size and not np.all(self.xi >= 0.0):
-            raise DomainError("xi must be nonnegative")
-
-
-@dataclass
-class EigenPair:
-    """Ordered eigenvalues, elementwise ``lambda1 >= lambda2``."""
-
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-
-    def __post_init__(self):
-        self.lambda1, self.lambda2 = np.broadcast_arrays(
-            np.asarray(self.lambda1, dtype=float),
-            np.asarray(self.lambda2, dtype=float),
-        )
-        if self.lambda1.size and not np.all(self.lambda1 >= self.lambda2):
-            raise DomainError("eigenvalues must be ordered")
-
-
-def eigenvalues(state: DriverState, c: float) -> EigenPair:
-    """Closed-form ordered eigenvalues from the driver values."""
+def _check_coupling(c: float) -> None:
     if not (c >= 0.0 and math.isfinite(c)):
         raise DomainError("c must be finite and nonnegative")
-    trace = state.b1 + state.b2
-    gap = np.hypot(state.b1 - state.b2, np.sqrt(2.0 * c) * state.xi)
-    return EigenPair(0.5 * (trace + gap), 0.5 * (trace - gap))
 
 
-def decompose(pair: EigenPair) -> tuple[np.ndarray, np.ndarray]:
-    """Rotated coordinates (sum, gap) of an eigenvalue pair."""
-    return pair.lambda1 + pair.lambda2, pair.lambda1 - pair.lambda2
+def _check_grid(delta: float, times) -> tuple[np.ndarray, np.ndarray]:
+    # the one check of delta and the grid, made before any draw
+    if not delta > 0.0:
+        raise DomainError("delta must be positive")
+    times, steps = besq.time_grid(times)
+    if not times.size:
+        raise DomainError("times must be nonempty")
+    return times, steps
 
 
-def eigenvalues_from_vector_offdiag(b1: float, b2: float, v, c: float) -> EigenPair:
+def eigenvalues(b1, b2, xi, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form ordered eigenvalues ``(lambda1, lambda2)`` from the driver values.
+
+    The drivers are scalars or arrays that broadcast (a whole path at once);
+    they must be finite, with ``xi >= 0``.  Elementwise ``lambda1 >= lambda2``.
+    """
+    _check_coupling(c)
+    b1, b2, xi = (np.asarray(v, dtype=float) for v in (b1, b2, xi))
+    if not np.all(xi >= 0.0):
+        raise DomainError("xi must be nonnegative")
+    if not (np.isfinite(b1).all() and np.isfinite(b2).all() and np.isfinite(xi).all()):
+        raise DomainError("drivers must be finite")
+    trace = b1 + b2
+    gap = np.hypot(b1 - b2, np.sqrt(2.0 * c) * xi)
+    return 0.5 * (trace + gap), 0.5 * (trace - gap)
+
+
+def eigenvalues_from_vector_offdiag(b1: float, b2: float, v, c: float) -> tuple:
     """Eigenvalues when the off-diagonal entry is a vector of length 1, 2 or 4.
 
     The matrix with vector off-diagonal is unitarily equivalent to the scalar
@@ -121,7 +88,7 @@ def eigenvalues_from_vector_offdiag(b1: float, b2: float, v, c: float) -> EigenP
     if v.ndim != 1 or v.size not in (1, 2, 4):
         raise DomainError("v must be a vector of length 1, 2 or 4")
     norm = float(np.sqrt(np.dot(v, v)))
-    return eigenvalues(DriverState(float(b1), float(b2), norm), c)
+    return eigenvalues(float(b1), float(b2), norm, c)
 
 
 def _brownian_path(rng: np.random.Generator, shape: tuple, steps: np.ndarray) -> np.ndarray:
@@ -130,31 +97,34 @@ def _brownian_path(rng: np.random.Generator, shape: tuple, steps: np.ndarray) ->
 
 
 def simulate_drivers(
-    rng: np.random.Generator, config: MatrixProcessConfig, n: int | None = None
-) -> DriverState:
-    """Exact joint draw of the three independent drivers on the time grid.
+    rng: np.random.Generator, delta: float, times, n: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact joint draw ``(b1, b2, xi)`` of the three independent drivers on ``times``.
 
-    With ``n`` omitted the fields are one path of shape ``(T,)``; with ``n``
-    they are ``n`` independent paths, of shape ``(n, T)``.
+    ``b1`` and ``b2`` are Brownian motions and ``xi`` a Bessel process of
+    dimension ``delta``, all from zero.  With ``n`` omitted each is one path
+    of shape ``(T,)``; with ``n`` they are ``n`` independent paths, of shape
+    ``(n, T)``.
     """
-    times, steps = besq.time_grid(config.times)
+    times, steps = _check_grid(delta, times)
     shape, xi0 = ((), 0.0) if n is None else ((n,), np.zeros(n))
     s1, s2, s3 = rng.spawn(3)
     b1 = _brownian_path(s1, shape, steps)
     b2 = _brownian_path(s2, shape, steps)
-    xi = besq.bessel_path(s3, BesqParams(config.delta), xi0, times).values
-    return DriverState(b1, b2, xi)
+    xi = besq.bessel_path(s3, BesqParams(delta), xi0, times).values
+    return b1, b2, xi
 
 
 def eigen_paths(
-    rng: np.random.Generator, config: MatrixProcessConfig, n: int | None = None
+    rng: np.random.Generator, c: float, delta: float, times, n: int | None = None
 ) -> tuple[PathSample, PathSample]:
     """Eigenvalue paths obtained from simulated drivers via the closed form.
 
     ``n`` shapes the paths as in :func:`simulate_drivers`.
     """
-    pair = eigenvalues(simulate_drivers(rng, config, n), config.c)
-    return PathSample(config.times, pair.lambda1), PathSample(config.times, pair.lambda2)
+    _check_coupling(c)
+    lam1, lam2 = eigenvalues(*simulate_drivers(rng, delta, times, n), c)
+    return PathSample(times, lam1), PathSample(times, lam2)
 
 
 def integrate_dyson_sde(
@@ -171,11 +141,7 @@ def integrate_dyson_sde(
     error.  Paths start from the double-zero entrance state, and ``n``
     shapes them as in :func:`simulate_drivers`.
     """
-    if not delta > 0.0:
-        raise DomainError("delta must be positive")
-    times, steps = besq.time_grid(times)
-    if not times.size:
-        raise DomainError("times must be nonempty")
+    times, steps = _check_grid(delta, times)
     shape, w0 = ((), 0.0) if n is None else ((n,), np.zeros(n))
     s_sum, s_gap = rng.spawn(2)
     total = _SQRT2 * _brownian_path(s_sum, shape, steps)

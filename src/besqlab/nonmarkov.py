@@ -55,7 +55,7 @@ calls per node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -81,12 +81,17 @@ class ScenarioParams:
     takes ``c = 0`` and ``c = 1`` exactly and runs ``c > 1`` as the law of
     ``Z/c``, with the dimensions swapped so that the ``eps -> 0`` kernel
     still restarts the process that carries no share of ``z1``.
+
+    ``eps`` is the first observation time, in ``(0, 1)``; ``eps=None`` names
+    the ``eps -> 0`` limit object, built on the closed-form kernel A21 (the
+    started-at-zero kernel concentrates like a delta function as eps
+    shrinks, which is hostile to fixed quadrature).
     """
 
     c: float
     delta1: float
     delta2: float
-    eps: float
+    eps: float | None
     z1: float
     z2: float
     z3: float
@@ -96,7 +101,7 @@ class ScenarioParams:
             raise DomainError("c must be finite and nonnegative")
         if not (0.0 < self.delta1 < math.inf and 0.0 < self.delta2 < math.inf):
             raise DomainError("dimensions must be positive and finite")
-        if not 0.0 < self.eps < 1.0:
+        if self.eps is not None and not 0.0 < self.eps < 1.0:
             raise DomainError("eps must lie in (0, 1)")
         if not all(0.0 < z < math.inf for z in (self.z1, self.z2, self.z3)):
             raise DomainError("observation levels must be positive and finite")
@@ -226,11 +231,11 @@ def _x3_rows(s: ScenarioParams) -> Callable[[np.ndarray], tuple]:
 
 
 def _kernel_logs(
-    s: ScenarioParams, use_eps: bool, log_h: Callable[[np.ndarray], tuple] | None = None
+    s: ScenarioParams, log_h: Callable[[np.ndarray], tuple] | None = None
 ) -> list[QuadratureResult]:
     """Logs of ``pair = int_0^b2 g dx2`` and, given ``log_h``, ``triple = int_0^b2 g h dx2``.
 
-    ``g`` is the x1 rows of A11 A12, or A21 without ``use_eps``.  Pair and
+    ``g`` is the x1 rows of A11 A12, or A21 at ``s.eps = None``.  Pair and
     triple are the two log rows of one outer integral; ``h`` (say
     :func:`_x3_rows`) runs only while the triple row refines.  A row's error
     adds the worst relative error of ``g`` (plus ``h``) at its nodes;
@@ -241,7 +246,7 @@ def _kernel_logs(
     b1 = _upper_support(s.z1, s.c)
 
     def log_g(x2):
-        if not use_eps:
+        if s.eps is None:
             return _log_a21(s.c, s.delta1, s.delta2, s.z1, s.z2, x2), 0.0, 0, True
         return _factor(quadrature.integrate_rows(
             lambda r, x1: log_kernel_a11(s, x1) + _log_a12(s, x1, x2[r, None]),
@@ -263,7 +268,7 @@ def _kernel_logs(
         return np.cumsum(logs, axis=0)[rows]
 
     outer = quadrature.integrate_rows(
-        log_f, n_rows, 0.0, _upper_support(s.z2, s.c), specs["x2" if use_eps else "limit"],
+        log_f, n_rows, 0.0, _upper_support(s.z2, s.c), specs["limit" if s.eps is None else "x2"],
         log=True,
     )
     outer.errors += inner_rel
@@ -275,20 +280,17 @@ def _kernel_logs(
 # ---------------------------------------------------------------------------
 # Public density and ratio operations.
 
-def joint_density_pair(s: ScenarioParams, use_eps: bool = True) -> float:
+def joint_density_pair(s: ScenarioParams) -> float:
     """Kernel integral for the law of ``(Z(eps), Z(1))`` at ``(z1, z2)``.
 
-    With ``use_eps`` false, returns the ``eps -> 0`` limit object built on
-    the closed-form A21 kernel instead: the started-at-zero kernel
-    concentrates like a delta function as eps shrinks, which is hostile to
-    fixed quadrature.
+    At ``s.eps = None`` it is the ``eps -> 0`` limit object.
     """
-    return _density(_kernel_logs(s, use_eps)[0], "pair")
+    return _density(_kernel_logs(s)[0], "pair")
 
 
-def joint_density_triple(s: ScenarioParams, use_eps: bool = True) -> float:
+def joint_density_triple(s: ScenarioParams) -> float:
     """Kernel integral for the law of ``(Z(eps), Z(1), Z(2))`` at ``(z1, z2, z3)``."""
-    return _density(_kernel_logs(s, use_eps, _x3_rows(s))[1], "triple")
+    return _density(_kernel_logs(s, _x3_rows(s))[1], "triple")
 
 
 def _density(res: QuadratureResult, what: str) -> float:
@@ -297,7 +299,7 @@ def _density(res: QuadratureResult, what: str) -> float:
     return math.exp(res.value) if math.isfinite(res.value) else 0.0
 
 
-def conditional_ratio_detail(s: ScenarioParams, use_eps: bool = True) -> RatioResult:
+def conditional_ratio_detail(s: ScenarioParams) -> RatioResult:
     """Conditional density of ``Z(2)`` at ``z3`` given ``(Z(eps), Z(1)) = (z1, z2)``.
 
     Returns the ratio together with a first-order relative error estimate
@@ -314,7 +316,7 @@ def conditional_ratio_detail(s: ScenarioParams, use_eps: bool = True) -> RatioRe
         delta = s.delta2 if s.c == 0.0 else s.delta1 + s.delta2
         ratio = besq.transition_density(BesqParams(delta), 1.0, s.z2, s.z3) * k
         return RatioResult(ratio, 0.0, 0, True)
-    pair, triple = _kernel_logs(s, use_eps, _x3_rows(s))
+    pair, triple = _kernel_logs(s, _x3_rows(s))
     if pair.value < _LOG_FLOOR:
         raise UnreliableRatioError(
             "pair density below 1e-300; the conditional ratio is not trustworthy"
@@ -328,14 +330,6 @@ def conditional_ratio_detail(s: ScenarioParams, use_eps: bool = True) -> RatioRe
     )
 
 
-def conditional_ratio(s: ScenarioParams, use_eps: bool = True) -> float:
-    """Scalar version of :func:`conditional_ratio_detail`."""
-    detail = conditional_ratio_detail(s, use_eps)
-    if not detail.converged:
-        raise ConvergenceError("conditional ratio quadrature did not converge")
-    return detail.ratio
-
-
 # ---------------------------------------------------------------------------
 # Limit objects: z3 -> 0 and z2 -> infinity.
 
@@ -345,10 +339,11 @@ def zero_limit_weighted_triple(s: ScenarioParams) -> float:
     Evaluates the closed limit: the full-support rescaling constant
     ``c^{-d1/2} B(d1/2, d2/2)`` times ``q_tilde(z2; z1)``, where ``q_tilde``
     pairs the A21 kernel with the product of weighted zero-limits (A32);
-    ``s.z3`` plays no role here and ``s.eps`` refers to the limit object.
+    ``s.z3`` and ``s.eps`` play no role here.
     """
     qt = _kernel_logs(
-        s, False, lambda x2: (_log_a32(s.c, s.delta1, s.delta2, s.z2, x2), 0.0, 0, True)
+        replace(s, eps=None),
+        lambda x2: (_log_a32(s.c, s.delta1, s.delta2, s.z2, x2), 0.0, 0, True),
     )[1]
     if not qt.converged:
         raise ConvergenceError("weighted zero-limit quadrature did not converge")

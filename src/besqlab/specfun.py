@@ -130,10 +130,13 @@ def _log_half_order(nu: float, x: np.ndarray) -> np.ndarray:
     if zero.any():
         # the x = 0 limit, set below; 1.0 keeps the logs finite meanwhile
         x = np.where(zero, 1.0, x)
+    # exp(-2x) is 0 long before x = 1e300; the cap keeps -2x from overflowing
+    neg_two_x = np.minimum(x, 1e300)
+    neg_two_x *= -2.0
     if nu > 0.0:
-        head = np.log(-np.expm1(-2.0 * x))
+        head = np.log(-np.expm1(neg_two_x))
     else:
-        head = np.log1p(np.exp(-2.0 * x))
+        head = np.log1p(np.exp(neg_two_x))
     out = head - 0.5 * (_LOG_TWO_PI + np.log(x))
     out[zero] = -np.inf if nu > 0.0 else np.inf
     return out

@@ -283,6 +283,14 @@ def test_path_that_outgrows_the_poisson_range_is_domain_error():
             besq.sample_path(rng(17), BesqParams(1e16), start, grid)
         path = besq.sample_path(rng(17), BesqParams(1e15), start, grid)
         assert np.all(np.isfinite(path.values))
+        # a dimension or a step near the float limit overflows the last
+        # step's Gamma draw, which raises nothing and once returned inf
+        for delta, times in [(1e308, [2.0]), (1.0, [1e308]), (1e308, [1.0, 2.0])]:
+            with pytest.raises(DomainError, match="sampler's range"):
+                besq.sample_path(rng(17), BesqParams(delta), start, times)
+    for delta, t in [(1e308, 2.0), (1.0, 1e308)]:
+        with pytest.raises(DomainError, match="sampler's range"):
+            besq.sample_transitions(rng(17), BesqParams(delta), t, [0.0, 1.0])
 
 
 @pytest.mark.parametrize(

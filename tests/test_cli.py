@@ -385,7 +385,9 @@ def test_rescaled_coupling_matches_reduced_scenario(capsys):
     ) == 0
     got = float(capsys.readouterr().out.strip())
     s = ScenarioParams(c=0.5, delta1=1.0, delta2=1.5, eps=0.5, z1=0.5, z2=2.0, z3=0.5)
-    want = 0.5 * nonmarkov.conditional_ratio(s)
+    detail = nonmarkov.conditional_ratio_detail(s)
+    assert detail.converged
+    want = 0.5 * detail.ratio
     assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -404,14 +406,16 @@ def test_rescaled_coupling_runs_in_the_library(tmp_path, capsys):
 
 
 def test_exact_coupling_checks_eps(capsys):
-    # the c = 1 kernel ignores eps, but the scenario is still checked whole
-    assert run_cli(
-        "ratio", "--c", "1", "--delta1", "1", "--delta2", "1",
-        "--eps", "1.5", "--z1", "1", "--z2", "4", "--z3", "1",
-    ) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "eps must lie in (0, 1)" in captured.err
+    # the c = 1 kernel ignores eps, and so does the eps -> 0 kernel of
+    # --limit-eps, but a given eps is still checked with the whole scenario
+    for argv in (
+        "ratio --c 1 --delta1 1 --delta2 1 --eps 1.5 --z1 1 --z2 4 --z3 1",
+        "ratio --c 0.5 --delta1 1 --delta2 1 --eps 1.5 --z1 1 --z2 4 --z3 4 --limit-eps",
+    ):
+        assert run_cli(*argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "eps must lie in (0, 1)" in captured.err
 
 
 @pytest.mark.parametrize("c", ["0", "-1", "nan", "inf", "1"])
@@ -645,12 +649,15 @@ def test_simulate_huge_start_is_config_error(capsys, x0):
 )
 def test_path_past_the_sampler_range_is_config_error(capsys, argv):
     # the start is in range, but a dimension of 1e16 grows the path past
-    # numpy's Poisson cap on this grid: once an uncaught ValueError (exit 1)
+    # numpy's Poisson cap on this grid: once an uncaught ValueError (exit 1).
+    # A dimension or a step near the float limit overflows the one step's
+    # Gamma draw instead, which raises nothing: once inf with exit 0
     grid = ",".join(map(repr, np.round(0.001 * np.arange(1, 2001), 6).tolist()))
-    assert run_cli(*argv, "--delta", "1e16", "--times", grid, "--seed", "1") == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "sampler's range" in captured.err
+    for delta, times in [("1e16", grid), ("1e308", "2"), ("1", "1e308")]:
+        assert run_cli(*argv, "--delta", delta, "--times", times, "--seed", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sampler's range" in captured.err
 
 
 def test_eigen_infinite_coupling_is_config_error(capsys):
@@ -658,6 +665,50 @@ def test_eigen_infinite_coupling_is_config_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "c must be finite" in captured.err
+
+
+# Exact stdout of the paper's two objects on the CLI, recorded once: the
+# eigen rows are test_dyson's frozen one-path streams, and the eps -> 0 ratio
+# is the same whatever --eps is given
+GUARD_STDOUT = [
+    (
+        "eigen --source matrix --c 0.5 --delta 2",
+        "t,lambda1,lambda2\n"
+        "0.25,1.0277835667826662,0.09660664675351427\n"
+        "0.5,0.4244432638722264,-0.7040556472741095\n"
+        "1.0,0.994180066202955,-3.2258975995571593\n"
+        "2.0,1.2316027268216898,-2.523663528511901\n",
+    ),
+    (
+        "eigen --source sde --c 1 --delta 1",
+        "t,lambda1,lambda2\n"
+        "0.25,0.9585022955529401,0.06234136845178523\n"
+        "0.5,0.49539207907280064,-0.10807789054723532\n"
+        "1.0,1.7423929511637903,-0.619123092461187\n"
+        "2.0,2.8686889216557283,-1.7371076727056256\n",
+    ),
+]
+_LIMIT_RATIO = "ratio --c 0.5 --delta1 1 --delta2 1 --z1 1 --z2 4 --z3 4 --limit-eps"
+
+
+@pytest.mark.parametrize("argv,want", GUARD_STDOUT, ids=["matrix", "sde"])
+def test_eigen_stdout_is_byte_stable(capsys, argv, want):
+    assert run_cli(*argv.split(), "--times", "0.25,0.5,1,2", "--seed", "0") == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("eps", ["0.5", "0.9", None])
+def test_limit_ratio_stdout_is_byte_stable(tmp_path, capsys, eps):
+    given = () if eps is None else ("--eps", eps)
+    assert run_cli(*_LIMIT_RATIO.split(), *given) == 0
+    assert capsys.readouterr().out == "0.1109372946\n"
+    out = tmp_path / "ratio.csv"
+    assert run_cli(*_LIMIT_RATIO.split(), *given, "--output", str(out)) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    # eps records what was given, and use_eps says the eps -> 0 kernel ran
+    assert row[3] == ("nan" if eps is None else repr(float(eps)))
+    assert row[7] == "0.0"
+    assert row[8] == "0.1109372946281901"
 
 
 def test_ratio_csv_schema(tmp_path, capsys):

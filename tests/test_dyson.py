@@ -6,7 +6,6 @@ import pytest
 
 from besqlab import besq, dyson, stattest
 from besqlab.besq import BesqParams
-from besqlab.dyson import DriverState, EigenPair, MatrixProcessConfig
 from besqlab.errors import DomainError
 
 # hand evaluation for b1=3, b2=1, xi=2, c=0.5: discriminant 4 + 4 = 8,
@@ -32,54 +31,54 @@ FROZEN_MATRIX_05_2 = (
 
 
 def test_eigenvalues_diagonal_matrix_gives_order_statistics():
-    pair = dyson.eigenvalues(DriverState(1.0, 0.0, 0.0), 0.7)
-    assert pair.lambda1 == 1.0 and pair.lambda2 == 0.0
+    assert dyson.eigenvalues(1.0, 0.0, 0.0, 0.7) == (1.0, 0.0)
 
 
 def test_eigenvalues_hand_evaluated_point():
-    pair = dyson.eigenvalues(DriverState(3.0, 1.0, 2.0), 0.5)
-    assert pair.lambda1 == pytest.approx(LAM1_312, rel=1e-15)
-    assert pair.lambda2 == pytest.approx(LAM2_312, rel=1e-15)
+    lam1, lam2 = dyson.eigenvalues(3.0, 1.0, 2.0, 0.5)
+    assert lam1 == pytest.approx(LAM1_312, rel=1e-15)
+    assert lam2 == pytest.approx(LAM2_312, rel=1e-15)
+    # rotated coordinates: the trace, and the gap sqrt(8)
+    assert lam1 + lam2 == pytest.approx(4.0, abs=1e-15)
+    assert lam1 - lam2 == pytest.approx(2.8284271247461903, rel=1e-15)
 
 
 def test_eigenvalues_scalar_matrix_degenerate():
     for c in (0.0, 0.3, 2.0):
-        pair = dyson.eigenvalues(DriverState(1.7, 1.7, 0.0), c)
-        assert pair.lambda1 == pair.lambda2 == 1.7
+        lam1, lam2 = dyson.eigenvalues(1.7, 1.7, 0.0, c)
+        assert lam1 == lam2 == 1.7
 
 
 def test_eigenvalues_rejects_negative_coupling():
     with pytest.raises(DomainError):
-        dyson.eigenvalues(DriverState(1.0, 0.0, 1.0), -0.1)
+        dyson.eigenvalues(1.0, 0.0, 1.0, -0.1)
 
 
-def test_driver_state_rejects_negative_xi():
-    with pytest.raises(DomainError):
-        DriverState(0.0, 0.0, -1.0)
+def test_eigenvalues_rejects_negative_xi():
+    with pytest.raises(DomainError, match="xi must be nonnegative"):
+        dyson.eigenvalues(0.0, 0.0, -1.0, 0.5)
+    with pytest.raises(DomainError, match="xi must be nonnegative"):
+        dyson.eigenvalues(np.zeros(3), np.zeros(3), [0.0, -1.0, 1.0], 0.5)
 
 
-def test_eigen_pair_rejects_wrong_order():
-    with pytest.raises(DomainError):
-        EigenPair(0.0, 1.0)
-
-
-def test_decompose_returns_sum_and_gap():
-    assert dyson.decompose(EigenPair(1.0, 0.0)) == (1.0, 1.0)
-    s, g = dyson.decompose(EigenPair(LAM1_312, LAM2_312))
-    assert s == pytest.approx(4.0, abs=1e-15)
-    assert g == pytest.approx(2.8284271247461903, rel=1e-15)
-    s, g = dyson.decompose(EigenPair(2.5, 2.5))
-    assert s == 5.0 and g == 0.0
+def test_eigenvalues_rejects_non_finite_drivers():
+    # a NaN or infinite driver gives unordered or infinite eigenvalues
+    for which in range(3):
+        for bad in (np.nan, np.inf, -np.inf):
+            drivers = [np.array([0.5, 1.0]), np.array([0.0, -1.0]), np.array([1.0, 2.0])]
+            drivers[which][1] = bad
+            with pytest.raises(DomainError):
+                dyson.eigenvalues(*drivers, 0.5)
 
 
 def test_pathwise_decomposition_identities():
     rng = np.random.default_rng(71)
-    cfg = MatrixProcessConfig(0.6, 1.5, tuple(np.linspace(0.05, 2.0, 200)))
-    state = dyson.simulate_drivers(rng, cfg)
-    pair = dyson.eigenvalues(state, cfg.c)
-    s, g = dyson.decompose(pair)
-    assert np.max(np.abs(s - (state.b1 + state.b2))) < 1e-12
-    resid = g * g - (state.b1 - state.b2) ** 2 - 2.0 * cfg.c * state.xi**2
+    c = 0.6
+    b1, b2, xi = dyson.simulate_drivers(rng, 1.5, tuple(np.linspace(0.05, 2.0, 200)))
+    lam1, lam2 = dyson.eigenvalues(b1, b2, xi, c)
+    assert np.max(np.abs(lam1 + lam2 - (b1 + b2))) < 1e-12
+    g = lam1 - lam2
+    resid = g * g - (b1 - b2) ** 2 - 2.0 * c * xi**2
     assert np.max(np.abs(resid)) < 1e-12
 
 
@@ -89,10 +88,10 @@ def test_gap_is_the_weighted_besq_sum_pathwise(c, delta):
     # gap^2/2 = c xi^2 + ((b1 - b2)/sqrt 2)^2 is Z = c X + Y of the nonmarkov
     # module with X = xi^2 a BESQ(delta) and Y a BESQ(1), both from zero
     rng = np.random.default_rng(78)
-    cfg = MatrixProcessConfig(c, delta, tuple(np.linspace(0.05, 2.0, 100)))
-    state = dyson.simulate_drivers(rng, cfg)
-    z = c * state.xi**2 + ((state.b1 - state.b2) / np.sqrt(2.0)) ** 2
-    gap = dyson.decompose(dyson.eigenvalues(state, c))[1]
+    b1, b2, xi = dyson.simulate_drivers(rng, delta, tuple(np.linspace(0.05, 2.0, 100)))
+    z = c * xi**2 + ((b1 - b2) / np.sqrt(2.0)) ** 2
+    lam1, lam2 = dyson.eigenvalues(b1, b2, xi, c)
+    gap = lam1 - lam2
     np.testing.assert_allclose(0.5 * gap**2, z, rtol=1e-12, atol=1e-14)
 
 
@@ -106,8 +105,8 @@ def test_vector_offdiag_gap_is_the_weighted_besq_sum_pathwise(c, beta):
     b1, b2 = np.cumsum(rng.normal(0.0, np.sqrt(steps), (2, steps.size)), axis=-1)
     v = np.cumsum(rng.normal(0.0, np.sqrt(steps), (beta, steps.size)), axis=-1)
     for j in range(steps.size):
-        pair = dyson.eigenvalues_from_vector_offdiag(b1[j], b2[j], v[:, j], c)
-        gap = dyson.decompose(pair)[1]
+        lam1, lam2 = dyson.eigenvalues_from_vector_offdiag(b1[j], b2[j], v[:, j], c)
+        gap = lam1 - lam2
         z = c * np.dot(v[:, j], v[:, j]) + ((b1[j] - b2[j]) / np.sqrt(2.0)) ** 2
         assert 0.5 * gap**2 == pytest.approx(z, rel=1e-12, abs=1e-14)
 
@@ -115,41 +114,37 @@ def test_vector_offdiag_gap_is_the_weighted_besq_sum_pathwise(c, beta):
 def test_eigenvalue_ordering_holds_on_paths():
     rng = np.random.default_rng(72)
     for c in (0.0, 0.5, 1.0, 2.0):
-        cfg = MatrixProcessConfig(c, 1.0, tuple(np.linspace(0.1, 1.0, 50)))
-        lam1, lam2 = dyson.eigen_paths(rng, cfg)
+        lam1, lam2 = dyson.eigen_paths(rng, c, 1.0, tuple(np.linspace(0.1, 1.0, 50)))
         assert np.all(lam1.values >= lam2.values)
 
 
 def test_zero_coupling_is_order_statistics_pathwise():
     rng = np.random.default_rng(73)
-    cfg = MatrixProcessConfig(0.0, 2.0, tuple(np.linspace(0.1, 3.0, 120)))
-    state = dyson.simulate_drivers(rng, cfg)
-    pair = dyson.eigenvalues(state, 0.0)
+    b1, b2, xi = dyson.simulate_drivers(rng, 2.0, tuple(np.linspace(0.1, 3.0, 120)))
+    lam1, lam2 = dyson.eigenvalues(b1, b2, xi, 0.0)
     # rotation arithmetic rounds, so agreement is to machine precision
-    np.testing.assert_allclose(pair.lambda1, np.maximum(state.b1, state.b2), atol=1e-14)
-    np.testing.assert_allclose(pair.lambda2, np.minimum(state.b1, state.b2), atol=1e-14)
+    np.testing.assert_allclose(lam1, np.maximum(b1, b2), atol=1e-14)
+    np.testing.assert_allclose(lam2, np.minimum(b1, b2), atol=1e-14)
 
 
 def test_gap_is_monotone_in_coupling_on_shared_drivers():
     rng = np.random.default_rng(74)
-    cfg = MatrixProcessConfig(1.0, 1.0, tuple(np.linspace(0.1, 2.0, 80)))
-    state = dyson.simulate_drivers(rng, cfg)
-    gaps = [dyson.decompose(dyson.eigenvalues(state, c))[1] for c in (0.0, 0.5, 1.0)]
+    drivers = dyson.simulate_drivers(rng, 1.0, tuple(np.linspace(0.1, 2.0, 80)))
+    gaps = [np.subtract(*dyson.eigenvalues(*drivers, c)) for c in (0.0, 0.5, 1.0)]
     assert np.all(gaps[1] >= gaps[0]) and np.all(gaps[2] >= gaps[1])
 
 
 def test_driver_moments():
     rng = np.random.default_rng(75)
-    cfg = MatrixProcessConfig(1.0, 2.5, (0.7,))
-    state = dyson.simulate_drivers(rng, cfg, 3000)
-    assert state.b1.shape == state.b2.shape == state.xi.shape == (3000, 1)
-    b1 = state.b1[:, 0]
-    xisq = state.xi[:, 0] ** 2
-    t = cfg.times[0]
+    delta, t = 2.5, 0.7
+    b1, b2, xi = dyson.simulate_drivers(rng, delta, (t,), 3000)
+    assert b1.shape == b2.shape == xi.shape == (3000, 1)
+    b1 = b1[:, 0]
+    xisq = xi[:, 0] ** 2
     assert abs(np.mean(b1)) < 4.0 * np.sqrt(t / b1.size)
     assert np.var(b1) == pytest.approx(t, rel=0.15)
     # E[xi^2] = delta t, Var[xi^2] = 2 delta t^2 from zero
-    assert np.mean(xisq) == pytest.approx(cfg.delta * t, abs=4.0 * np.sqrt(2 * cfg.delta * t**2 / b1.size))
+    assert np.mean(xisq) == pytest.approx(delta * t, abs=4.0 * np.sqrt(2 * delta * t**2 / b1.size))
     corr = np.corrcoef(b1, xisq)[0, 1]
     assert abs(corr) < 4.0 / np.sqrt(b1.size)
 
@@ -162,21 +157,20 @@ def test_vector_offdiag_matches_scalar_reduction():
             b1, b2 = rng.normal(size=2)
             c = rng.uniform(0.0, 2.0)
             got = dyson.eigenvalues_from_vector_offdiag(b1, b2, v, c)
-            want = dyson.eigenvalues(DriverState(b1, b2, float(np.linalg.norm(v))), c)
-            assert got.lambda1 == want.lambda1 and got.lambda2 == want.lambda2
+            assert got == dyson.eigenvalues(b1, b2, float(np.linalg.norm(v)), c)
 
 
 def test_vector_offdiag_hand_evaluated_point():
     # |v| = 5 and c = 2 make the offdiagonal magnitude 5, so the spectrum
     # of [[0, 5], [5, 0]] is +-5
-    pair = dyson.eigenvalues_from_vector_offdiag(0.0, 0.0, (3.0, 4.0), 2.0)
-    assert pair.lambda1 == pytest.approx(5.0, rel=1e-15)
-    assert pair.lambda2 == pytest.approx(-5.0, rel=1e-15)
+    lam1, lam2 = dyson.eigenvalues_from_vector_offdiag(0.0, 0.0, (3.0, 4.0), 2.0)
+    assert lam1 == pytest.approx(5.0, rel=1e-15)
+    assert lam2 == pytest.approx(-5.0, rel=1e-15)
 
 
 def test_vector_offdiag_zero_vector_is_order_statistics():
     pair = dyson.eigenvalues_from_vector_offdiag(-1.0, 2.0, (0.0, 0.0, 0.0, 0.0), 1.3)
-    assert (pair.lambda1, pair.lambda2) == (2.0, -1.0)
+    assert pair == (2.0, -1.0)
 
 
 def test_vector_offdiag_rotation_invariant():
@@ -185,8 +179,8 @@ def test_vector_offdiag_rotation_invariant():
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     a = dyson.eigenvalues_from_vector_offdiag(0.4, -0.2, v, 1.0)
     b = dyson.eigenvalues_from_vector_offdiag(0.4, -0.2, q @ v, 1.0)
-    assert a.lambda1 == pytest.approx(b.lambda1, rel=1e-12)
-    assert a.lambda2 == pytest.approx(b.lambda2, rel=1e-12)
+    assert a[0] == pytest.approx(b[0], rel=1e-12)
+    assert a[1] == pytest.approx(b[1], rel=1e-12)
 
 
 def test_vector_offdiag_rejects_bad_length():
@@ -194,22 +188,34 @@ def test_vector_offdiag_rejects_bad_length():
         dyson.eigenvalues_from_vector_offdiag(0.0, 0.0, (1.0, 2.0, 3.0), 1.0)
 
 
+BAD_GRIDS = [(), (1.0, 0.5), (1.0, np.inf), ((0.5, 1.0),)]
+
+
+def _untouched(rng: np.random.Generator, state: dict) -> bool:
+    # no draw moved the bit generator and no child stream was spawned
+    return rng.bit_generator.state == state and rng.bit_generator.seed_seq.n_children_spawned == 0
+
+
 def test_config_validation():
+    # eigen_paths and simulate_drivers raise before any draw
+    calls = [
+        lambda rng, c=c: dyson.eigen_paths(rng, c, 1.0, (1.0,)) for c in (-1.0, np.inf, np.nan)
+    ]
+    for delta in (0.0, -1.0, np.nan):
+        calls.append(lambda rng, d=delta: dyson.eigen_paths(rng, 1.0, d, (1.0,)))
+        calls.append(lambda rng, d=delta: dyson.simulate_drivers(rng, d, (1.0,)))
+    for grid in BAD_GRIDS:
+        calls.append(lambda rng, g=grid: dyson.eigen_paths(rng, 1.0, 1.0, g, 3))
+        calls.append(lambda rng, g=grid: dyson.simulate_drivers(rng, 1.0, g))
+    for call in calls:
+        rng = np.random.default_rng(80)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError):
+            call(rng)
+        assert _untouched(rng, state)
     for c in (-1.0, np.inf, np.nan):
         with pytest.raises(DomainError):
-            MatrixProcessConfig(c, 1.0, (1.0,))
-        with pytest.raises(DomainError):
-            dyson.eigenvalues(DriverState(0.0, 0.0, 1.0), c)
-    with pytest.raises(DomainError):
-        MatrixProcessConfig(1.0, 0.0, (1.0,))
-    with pytest.raises(DomainError):
-        MatrixProcessConfig(1.0, 1.0, ())
-    with pytest.raises(DomainError):
-        MatrixProcessConfig(1.0, 1.0, (1.0, 0.5))
-    with pytest.raises(DomainError):
-        MatrixProcessConfig(1.0, 1.0, (1.0, np.inf))
-    with pytest.raises(DomainError):
-        MatrixProcessConfig(1.0, 1.0, ((0.5, 1.0),))
+            dyson.eigenvalues(0.0, 0.0, 1.0, c)
 
 
 def test_sde_sum_variance_grows_like_2t():
@@ -229,25 +235,19 @@ def test_sde_gap_stays_positive():
 
 
 def test_sde_rejects_bad_inputs():
-    rng = np.random.default_rng(81)
-    with pytest.raises(DomainError):
-        dyson.integrate_dyson_sde(rng, 0.0, (1.0,))
-    with pytest.raises(DomainError):
-        dyson.integrate_dyson_sde(rng, 1.0, (2.0, 1.0))
-    with pytest.raises(DomainError):
-        dyson.integrate_dyson_sde(rng, 1.0, ())
-    with pytest.raises(DomainError):
-        dyson.integrate_dyson_sde(rng, 1.0, (1.0, np.inf))
-    with pytest.raises(DomainError):
-        dyson.integrate_dyson_sde(rng, 1.0, ((0.5, 1.0),))
+    for delta, grid in [(0.0, (1.0,)), (1.0, (2.0, 1.0))] + [(1.0, g) for g in BAD_GRIDS]:
+        rng = np.random.default_rng(81)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError):
+            dyson.integrate_dyson_sde(rng, delta, grid)
+        assert _untouched(rng, state)
 
 
 def test_sde_matches_matrix_model_at_unit_time():
     n = 20_000
     lam1, lam2 = dyson.integrate_dyson_sde(np.random.default_rng(82), 1.0, (1.0,), n)
     out = {"sde": (lam1.values[:, 0], lam1.values[:, 0] - lam2.values[:, 0])}
-    cfg = MatrixProcessConfig(1.0, 1.0, (1.0,))
-    a, b = dyson.eigen_paths(np.random.default_rng(82), cfg, n)
+    a, b = dyson.eigen_paths(np.random.default_rng(82), 1.0, 1.0, (1.0,), n)
     out["mat"] = (a.values[:, 0], a.values[:, 0] - b.values[:, 0])
     for k in (0, 1):
         rep = stattest.ks_two_sample(out["sde"][k], out["mat"][k], alpha=0.001)
@@ -265,9 +265,8 @@ def test_sde_gap_is_scaled_bessel_one_plus_delta():
 
 
 def test_simulation_is_deterministic_per_seed():
-    cfg = MatrixProcessConfig(0.5, 1.0, (0.3, 0.9))
-    a = dyson.eigen_paths(np.random.default_rng(84), cfg)
-    b = dyson.eigen_paths(np.random.default_rng(84), cfg)
+    a = dyson.eigen_paths(np.random.default_rng(84), 0.5, 1.0, (0.3, 0.9))
+    b = dyson.eigen_paths(np.random.default_rng(84), 0.5, 1.0, (0.3, 0.9))
     np.testing.assert_array_equal(a[0].values, b[0].values)
     np.testing.assert_array_equal(a[1].values, b[1].values)
 
@@ -281,7 +280,7 @@ def test_one_path_streams_frozen():
     }
     pairs = {
         "sde": dyson.integrate_dyson_sde(rng(0), 1.0, FROZEN_GRID),
-        "matrix": dyson.eigen_paths(rng(0), MatrixProcessConfig(0.5, 2.0, FROZEN_GRID)),
+        "matrix": dyson.eigen_paths(rng(0), 0.5, 2.0, FROZEN_GRID),
     }
     for key, (lam1, lam2) in pairs.items():
         got[key + "1"], got[key + "2"] = lam1.values, lam2.values

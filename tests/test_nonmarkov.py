@@ -60,8 +60,8 @@ def test_limit_pair_collapses_at_unit_coupling(d1, d2, z1, z2):
     # at c=1 the hidden-coordinate integral reassembles the additive process:
     # the limit pair object is exactly one transition density of dimension
     # delta1+delta2
-    s = ScenarioParams(c=1.0, delta1=d1, delta2=d2, eps=0.5, z1=z1, z2=z2, z3=1.0)
-    got = nonmarkov.joint_density_pair(s, use_eps=False)
+    s = ScenarioParams(c=1.0, delta1=d1, delta2=d2, eps=None, z1=z1, z2=z2, z3=1.0)
+    got = nonmarkov.joint_density_pair(s)
     want = besq.transition_density(BesqParams(d1 + d2), 1.0, z1, z2)
     assert got == pytest.approx(want, rel=1e-6)
 
@@ -122,7 +122,7 @@ def test_triple_marginalizes_to_pair(c, d1, d2, eps, z1, z2):
     assert total == pytest.approx(pair, rel=1e-4)
 
 
-def _recursive_kernel_logs(s, use_eps):
+def _recursive_kernel_logs(s):
     """Pair and triple kernel integrals node by node, as the batched pass's oracle.
 
     Same log-integrands as nonmarkov's one outer pass over x2, but each
@@ -152,7 +152,7 @@ def _recursive_kernel_logs(s, use_eps):
     def factors(x2):
         # (log g, g points, log h, h points) at one x2 node
         if x2 not in memo:
-            if use_eps:
+            if s.eps is not None:
                 g = log_integral(
                     lambda x1: nonmarkov.log_kernel_a11(s, x1) + nonmarkov._log_a12(s, x1, x2),
                     b1, specs["x1"],
@@ -168,7 +168,7 @@ def _recursive_kernel_logs(s, use_eps):
         def log_f(x2):
             return np.array([f[0] + (f[2] if with_h else 0.0) for f in map(factors, x2.tolist())])
 
-        value, _, nodes = log_integral(log_f, b2, specs["x2" if use_eps else "limit"])
+        value, _, nodes = log_integral(log_f, b2, specs["limit" if s.eps is None else "x2"])
         return value, nodes
 
     (pair, pair_nodes), (triple, triple_nodes) = row(False), row(True)
@@ -188,9 +188,9 @@ def _recursive_kernel_logs(s, use_eps):
     ids=["delta2<2", "delta2>=2"],
 )
 def test_batched_kernel_integrals_match_recursive_oracle(s):
-    for use_eps in (True, False):
-        pair, triple = nonmarkov._kernel_logs(s, use_eps, nonmarkov._x3_rows(s))
-        want_pair, want_triple, points = _recursive_kernel_logs(s, use_eps)
+    for scenario in (s, dataclasses.replace(s, eps=None)):
+        pair, triple = nonmarkov._kernel_logs(scenario, nonmarkov._x3_rows(scenario))
+        want_pair, want_triple, points = _recursive_kernel_logs(scenario)
         for batched, log_value in ((pair, want_pair), (triple, want_triple)):
             assert batched.converged
             assert math.exp(batched.value - log_value) == pytest.approx(1.0, abs=1e-12)
@@ -213,8 +213,8 @@ RATIO_EVALUATIONS = {
 @pytest.mark.parametrize("d1,d2,z3", list(RATIO_EVALUATIONS))
 def test_ratio_evaluation_counts_frozen(d1, d2, z3):
     s = ScenarioParams(c=0.5, delta1=d1, delta2=d2, eps=0.5, z1=1.0, z2=4.0, z3=z3)
-    for use_eps, want in zip((True, False), RATIO_EVALUATIONS[(d1, d2, z3)]):
-        detail = nonmarkov.conditional_ratio_detail(s, use_eps=use_eps)
+    for eps, want in zip((0.5, None), RATIO_EVALUATIONS[(d1, d2, z3)]):
+        detail = nonmarkov.conditional_ratio_detail(dataclasses.replace(s, eps=eps))
         assert detail.converged
         assert detail.evaluations == want
 
@@ -237,9 +237,10 @@ def test_conditional_ratio_normalizes():
     for lo, hi in [(0.0, 6.0), (6.0, 66.0)]:
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         for xi, wi in zip(x, w):
-            total += wi * half * nonmarkov.conditional_ratio(
-                dataclasses.replace(s, z3=float(mid + half * xi))
-            )
+            z3 = float(mid + half * xi)
+            d = nonmarkov.conditional_ratio_detail(dataclasses.replace(s, z3=z3))
+            assert d.converged
+            total += wi * half * d.ratio
     assert total == pytest.approx(1.0, abs=1e-4)
 
 
@@ -257,13 +258,13 @@ MARKOV_ORACLE_CASES = [
 def test_unit_coupling_ratio_forgets_the_past(d1, d2, eps, z1, z2, z3):
     # at c=1 the conditional law of the endpoint is a single transition
     # density of the summed dimension, whatever (eps, z1) the past supplies.
-    # conditional_ratio takes that kernel directly, so the kernel integrals
+    # conditional_ratio_detail takes that kernel directly, so the kernel integrals
     # of both kernels are divided here to check that they collapse onto it,
     # and that the reported error covers the distance to it
     s = ScenarioParams(c=1.0, delta1=d1, delta2=d2, eps=eps, z1=z1, z2=z2, z3=z3)
     want = besq.transition_density(BesqParams(d1 + d2), 1.0, z2, z3)
-    for use_eps in (True, False):
-        pair, triple = nonmarkov._kernel_logs(s, use_eps, nonmarkov._x3_rows(s))
+    for scenario in (s, dataclasses.replace(s, eps=None)):
+        pair, triple = nonmarkov._kernel_logs(scenario, nonmarkov._x3_rows(scenario))
         got = math.exp(triple.value - pair.value)
         rel_error = pair.error_estimate + triple.error_estimate
         assert got == pytest.approx(want, rel=1e-5)
@@ -272,11 +273,11 @@ def test_unit_coupling_ratio_forgets_the_past(d1, d2, eps, z1, z2, z3):
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0])
-@pytest.mark.parametrize("use_eps", [True, False])
-def test_exact_couplings_take_the_single_kernel(c, use_eps):
+@pytest.mark.parametrize("eps", [0.3, None])
+def test_exact_couplings_take_the_single_kernel(c, eps):
     # Z = Y at c=0 and Z = BESQ(delta1+delta2) at c=1: no quadrature runs
-    s = ScenarioParams(c=c, delta1=1.5, delta2=2.5, eps=0.3, z1=1.0, z2=4.0, z3=2.0)
-    detail = nonmarkov.conditional_ratio_detail(s, use_eps=use_eps)
+    s = ScenarioParams(c=c, delta1=1.5, delta2=2.5, eps=eps, z1=1.0, z2=4.0, z3=2.0)
+    detail = nonmarkov.conditional_ratio_detail(s)
     delta = 2.5 if c == 0.0 else 4.0
     assert detail.ratio == besq.transition_density(BesqParams(delta), 1.0, 4.0, 2.0)
     assert (detail.rel_error_estimate, detail.evaluations, detail.converged) == (0.0, 0, True)
@@ -288,9 +289,9 @@ def test_kernel_integrals_refuse_couplings_outside_unit_interval(c):
     # conditional_ratio_detail makes
     s = ScenarioParams(c=c, delta1=1.0, delta2=1.0, eps=0.5, z1=1.0, z2=4.0, z3=1.0)
     for density in (nonmarkov.joint_density_pair, nonmarkov.joint_density_triple):
-        for use_eps in (True, False):
+        for eps in (0.5, None):
             with pytest.raises(DomainError):
-                density(s, use_eps=use_eps)
+                density(dataclasses.replace(s, eps=eps))
 
 
 def test_ratio_depends_on_conditioning_below_unit_coupling():
@@ -313,15 +314,21 @@ def test_ratio_depends_on_conditioning_below_unit_coupling():
     assert abs(near - far) / max(near, far) > 1e-2
 
 
+def _converged_ratio(s):
+    detail = nonmarkov.conditional_ratio_detail(s)
+    assert detail.converged
+    return detail.ratio
+
+
 def test_small_eps_sweep_approaches_limit_kernel():
     # the limit object is its own code path; the finite-eps quadrature must
     # walk into it.  The O(eps) coefficient varies with the scenario; these
     # settings resolve the final gap below 1e-3 within the swept eps range.
     base = dict(c=0.3, delta1=1.0, delta2=1.0, z1=1.0, z2=4.0, z3=1.0)
-    lim = nonmarkov.conditional_ratio(ScenarioParams(eps=0.5, **base), use_eps=False)
+    lim = _converged_ratio(ScenarioParams(eps=None, **base))
     gaps = []
     for eps in (0.2, 0.05, 0.01):
-        r = nonmarkov.conditional_ratio(ScenarioParams(eps=eps, **base))
+        r = _converged_ratio(ScenarioParams(eps=eps, **base))
         gaps.append(abs(r - lim) / lim)
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-3
@@ -332,10 +339,10 @@ def test_small_eps_sweep_approaches_limit_kernel_above_unit_coupling():
     # run on the law of Z/2 with the dimensions swapped; A21 fed c=2
     # directly reads 0.0705 here against the 0.0765 the sweep walks into
     base = dict(c=2.0, delta1=1.5, delta2=1.0, z1=1.0, z2=4.0, z3=1.0)
-    lim = nonmarkov.conditional_ratio(ScenarioParams(eps=0.5, **base), use_eps=False)
+    lim = _converged_ratio(ScenarioParams(eps=None, **base))
     gaps = []
     for eps in (0.1, 0.01, 0.001):
-        r = nonmarkov.conditional_ratio(ScenarioParams(eps=eps, **base))
+        r = _converged_ratio(ScenarioParams(eps=eps, **base))
         gaps.append(abs(r - lim) / lim)
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-3
@@ -343,8 +350,8 @@ def test_small_eps_sweep_approaches_limit_kernel_above_unit_coupling():
 
 @pytest.mark.parametrize("c,d1,d2", [(0.5, 1.0, 1.0), (0.3, 2.0, 3.0)])
 def test_zero_limit_matches_weighted_triple(c, d1, d2):
-    s = ScenarioParams(c=c, delta1=d1, delta2=d2, eps=0.5, z1=1.0, z2=2.0, z3=1e-5)
-    lhs = s.z3 ** (1.0 - 0.5 * (d1 + d2)) * nonmarkov.joint_density_triple(s, use_eps=False)
+    s = ScenarioParams(c=c, delta1=d1, delta2=d2, eps=None, z1=1.0, z2=2.0, z3=1e-5)
+    lhs = s.z3 ** (1.0 - 0.5 * (d1 + d2)) * nonmarkov.joint_density_triple(s)
     rhs = nonmarkov.zero_limit_weighted_triple(s)
     assert rhs > 0.0
     assert lhs == pytest.approx(rhs, rel=1e-3)
@@ -353,8 +360,8 @@ def test_zero_limit_matches_weighted_triple(c, d1, d2):
 def test_zero_limit_weight_cancels_at_dimension_two():
     # delta1+delta2=2 removes the z3 power entirely: the raw triple density
     # converges to the limit object with no reweighting
-    s = ScenarioParams(c=0.5, delta1=1.0, delta2=1.0, eps=0.5, z1=1.0, z2=2.0, z3=1e-6)
-    raw = nonmarkov.joint_density_triple(s, use_eps=False)
+    s = ScenarioParams(c=0.5, delta1=1.0, delta2=1.0, eps=None, z1=1.0, z2=2.0, z3=1e-6)
+    raw = nonmarkov.joint_density_triple(s)
     assert raw == pytest.approx(nonmarkov.zero_limit_weighted_triple(s), rel=1e-3)
 
 
@@ -414,7 +421,7 @@ def test_unreliable_ratio_guard():
     # below 1e-300; the quotient must refuse rather than divide
     s = ScenarioParams(c=0.5, delta1=1.0, delta2=1.0, eps=0.5, z1=4000.0, z2=4.0, z3=1.0)
     with pytest.raises(UnreliableRatioError):
-        nonmarkov.conditional_ratio(s)
+        nonmarkov.conditional_ratio_detail(s)
 
 
 def test_scenario_validation():
@@ -426,6 +433,8 @@ def test_scenario_validation():
         ScenarioParams(c=0.5, delta1=0.0, delta2=1.0, eps=0.5, z1=1.0, z2=1.0, z3=1.0)
     with pytest.raises(DomainError):
         ScenarioParams(c=0.5, delta1=1.0, delta2=1.0, eps=1.0, z1=1.0, z2=1.0, z3=1.0)
+    # eps=None names the eps -> 0 kernel
+    assert ScenarioParams(c=0.5, delta1=1.0, delta2=1.0, eps=None, z1=1.0, z2=1.0, z3=1.0)
     with pytest.raises(DomainError):
         ScenarioParams(c=0.5, delta1=1.0, delta2=1.0, eps=0.5, z1=-1.0, z2=1.0, z3=1.0)
 

@@ -169,8 +169,10 @@ def _quadrature_cdf_gap(values, s0):
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         for xi, wi in zip(gx, gw):
-            acc += wi * half * nonmarkov.conditional_ratio(
-                dataclasses.replace(s0, z3=float(mid + half * xi)))
+            z3 = float(mid + half * xi)
+            d = nonmarkov.conditional_ratio_detail(dataclasses.replace(s0, z3=z3))
+            assert d.converged
+            acc += wi * half * d.ratio
         cdf.append(acc)
     empirical = np.searchsorted(values, probes, side="right") / values.size
     d = float(np.max(np.abs(empirical - np.array(cdf))))
