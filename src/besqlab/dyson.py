@@ -78,7 +78,9 @@ def eigenvalues(b1, b2, xi, c: float) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (trace + gap), 0.5 * (trace - gap)
 
 
-def eigenvalues_from_vector_offdiag(b1: float, b2: float, v, c: float) -> tuple:
+def eigenvalues_from_vector_offdiag(
+    b1: float, b2: float, v, c: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues when the off-diagonal entry is a vector of length 1, 2 or 4.
 
     The matrix with vector off-diagonal is unitarily equivalent to the scalar
