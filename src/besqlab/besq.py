@@ -301,5 +301,12 @@ def bessel_path(
     xi0 = np.asarray(xi0, dtype=float)
     if not np.all(xi0 >= 0.0):
         raise DomainError("xi0 must be nonnegative")
+    # the bound of _check_starts on the squared start, checked before squaring;
+    # a Python float squares the largest start to inf without a warning
+    top = float(np.max(xi0, initial=0.0))
+    if not 0.5 * top * top / _POISSON_MEAN_MAX < time_grid(times)[1].min(initial=np.inf):
+        raise DomainError(
+            f"xi0 must be finite, with xi0**2 / (2 step) below {_POISSON_MEAN_MAX:g}"
+        )
     squared = sample_path(rng, p, xi0 * xi0, times)
     return PathSample(squared.times, np.sqrt(squared.values))

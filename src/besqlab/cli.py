@@ -22,9 +22,14 @@ With ``--output``, a ``.meta.json`` sidecar records the parameters, the exit
 status and the wall time on exits 0, 3 and 4; on exit 3 it also carries the
 error message.
 
-The parser is built once per process, at import, and :func:`main` parses
-with it on every call.  It keeps no per-call state: each parse makes a fresh
-namespace, no default is mutable and every list value is a new list.
+The parser and the ``_COMMANDS`` table are built once per process, at
+import.  The table maps each subcommand to its handler, which takes
+``(params, seed, output)`` and returns the exit status, and says whether
+the subcommand needs a seed.  :func:`main` is the one path from argv to exit
+status: it parses, expands ``--config``, applies the seed rule, runs the
+handler, writes the sidecar and maps the typed errors to exit codes.  It
+keeps no per-call state: each parse makes a fresh namespace, no default is
+mutable and every list value is a new list.
 """
 
 from __future__ import annotations
@@ -34,28 +39,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from . import __version__, besq, dyson, nonmarkov, stattest
 from .besq import BesqParams
-from .errors import (
-    BudgetExhaustedError,
-    ConvergenceError,
-    DomainError,
-    UnreliableRatioError,
-)
-
-_STOCHASTIC = {"simulate", "eigen", "markov-test", "cmx-test"}
-
-
-@dataclass
-class RunConfig:
-    command: str
-    params: dict
-    seed: int | None
-    output_path: str | None
+from .errors import ConvergenceError, DomainError, UnreliableRatioError
 
 
 class _ConfigError(Exception):
@@ -224,25 +215,6 @@ def _write_rows(path, header: list[str], rows) -> None:
     _write(path, "\n".join(lines) + "\n")
 
 
-def _sidecar(config: RunConfig, started: float, status: int, error: str | None = None) -> None:
-    if config.output_path is None:
-        return
-    meta = {
-        "command": config.command,
-        "params": {k: v for k, v in sorted(config.params.items())},
-        "seed": config.seed,
-        "status": status,
-        "version": __version__,
-        "wall_time_s": time.time() - started,
-        "outputs": [] if error is not None else [config.output_path],
-    }
-    if error is not None:
-        meta["error"] = error
-    with open(config.output_path + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-
-
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
@@ -250,61 +222,51 @@ def _rng(seed: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # Command bodies.
 
-def _run_density(config: RunConfig) -> int:
-    delta, t, x, y = _require(config.params, "delta", "t", "x", "y")
+def _run_density(params: dict, seed, output) -> int:
+    delta, t, x, y = _require(params, "delta", "t", "x", "y")
     if not (math.isfinite(x) and math.isfinite(y)):
         raise _ConfigError("x and y must be finite")
     value = besq.transition_density(BesqParams(delta), t, x, y)
     print(f"{value:.10g}")
-    if config.output_path:
-        _write_rows(
-            config.output_path,
-            ["delta", "t", "x", "y", "value"],
-            [[delta, t, x, y, value]],
-        )
+    if output:
+        _write_rows(output, ["delta", "t", "x", "y", "value"], [[delta, t, x, y, value]])
     return 0
 
 
-def _run_simulate(config: RunConfig) -> int:
-    delta, grid = _require(config.params, "delta", "times")
-    x0 = config.params["x0"]
-    rng = _rng(config.seed)
+def _run_simulate(params: dict, seed, output) -> int:
+    delta, grid = _require(params, "delta", "times")
+    x0 = params["x0"]
+    rng = _rng(seed)
     p = BesqParams(delta)
-    if config.params["kind"] == "bessel":
+    if params["kind"] == "bessel":
         path = besq.bessel_path(rng, p, x0, grid)
     else:
         path = besq.sample_path(rng, p, x0, grid)
-    _write_rows(
-        config.output_path,
-        ["t", "value"],
-        np.column_stack((path.times, path.values)),
-    )
+    _write_rows(output, ["t", "value"], np.column_stack((path.times, path.values)))
     return 0
 
 
-def _run_eigen(config: RunConfig) -> int:
-    c, delta, grid = _require(config.params, "c", "delta", "times")
-    rng = _rng(config.seed)
-    if config.params["source"] == "sde":
+def _run_eigen(params: dict, seed, output) -> int:
+    c, delta, grid = _require(params, "c", "delta", "times")
+    rng = _rng(seed)
+    if params["source"] == "sde":
         if c != 1.0:
             raise _ConfigError("--source sde integrates the fully coupled system; needs --c 1")
         lam1, lam2 = dyson.integrate_dyson_sde(rng, delta, grid)
     else:
         lam1, lam2 = dyson.eigen_paths(rng, c, delta, grid)
     _write_rows(
-        config.output_path,
+        output,
         ["t", "lambda1", "lambda2"],
         np.column_stack((lam1.times, lam1.values, lam2.values)),
     )
     return 0
 
 
-def _run_ratio(config: RunConfig) -> int:
-    c, delta1, delta2, z1, z2, z3 = _require(
-        config.params, "c", "delta1", "delta2", "z1", "z2", "z3"
-    )
-    limit_eps = config.params["limit_eps"]
-    eps = config.params.get("eps")
+def _run_ratio(params: dict, seed, output) -> int:
+    c, delta1, delta2, z1, z2, z3 = _require(params, "c", "delta1", "delta2", "z1", "z2", "z3")
+    limit_eps = params["limit_eps"]
+    eps = params.get("eps")
     if not limit_eps and eps is None:
         raise _ConfigError("need --eps unless --limit-eps is given")
     s = nonmarkov.ScenarioParams(c, delta1, delta2, eps, z1, z2, z3)
@@ -313,31 +275,27 @@ def _run_ratio(config: RunConfig) -> int:
     if not detail.converged:
         raise ConvergenceError("ratio quadrature did not converge")
     print(f"{detail.ratio:.10g}")
-    if config.output_path:
+    if output:
         _write_rows(
-            config.output_path,
-            ["c", "delta1", "delta2", "eps", "z1", "z2", "z3", "use_eps", "ratio", "rel_error"],
+            output,
+            ["c", "delta1", "delta2", "eps", "z1", "z2", "z3", "limit_eps", "ratio", "rel_error"],
             [[
                 c, delta1, delta2, eps if eps is not None else float("nan"),
-                z1, z2, z3, 0.0 if limit_eps else 1.0, detail.ratio, detail.rel_error_estimate,
+                z1, z2, z3, float(limit_eps), detail.ratio, detail.rel_error_estimate,
             ]],
         )
     return 0
 
 
-def _run_lemma3(config: RunConfig) -> int:
+def _run_lemma3(params: dict, seed, output) -> int:
     c, delta1, delta2, r1, r2, z2_values = _require(
-        config.params, "c", "delta1", "delta2", "r1", "r2", "z2"
+        params, "c", "delta1", "delta2", "r1", "r2", "z2"
     )
     rows = []
     for value in z2_values:
         residual = nonmarkov.lemma3_ratio_check(r1, r2, value, c, delta1, delta2)
         rows.append([c, delta1, delta2, r1, r2, value, residual])
-    _write_rows(
-        config.output_path,
-        ["c", "delta1", "delta2", "r1", "r2", "z2", "residual"],
-        rows,
-    )
+    _write_rows(output, ["c", "delta1", "delta2", "r1", "r2", "z2", "residual"], rows)
     return 0
 
 
@@ -346,8 +304,7 @@ def _window(params: dict, prefix: str) -> stattest.ConditioningWindow:
     return stattest.ConditioningWindow(center, halfwidth)
 
 
-def _run_markov(config: RunConfig, process: str) -> int:
-    params = config.params
+def _run_markov(process: str, params: dict, seed, output) -> int:
     c_values, n_target = _require(params, "c_values", "n_target")
     # only markov-test has --delta1 and --delta2
     kwargs = {k: params[k] for k in ("delta1", "delta2") if k in params}
@@ -358,63 +315,69 @@ def _run_markov(config: RunConfig, process: str) -> int:
     test_config = stattest.MarkovTestConfig(
         process=process,
         cells=tuple(stattest.MarkovCell(v, ref, alt, w2) for v in c_values),
-        seed=config.seed,
+        seed=seed,
         alpha=params["alpha"],
         **kwargs,
     )
     report = stattest.markov_discrepancy_report(test_config)
-    _write(config.output_path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    _write(output, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
     if any(v == "inconclusive" for v in report.summary.values()):
         return 4
     return 0
 
 
-def run(config: RunConfig) -> int:
-    """Execute one validated command; returns the process exit code."""
-    started = time.time()
-    handlers = {
-        "density": _run_density,
-        "simulate": _run_simulate,
-        "eigen": _run_eigen,
-        "ratio": _run_ratio,
-        "lemma3": _run_lemma3,
-        "markov-test": lambda cfg: _run_markov(cfg, "zc"),
-        "cmx-test": lambda cfg: _run_markov(cfg, "cmx"),
-    }
-    try:
-        status = handlers[config.command](config)
-    except (ConvergenceError, UnreliableRatioError) as exc:
-        # a numeric failure leaves its evidence; main turns it into exit 3
-        _sidecar(config, started, 3, str(exc))
-        raise
-    if status == 0 or status == 4:
-        _sidecar(config, started, status)
-    return status
+# subcommand -> (handler, whether it draws random numbers and so needs --seed)
+_COMMANDS = {
+    "density": (_run_density, False),
+    "simulate": (_run_simulate, True),
+    "eigen": (_run_eigen, True),
+    "ratio": (_run_ratio, False),
+    "lemma3": (_run_lemma3, False),
+    "markov-test": (partial(_run_markov, "zc"), True),
+    "cmx-test": (partial(_run_markov, "cmx"), True),
+}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _PARSER.parse_args(argv)
+    error = None
     try:
+        args = _PARSER.parse_args(argv)
         if args.config is not None:
             # the file's flags go ahead of the command line's, so an explicit
             # flag wins; the parser converts and checks both alike
             at = argv.index(args.command) + 1
             args = _PARSER.parse_args([*argv[:at], *_config_argv(args), *argv[at:]])
-        if args.command in _STOCHASTIC and args.seed is None:
+        handler, needs_seed = _COMMANDS[args.command]
+        if needs_seed and args.seed is None:
             raise _ConfigError(f"--seed is required for '{args.command}'")
         skip = ("command", "config", "seed", "output")
         params = {k: v for k, v in vars(args).items() if v is not None and k not in skip}
-        return run(RunConfig(args.command, params, args.seed, args.output))
+        started = time.time()
+        status = handler(params, args.seed, args.output)
     except (_ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, UnreliableRatioError) as exc:
+        # only a handler raises these, so a numeric failure leaves its evidence
         print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except BudgetExhaustedError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 4
+        status, error = 3, str(exc)
+    if args.output is not None:
+        meta = {
+            "command": args.command,
+            "params": params,
+            "seed": args.seed,
+            "status": status,
+            "version": __version__,
+            "wall_time_s": time.time() - started,
+            "outputs": [] if error is not None else [args.output],
+        }
+        if error is not None:
+            meta["error"] = error
+        with open(args.output + ".meta.json", "w") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True, default=str)
+            fh.write("\n")
+    return status
 
 
 if __name__ == "__main__":

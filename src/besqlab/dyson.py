@@ -74,7 +74,10 @@ def eigenvalues(b1, b2, xi, c: float) -> tuple[np.ndarray, np.ndarray]:
     if not (np.isfinite(b1).all() and np.isfinite(b2).all() and np.isfinite(xi).all()):
         raise DomainError("drivers must be finite")
     trace = b1 + b2
-    gap = np.hypot(b1 - b2, np.sqrt(2.0 * c) * xi)
+    # 2 c overflows for c > DOUBLE_MAX/2, where sqrt(c) sqrt(2) does not
+    two_c = 2.0 * float(c)
+    scale = math.sqrt(two_c) if two_c < math.inf else math.sqrt(c) * _SQRT2
+    gap = np.hypot(b1 - b2, scale * xi)
     return 0.5 * (trace + gap), 0.5 * (trace - gap)
 
 

@@ -36,6 +36,11 @@ from .besq import BesqParams, PathSample
 from .errors import BudgetExhaustedError, DomainError
 
 
+def _check_coupling(c: float) -> None:
+    if not 0.0 <= c < math.inf:
+        raise DomainError("c must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class ConditioningWindow:
     """Acceptance band: a sample qualifies when ``|value - center| <= halfwidth``."""
@@ -153,17 +158,20 @@ def _staged_sample(
     n_accepted = 0
     n_proposed = 0
     while n_accepted < n_target:
-        state = start(rng, eps, batch)
-        n_proposed += batch
-        for window, length in ((w1, 1.0 - eps), (w2, 1.0)):
-            keep = window.contains(observe(state))
-            state = tuple(part[keep] for part in state)
-            if not state[0].size:
-                break
-            state = advance(rng, state, length)
-        else:
-            accepted.append(observe(state))
-            n_accepted += state[0].size
+        # at a huge coupling an observed value overflows to inf, which no
+        # window contains: the right outcome, so the overflow is not a defect
+        with np.errstate(over="ignore"):
+            state = start(rng, eps, batch)
+            n_proposed += batch
+            for window, length in ((w1, 1.0 - eps), (w2, 1.0)):
+                keep = window.contains(observe(state))
+                state = tuple(part[keep] for part in state)
+                if not state[0].size:
+                    break
+                state = advance(rng, state, length)
+            else:
+                accepted.append(observe(state))
+                n_accepted += state[0].size
         rate = n_accepted / n_proposed
         if n_proposed >= _RATE_PROBE_MIN and rate < _RATE_FLOOR:
             raise BudgetExhaustedError(
@@ -195,8 +203,7 @@ def conditional_sample(
     misses ``w1`` is dropped before its ``B`` is drawn; ``n_proposed`` still
     counts every ``S``, and the ``w1`` test itself still decides acceptance.
     """
-    if not c >= 0.0:
-        raise DomainError("c must be nonnegative")
+    _check_coupling(c)
     p1 = BesqParams(delta1)
     p2 = BesqParams(delta2)
     low, high = min(1.0, c), max(1.0, c)
@@ -241,8 +248,7 @@ def cmx_path(rng: np.random.Generator, c: float, times, n: int) -> PathSample:
     exact maximum of the Brownian bridge across each observation segment;
     ``values`` has shape ``(n, T)``.
     """
-    if not c >= 0.0:
-        raise DomainError("c must be nonnegative")
+    _check_coupling(c)
     times, steps = besq.time_grid(times)
     if not times.size:
         raise DomainError("times must be nonempty")
@@ -267,6 +273,7 @@ def conditional_sample_cmx(
     Runs :func:`_staged_sample` on the pair ``(X, M)``, which is Markov
     whatever the coupling, with the exact segment step of :func:`cmx_path`.
     """
+    _check_coupling(c)
 
     def start(rng, t, n):
         return _advance_max(rng, (np.zeros(n), np.zeros(n)), t)
@@ -310,8 +317,7 @@ class MarkovCell:
     w2: ConditioningWindow
 
     def __post_init__(self):
-        if not 0.0 <= self.c < math.inf:
-            raise DomainError("c must be finite and nonnegative")
+        _check_coupling(self.c)
 
 
 @dataclass(frozen=True)
@@ -338,25 +344,22 @@ class MarkovTestConfig:
         if not 0.0 < self.alpha < 1.0:
             # checked before any arm samples, not only by the KS test after
             raise DomainError("alpha must lie in (0, 1)")
+        if len({cell.c for cell in self.cells}) < len(self.cells):
+            # the summary holds one verdict per coupling, so a repeat would hide one
+            raise DomainError("couplings must be distinct")
         object.__setattr__(self, "cells", tuple(self.cells))
 
 
 @dataclass
-class GridCellReport:
-    params: dict
-    report: TestReport
-
-
-@dataclass
 class MarkovReport:
+    """One flat record per cell (its params and KS report fields), one verdict per c."""
+
     cells: list
     summary: dict
 
     def to_json_dict(self) -> dict:
         return {
-            "cells": [
-                {**cell.params, **vars(cell.report)} for cell in self.cells
-            ],
+            "cells": self.cells,
             "summary": [
                 {"c": c, "verdict": verdict} for c, verdict in self.summary.items()
             ],
@@ -376,12 +379,13 @@ def _run_arm(
 def markov_discrepancy_report(config: MarkovTestConfig) -> MarkovReport:
     """Run both conditioning arms of every cell and compare with KS.
 
-    Each cell's params carry every finished arm's proposal count and
-    acceptance rate (``proposed_ref``/``accept_ref`` and the ``_alt`` pair)
-    and the config's ``seed``.  An arm that falls below the rate floor
-    yields an "inconclusive" cell instead of an exception.  Seeding is
-    hierarchical (one child stream per cell and arm), so a fixed config and
-    seed reproduce every report bit for bit regardless of evaluation order.
+    Each cell's record holds its params, the config's ``seed``, every
+    finished arm's proposal count and acceptance rate (``proposed_ref``/
+    ``accept_ref`` and the ``_alt`` pair) and the fields of its KS report.
+    An arm that falls below the rate floor yields an "inconclusive" cell
+    instead of an exception.  Seeding is hierarchical (one child stream per
+    cell and arm), so a fixed config and seed reproduce every report bit for
+    bit regardless of evaluation order.
     """
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(len(config.cells))
@@ -411,7 +415,7 @@ def markov_discrepancy_report(config: MarkovTestConfig) -> MarkovReport:
             report = TestReport(float("nan"), float("nan"), 0, "inconclusive")
         else:
             report = ks_two_sample(ref.values, alt.values, config.alpha)
-        cells.append(GridCellReport(params, report))
+        cells.append({**params, **vars(report)})
         summary[cell.c] = report.verdict
     return MarkovReport(cells, summary)
 

@@ -639,25 +639,29 @@ def test_simulate_huge_start_is_config_error(capsys, x0):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("simulate",),
-        ("eigen", "--c", "1", "--source", "matrix"),
-        ("eigen", "--c", "1", "--source", "sde"),
+        (("simulate",), "sampler's range"),
+        (("simulate", "--kind", "bessel"), "sampler's range"),
+        (("simulate", "--kind", "bessel", "--x0", "1e200"), "xi0**2 / (2 step)"),
+        (("eigen", "--c", "1", "--source", "matrix"), "sampler's range"),
+        (("eigen", "--c", "1", "--source", "sde"), "sampler's range"),
     ],
-    ids=["simulate", "eigen-matrix", "eigen-sde"],
+    ids=["simulate", "simulate-bessel", "simulate-bessel-start", "eigen-matrix", "eigen-sde"],
 )
-def test_path_past_the_sampler_range_is_config_error(capsys, argv):
+def test_path_past_the_sampler_range_is_config_error(capsys, argv, message):
     # the start is in range, but a dimension of 1e16 grows the path past
     # numpy's Poisson cap on this grid: once an uncaught ValueError (exit 1).
     # A dimension or a step near the float limit overflows the one step's
-    # Gamma draw instead, which raises nothing: once inf with exit 0
+    # Gamma draw instead, which raises nothing: once inf with exit 0.  A
+    # Bessel start of 1e200 is out of range on every grid; squaring it first
+    # once warned of an overflow, and the message spoke of the squared start
     grid = ",".join(map(repr, np.round(0.001 * np.arange(1, 2001), 6).tolist()))
     for delta, times in [("1e16", grid), ("1e308", "2"), ("1", "1e308")]:
         assert run_cli(*argv, "--delta", delta, "--times", times, "--seed", "1") == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "sampler's range" in captured.err
+        assert message in captured.err
 
 
 def test_eigen_infinite_coupling_is_config_error(capsys):
@@ -665,6 +669,18 @@ def test_eigen_infinite_coupling_is_config_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "c must be finite" in captured.err
+
+
+def test_eigen_huge_coupling_stays_finite(capsys):
+    # 2 c overflows past DOUBLE_MAX/2, and the rows once read inf,-inf; the
+    # gap grows like sqrt(c), so 1e308 gives 1e4 times the rows of 1e300
+    rows = []
+    for c in ("1e300", "1e308"):
+        assert run_cli("eigen", "--c", c, "--delta", "1", "--times", "1,2", "--seed", "0") == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        rows.append(np.array([[float(v) for v in line.split(",")[1:]] for line in lines]))
+    assert np.isfinite(rows[1]).all()
+    np.testing.assert_allclose(rows[1], 1e4 * rows[0], rtol=1e-15)
 
 
 # Exact stdout of the paper's two objects on the CLI, recorded once: the
@@ -705,9 +721,9 @@ def test_limit_ratio_stdout_is_byte_stable(tmp_path, capsys, eps):
     out = tmp_path / "ratio.csv"
     assert run_cli(*_LIMIT_RATIO.split(), *given, "--output", str(out)) == 0
     row = out.read_text().splitlines()[1].split(",")
-    # eps records what was given, and use_eps says the eps -> 0 kernel ran
+    # eps records what was given, and limit_eps says the eps -> 0 kernel ran
     assert row[3] == ("nan" if eps is None else repr(float(eps)))
-    assert row[7] == "0.0"
+    assert row[7] == "1.0"
     assert row[8] == "0.1109372946281901"
 
 
@@ -718,7 +734,7 @@ def test_ratio_csv_schema(tmp_path, capsys):
         "--z1", "1", "--z2", "4", "--z3", "1", "--limit-eps", "--output", str(out),
     ) == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "c,delta1,delta2,eps,z1,z2,z3,use_eps,ratio,rel_error"
+    assert lines[0] == "c,delta1,delta2,eps,z1,z2,z3,limit_eps,ratio,rel_error"
     row = lines[1].split(",")
     assert len(row) == 10
     assert float(row[8]) > 0.0
@@ -764,6 +780,33 @@ def test_markov_probe_bad_alpha_is_refused_before_sampling(tmp_path, capsys, mon
     assert run_cli(*_ZC_FLAGS, "--alpha", alpha, "--output", str(out)) == 2
     assert "alpha must lie in (0, 1)" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "probe.json.meta.json").exists()
+
+
+def test_markov_probe_repeated_coupling_is_refused_before_sampling(tmp_path, capsys, monkeypatch):
+    # the summary holds one verdict per coupling, so a repeat would lose verdicts
+    def no_arm(*args, **kwargs):
+        raise AssertionError("an arm sampled before the coupling check")
+
+    monkeypatch.setattr(stattest, "_run_arm", no_arm)
+    out = tmp_path / "probe.json"
+    for argv in (_ZC_FLAGS, _CMX_FLAGS):
+        at = argv.index("--c-values") + 1
+        repeated = (*argv[:at], "0.5,0.5,0.5", *argv[at + 1:])
+        assert run_cli(*repeated, "--output", str(out)) == 2
+        assert "couplings must be distinct" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "probe.json.meta.json").exists()
+
+
+@pytest.mark.parametrize("argv", [_ZC_FLAGS, _CMX_FLAGS], ids=["markov-test", "cmx-test"])
+def test_probe_huge_coupling_is_inconclusive_without_warning(capsys, argv):
+    # c x overflows to inf, which no window contains; it once warned of the
+    # overflow, which the suite's error::RuntimeWarning filter turns into a failure
+    at = argv.index("--c-values") + 1
+    huge = (*argv[:at], "1e308", *argv[at + 1:])
+    assert run_cli(*huge, "--n-target", "10") == 4
+    assert json.loads(capsys.readouterr().out)["summary"] == [
+        {"c": 1e308, "verdict": "inconclusive"}
+    ]
 
 
 def test_markov_probe_inconclusive_exit(tmp_path):
