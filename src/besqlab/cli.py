@@ -20,7 +20,9 @@ require an explicit nonnegative ``--seed``.  Exit codes: 0 success,
 2 configuration error, 3 numeric non-convergence, 4 inconclusive statistics.
 With ``--output``, a ``.meta.json`` sidecar records the parameters, the exit
 status and the wall time on exits 0, 3 and 4; on exit 3 it also carries the
-error message.
+error message.  An ``--output`` path that is a directory, or whose
+directory is missing, is a configuration error refused before the command
+runs; a write that fails later exits 2 as well.
 
 The parser and the ``_COMMANDS`` table are built once per process, at
 import.  The table maps each subcommand to its handler, which takes
@@ -37,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -200,12 +203,24 @@ def _require(params: dict, *names):
     return [params[n] for n in names]
 
 
+def _check_output(path: str) -> None:
+    # refuse a path that cannot be written before any work is done
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise _ConfigError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(folder):
+        raise _ConfigError(f"cannot write {path}: no directory {folder}")
+
+
 def _write(path, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_rows(path, header: list[str], rows) -> None:
@@ -351,6 +366,8 @@ def main(argv=None) -> int:
         handler, needs_seed = _COMMANDS[args.command]
         if needs_seed and args.seed is None:
             raise _ConfigError(f"--seed is required for '{args.command}'")
+        if args.output is not None:
+            _check_output(args.output)
         skip = ("command", "config", "seed", "output")
         params = {k: v for k, v in vars(args).items() if v is not None and k not in skip}
         started = time.time()
@@ -374,9 +391,12 @@ def main(argv=None) -> int:
         }
         if error is not None:
             meta["error"] = error
-        with open(args.output + ".meta.json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+        text = json.dumps(meta, indent=2, sort_keys=True, default=str) + "\n"
+        try:
+            _write(args.output + ".meta.json", text)
+        except _ConfigError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
     return status
 
 

@@ -47,9 +47,10 @@ mode, which returns the log of each integral with its relative error.  The
 x2 axis is outermost, with the pair and the triple as two rows of one call;
 each batch of x2 nodes evaluates ``g`` as a batch of x1 rows and ``h`` as a
 batch of x3 rows, and the four integrals of :func:`lemma3_ratio_check` form
-one more batch.  Each refinement level of a batch is one array call of the
-kernels, so the cost is set by the number of points rather than by Python
-calls per node.
+one more batch.  A batch makes one array call of the kernels for its
+refinement levels 0, 1 and 2 together, before any row can converge, and
+one per later level, so the cost is set by the number of points rather
+than by Python calls per node.
 """
 
 from __future__ import annotations
@@ -209,15 +210,19 @@ def _scenario_specs(delta1: float, delta2: float) -> dict:
 
 
 def _factor(batch: quadrature.QuadratureRows) -> tuple:
-    # one inner factor at a batch of x2 nodes: its logs, the worst relative
-    # error among its rows, their points, and their convergence (a closed
-    # form is exact and takes no points: logs, 0.0, 0, True)
+    # one inner factor at a batch of x2 nodes: its logs, the relative error
+    # of each of its rows, their points, and their convergence
     return (
         batch.values,
-        float(batch.errors.max()),
+        batch.errors,
         int(batch.evaluations.sum()),
         bool(batch.converged.all()),
     )
+
+
+def _exact(logs: np.ndarray) -> tuple:
+    # a closed-form inner factor, as _factor gives it: exact, and no points
+    return logs, np.zeros(logs.shape), 0, True
 
 
 def _x3_rows(s: ScenarioParams) -> Callable[[np.ndarray], tuple]:
@@ -247,7 +252,7 @@ def _kernel_logs(
 
     def log_g(x2):
         if s.eps is None:
-            return _log_a21(s.c, s.delta1, s.delta2, s.z1, s.z2, x2), 0.0, 0, True
+            return _exact(_log_a21(s.c, s.delta1, s.delta2, s.z1, s.z2, x2))
         return _factor(quadrature.integrate_rows(
             lambda r, x1: log_kernel_a11(s, x1) + _log_a12(s, x1, x2[r, None]),
             x2.size, 0.0, b1, specs["x1"], log=True,
@@ -260,10 +265,11 @@ def _kernel_logs(
 
     def log_f(rows, x2):
         nonlocal points
-        # row 0 integrates g and row 1 g h, so running sums give both rows
+        # row 0 integrates g and row 1 g h, so running sums give both rows;
+        # a row's inner error is the worst over its nodes of e_g (+ e_h)
         logs, rels, counts, oks = zip(log_g(x2), *([log_h(x2)] if rows[-1] == 1 else []))
         points += sum(counts)
-        inner_rel[rows] = np.maximum(inner_rel[rows], np.cumsum(rels)[rows])
+        inner_rel[rows] = np.maximum(inner_rel[rows], np.cumsum(rels, axis=0).max(axis=1)[rows])
         inner_ok[rows] &= np.logical_and.accumulate(oks)[rows]
         return np.cumsum(logs, axis=0)[rows]
 
@@ -343,7 +349,7 @@ def zero_limit_weighted_triple(s: ScenarioParams) -> float:
     """
     qt = _kernel_logs(
         replace(s, eps=None),
-        lambda x2: (_log_a32(s.c, s.delta1, s.delta2, s.z2, x2), 0.0, 0, True),
+        lambda x2: _exact(_log_a32(s.c, s.delta1, s.delta2, s.z2, x2)),
     )[1]
     if not qt.converged:
         raise ConvergenceError("weighted zero-limit quadrature did not converge")

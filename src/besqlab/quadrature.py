@@ -7,14 +7,17 @@ faster than any power of the distance to the endpoint.  Refinement halves the
 step in ``t`` and reuses every previously evaluated node.
 
 One level loop, :func:`integrate_rows`, drives every integral.  It
-integrates a batch of rows that share the interval and the spec: at each
-refinement level the integrand receives the indices of the rows still
-refining and the level's 1-D array of abscissae, and returns one
-rows x nodes grid in a single call.  Each row keeps the scalar rule (its own
-error estimate and stopping level).  :func:`integrate` is the one-row case,
-whose integrand maps a 1-D array of abscissae to an array of the same shape;
-:func:`integrate_iterated` nests it once per outer node.  Integrands are
-never evaluated at the endpoints themselves.
+integrates a batch of rows that share the interval and the spec: the
+integrand receives the indices of the rows still refining and a 1-D array of
+abscissae, and returns one rows x nodes grid in a single call.  The first
+call holds the nodes of levels 0, 1 and 2 for every row, since no row can
+converge before level 2; each later level is one call for the rows still
+refining.  Each row keeps the scalar rule (its own error estimate and
+stopping level), and its evaluations count every point it was called with.
+:func:`integrate` is the one-row case, whose integrand maps a 1-D array of
+abscissae to an array of the same shape; :func:`integrate_iterated` nests it
+once per outer node.  Integrands are never evaluated at the endpoints
+themselves.
 
 In log mode the integrand returns the log of a nonnegative integrand and
 each row comes back as the log of its integral.  This is the one home of
@@ -125,6 +128,10 @@ class QuadratureRows:
         )
 
 
+# Convergence compares a level with the one before, and is tested from this
+# level on; it is also the last level of every row's first integrand call.
+_FIRST_CONVERGENT_LEVEL = 2
+
 # Largest rows x nodes grid handed to an integrand in one call.  A deep level
 # has ~25k nodes, so an axis with many unconverged rows would otherwise
 # allocate rows x nodes without limit; larger batches are split into chunks.
@@ -155,9 +162,10 @@ def integrate_rows(
     ----------
     f : callable
         ``f(rows, xs)`` receives the integer indices of the rows still
-        refining and the 1-D abscissae of one level, and returns their
-        ``(rows.size, xs.size)`` grid of integrand values.  The same rules as
-        for :func:`integrate` hold per row.
+        refining and 1-D abscissae, and returns their ``(rows.size,
+        xs.size)`` grid of integrand values.  The first call takes every row
+        at the nodes of levels 0, 1 and 2 together; each later call takes
+        one level.  The same rules as for :func:`integrate` hold per row.
     n_rows : int
         Number of integrands; they share the limits and ``spec``.
     a, b : float
@@ -182,7 +190,8 @@ def integrate_rows(
         or with ``error = inf`` and ``converged`` False once its value is not
         finite.  A log row also stops so once its rounding floor
         ``|S| * 2**-52`` alone exceeds ``rel_tol``.  ``evaluations`` counts
-        each row's points.
+        the points ``f`` was called with for each row, so a row that stops
+        at level 0 or 1 still counts the whole first call.
 
     Raises
     ------
@@ -215,6 +224,22 @@ def integrate_rows(
             gap = 0.5 * math.ulp(abs(endpoint)) / (b - a)
             rep_floor = max(rep_floor, gap**alpha / alpha)
 
+    def level_nodes(level):
+        # one level's abscissae in (a, b), their weights, and where its
+        # centre and left parts end.  Each side is masked on its own: near a
+        # singular endpoint one side keeps representable nodes long after the
+        # other has rounded onto its limit; the centre joins level 0
+        delta, weight = _nodes(level)
+        x_left = a + r * delta
+        x_right = b - r * delta
+        left_ok = x_left > a
+        right_ok = x_right < b
+        centre = [m] if level == 0 else []
+        xs = np.concatenate([centre, x_left[left_ok], x_right[right_ok]])
+        ws = np.concatenate([[0.5 * math.pi] * len(centre), weight[left_ok], weight[right_ok]])
+        n = len(centre)
+        return xs, ws, (n, n + int(left_ok.sum()))
+
     evaluations = np.zeros(n_rows, dtype=np.int64)
     weighted_sum = np.zeros(n_rows)
     # a linear row keeps shift 0; a log row's sums are in units of exp(shift)
@@ -224,23 +249,28 @@ def integrate_rows(
     converged = np.zeros(n_rows, dtype=bool)
     active = np.arange(n_rows)
 
+    # No row can converge before _FIRST_CONVERGENT_LEVEL, so every row
+    # evaluates all the levels up to it unless it stops as non-finite: their
+    # nodes go to f in one call, indexed by row, and each of those levels
+    # reads its slice.  Every later level is one call of its own
+    first = [level_nodes(level) for level in range(_FIRST_CONVERGENT_LEVEL + 1)]
+    first_grid = _evaluate(f, active, np.concatenate([xs for xs, _, _ in first]))
+    evaluations += first_grid.shape[1]
+    start = 0
+
     for level in range(spec.max_levels + 1):
         if active.size == 0:
             break
-        delta, weight = _nodes(level)
-        x_left = a + r * delta
-        x_right = b - r * delta
-        # mask each side on its own: near a singular endpoint one side keeps
-        # representable nodes long after the other has rounded onto its limit;
-        # the centre joins level 0, so each level is one integrand call
-        left_ok = x_left > a
-        right_ok = x_right < b
-        centre = [m] if level == 0 else []
-        xs = np.concatenate([centre, x_left[left_ok], x_right[right_ok]])
-        ws = np.concatenate([[0.5 * math.pi] * len(centre), weight[left_ok], weight[right_ok]])
+        if level < len(first):
+            xs, ws, (n, k) = first[level]
+            fv = first_grid[active, start : start + xs.size]
+            start += xs.size
+        else:
+            xs, ws, (n, k) = level_nodes(level)
+            if xs.size:
+                fv = _evaluate(f, active, xs)
+                evaluations[active] += xs.size
         if xs.size:
-            fv = _evaluate(f, active, xs)
-            evaluations[active] += xs.size
             if log:
                 terms = fv + np.log(ws)
                 if level == 0 and not np.isfinite(terms).any(axis=1).all():
@@ -258,8 +288,6 @@ def integrate_rows(
             else:
                 # vecdot takes each row's dot product exactly as np.dot would;
                 # a row whose sum overflows or meets inf - inf is stopped below
-                n = len(centre)
-                k = n + int(left_ok.sum())
                 with np.errstate(over="ignore", invalid="ignore"):
                     for lo, hi in ((0, n), (n, k), (k, xs.size)):
                         weighted_sum[active] += np.vecdot(fv[:, lo:hi], ws[lo:hi])
@@ -282,7 +310,7 @@ def integrate_rows(
             v = value[finite]
             error = np.maximum(np.abs(v - values[ok]), floor[finite] * np.abs(v))
             errors[ok] = error
-            if level >= 2:
+            if level >= _FIRST_CONVERGENT_LEVEL:
                 converged[ok] = error <= np.maximum(spec.rel_tol * np.abs(v), spec.abs_tol)
         values[active] = value
         active = active[finite & ~converged[active]]

@@ -546,6 +546,41 @@ def test_ratio_unreliable_is_numeric_failure(tmp_path, capsys):
     assert meta["wall_time_s"] >= 0.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("density", "--delta", "2", "--t", "1", "--x", "1", "--y", "1"), id="density"),
+        pytest.param(
+            (
+                "ratio", "--c", "0.5", "--delta1", "1", "--delta2", "1",
+                "--eps", "0.5", "--z1", "4000", "--z2", "4", "--z3", "1",
+            ),
+            id="ratio-numeric-failure",
+        ),
+    ],
+)
+def test_output_in_a_missing_directory_is_config_error(tmp_path, capsys, monkeypatch, argv):
+    # refused before the handler computes: neither kernel may run
+    for module, name in ((besq, "transition_density"), (nonmarkov, "conditional_ratio_detail")):
+        monkeypatch.setattr(module, name, lambda *a: pytest.fail(f"{name} ran"))
+    out = tmp_path / "missing" / "x.csv"
+    assert run_cli(*argv, "--output", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: cannot write {out}: no directory {out.parent}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_sidecar_is_config_error(tmp_path, capsys):
+    # a write that fails past the up-front check exits 2 the same way
+    out = tmp_path / "x.csv"
+    (tmp_path / "x.csv.meta.json").mkdir()
+    argv = ("density", "--delta", "2", "--t", "1", "--x", "1", "--y", "1", "--output", str(out))
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: cannot write {out}.meta.json: Is a directory\n"
+
+
 def run_cli_within(seconds, *argv):
     # a hang fails the test instead of stalling the suite
     def expire(signum, frame):

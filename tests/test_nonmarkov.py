@@ -219,6 +219,68 @@ def test_ratio_evaluation_counts_frozen(d1, d2, z3):
         assert detail.evaluations == want
 
 
+# Kernel density calls of the same twelve ratios, (finite eps, eps -> 0).
+# Each integral's levels 0-2 share one integrand call, on the outer x2 axis
+# as on the inner x1 and x3 rows, so a ratio makes a few dozen array calls
+# whatever its point count.
+RATIO_DENSITY_CALLS = {
+    (1.0, 1.0, 1.0): (16, 12),
+    (1.0, 1.0, 4.0): (16, 12),
+    (1.0, 1.0, 8.0): (16, 12),
+    (2.0, 3.0, 1.0): (20, 18),
+    (2.0, 3.0, 4.0): (24, 18),
+    (2.0, 3.0, 8.0): (24, 24),
+}
+
+
+@pytest.mark.parametrize("d1,d2,z3", list(RATIO_DENSITY_CALLS))
+def test_ratio_density_calls_frozen(monkeypatch, d1, d2, z3):
+    calls = []
+    density = besq.log_transition_density
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return density(*args, **kwargs)
+
+    monkeypatch.setattr(besq, "log_transition_density", counted)
+    s = ScenarioParams(c=0.5, delta1=d1, delta2=d2, eps=0.5, z1=1.0, z2=4.0, z3=z3)
+    for eps, want in zip((0.5, None), RATIO_DENSITY_CALLS[(d1, d2, z3)]):
+        calls.clear()
+        assert nonmarkov.conditional_ratio_detail(dataclasses.replace(s, eps=eps)).converged
+        assert len(calls) == want
+
+
+# Error estimates of the same twelve ratios, frozen when the inner error of a
+# batch of x2 nodes was its worst row, so that the triple's error summed two
+# batch maxima and grew with the batch: (delta1, delta2, z3) -> ((pair
+# error, ratio rel_error_estimate) at finite eps, the same at eps -> 0).  The
+# pair error must not move, and the ratio's estimate must not rise.
+RATIO_ERRORS = {
+    (1.0, 1.0, 1.0): ((2.980232238769532e-08, 7.450580596923831e-08),
+                      (1.490116119384766e-08, 4.470348358154298e-08)),
+    (1.0, 1.0, 4.0): ((2.980232238769532e-08, 7.450580596923831e-08),
+                      (1.490116119384766e-08, 4.470348358154298e-08)),
+    (1.0, 1.0, 8.0): ((2.980232238769532e-08, 7.450580596923831e-08),
+                      (1.490116119384766e-08, 4.470348358154298e-08)),
+    (2.0, 3.0, 1.0): ((1.058452348457296e-09, 3.1403630361238536e-09),
+                      (7.438287364176845e-16, 6.475031170409388e-11)),
+    (2.0, 3.0, 4.0): ((1.058452348457296e-09, 2.3169105792113744e-09),
+                      (7.438287364176845e-16, 6.1429638769234e-11)),
+    (2.0, 3.0, 8.0): ((1.058452348457296e-09, 2.055199369919797e-09),
+                      (7.438287364176845e-16, 3.0295346554593128e-15)),
+}
+
+
+@pytest.mark.parametrize("d1,d2,z3", list(RATIO_ERRORS))
+def test_ratio_error_estimates_do_not_rise(d1, d2, z3):
+    s = ScenarioParams(c=0.5, delta1=d1, delta2=d2, eps=0.5, z1=1.0, z2=4.0, z3=z3)
+    for eps, (pair_error, rel_error) in zip((0.5, None), RATIO_ERRORS[(d1, d2, z3)]):
+        s_eps = dataclasses.replace(s, eps=eps)
+        pair, _ = nonmarkov._kernel_logs(s_eps, nonmarkov._x3_rows(s_eps))
+        assert pair.error_estimate == pair_error
+        assert nonmarkov.conditional_ratio_detail(s_eps).rel_error_estimate <= rel_error
+
+
 def test_log_integrand_not_finite_on_the_first_level_raises(monkeypatch):
     # an A13 kernel that underflowed to -inf at every node leaves h with no
     # scale to integrate on: a typed failure, not a ratio of 0

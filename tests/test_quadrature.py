@@ -121,9 +121,11 @@ def test_rows_match_scalar_integrate(monkeypatch, budget, log):
         # below one level's node count: every grid is split into single rows
         monkeypatch.setattr(quadrature, "_GRID_BUDGET", budget)
     sizes = []
+    received = np.zeros(len(MIXED_ROWS), dtype=int)
 
     def f(rows, xs):
         sizes.append((rows.size, xs.size))
+        received[rows] += xs.size
         return np.stack([MIXED_ROWS[i](xs) for i in rows])
 
     with warnings.catch_warnings():
@@ -136,6 +138,8 @@ def test_rows_match_scalar_integrate(monkeypatch, budget, log):
         ]
     if budget is not None:
         assert all(rows == 1 or rows * n <= budget for rows, n in sizes)
+    # every point f was called with counts, also past the level a row stopped at
+    assert got.evaluations.tolist() == received.tolist()
     for i, want in enumerate(wants):
         row = got.row(i)
         if log:
@@ -147,6 +151,45 @@ def test_rows_match_scalar_integrate(monkeypatch, budget, log):
     assert [r.converged for r in map(got.row, range(4))] == [True, not log, False, False]
     assert math.isinf(got.values[2]) and math.isinf(got.errors[2])
     assert got.evaluations[3] > got.evaluations[0]
+
+
+def _level_abscissae(level):
+    # the abscissae of one refinement level on (0, 1), sorted
+    delta, _ = quadrature._nodes(level)
+    xs = np.concatenate([[0.5] if level == 0 else [], 0.5 * delta, 1.0 - 0.5 * delta])
+    return np.sort(xs[(xs > 0.0) & (xs < 1.0)])
+
+
+@pytest.mark.parametrize(
+    "g,spec,level",
+    [
+        pytest.param(np.exp, QuadratureSpec(1e-3, 1e-15, 12), 2, id="exp-loose"),
+        pytest.param(np.exp, TIGHT, 3, id="exp"),
+        pytest.param(lambda x: np.cos(40.0 * x), TIGHT, 5, id="cos40"),
+        pytest.param(lambda x: np.exp(-(((x - 0.3) / 0.02) ** 2)), TIGHT, 7, id="peak"),
+    ],
+)
+def test_levels_up_to_two_share_the_first_call(g, spec, level):
+    # a smooth row that converges at `level` (and not with one level less)
+    # makes level - 1 integrand calls: levels 0, 1 and 2 in the first, then
+    # one per level, and it counts exactly the points it was given
+    calls = []
+
+    def f(rows, xs):
+        calls.append(np.sort(xs))
+        return g(xs)[None, :]
+
+    if level > 2:
+        short = QuadratureSpec(spec.rel_tol, spec.abs_tol, level - 1)
+        assert not integrate(g, 0.0, 1.0, short).converged
+    r = integrate_rows(f, 1, 0.0, 1.0, spec).row(0)
+    assert r.converged
+    assert len(calls) == level - 1
+    first = np.sort(np.concatenate([_level_abscissae(k) for k in range(3)]))
+    assert np.array_equal(calls[0], first)
+    for k, xs in enumerate(calls[1:], start=3):
+        assert np.array_equal(xs, _level_abscissae(k))
+    assert r.evaluations == sum(xs.size for xs in calls)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -185,9 +228,11 @@ def test_log_row_counts_the_mass_below_its_smallest_node_at_zero():
 
 
 def test_log_rows_raise_their_shift_at_a_later_level():
-    # a narrow peak far below the first level's nodes, 1000 nats down: its
-    # log integral in closed form is off + log(sigma sqrt(pi/2) (erf + erf))
-    mu, sigma, off = 0.8, 0.01, -1000.0
+    # a narrow peak, 1000 nats down, between the nodes 0.5 and 0.689 of the
+    # first call (levels 0-2), which see at most off - 175; the level-3 node
+    # 0.597 meets it.  Its log integral in closed form is
+    # off + log(sigma sqrt(pi/2) (erf + erf))
+    mu, sigma, off = 0.595, 0.005, -1000.0
     s2 = sigma * math.sqrt(2.0)
     truth = off + math.log(
         sigma * math.sqrt(0.5 * math.pi) * (math.erf((1.0 - mu) / s2) + math.erf(mu / s2))
