@@ -3,10 +3,10 @@
 A squared Bessel process of dimension ``delta > 0`` solves
 ``dX_t = delta dt + 2 sqrt(X_t) dB_t``.  Its transition kernel is known in
 closed form through the modified Bessel function of order
-``nu = delta/2 - 1``; this module evaluates that kernel in log space in four
-regimes (interior, started at zero, weighted zero-target limit, far field)
-and samples transitions exactly through the Poisson-Gamma mixture
-representation of the noncentral chi-square law.
+``nu = delta/2 - 1``; this module evaluates that kernel in log space in three
+regimes (interior, started at zero, weighted zero-target limit) and samples
+transitions exactly through the Poisson-Gamma mixture representation of the
+noncentral chi-square law.
 
 Paths are sampled on an observation grid checked by :func:`time_grid`, the
 one grid check of the package.  :func:`sample_path` is the one grid loop: a
@@ -117,38 +117,59 @@ def log_transition_density(p: BesqParams, t: float, x, y):
     where ``sqrt(xy)/t`` underflows to 0, the kernel is the Gamma density of
     :func:`log_zero_start`.
 
-    ``x`` and ``y`` broadcast; ``y`` must be strictly positive.  The formula
-    runs on the operands as given, so a ``(rows, 1)`` by ``(cols,)`` grid
-    takes its logs and square roots once per row and once per column.
+    ``x`` and ``y`` broadcast; they must be finite, ``x`` nonnegative and
+    ``y`` strictly positive, or :class:`~besqlab.errors.DomainError` is
+    raised (an infinite ``x`` or ``y`` has no density to give, and NaN is
+    refused as well).  The formula runs on the operands as given, so a
+    ``(rows, 1)`` by ``(cols,)`` grid takes its logs and square roots once
+    per row and once per column.
     """
     t = _validate_t(t)
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
-    if x_arr.size and not np.all(x_arr >= 0.0):
-        raise DomainError("x must be nonnegative")
-    if y_arr.size and not np.all(y_arr > 0.0):
-        raise DomainError("y must be strictly positive")
+    # the range of each operand checks it (NaN fails every comparison) and
+    # bounds the Bessel argument sqrt(x) sqrt(y) / t, so that its overflow
+    # and zero masks are built only where the bounds say they can be needed;
+    # an empty operand leaves an empty grid, which takes the zero-start form
+    x_lo = x_hi = y_lo = y_hi = 0.0
+    if x_arr.size:
+        x_lo, x_hi = x_arr.min(), x_arr.max()
+        if not 0.0 <= x_lo <= x_hi < math.inf:
+            raise DomainError("x must be nonnegative and finite")
+    if y_arr.size:
+        y_lo, y_hi = y_arr.min(), y_arr.max()
+        if not 0.0 < y_lo <= y_hi < math.inf:
+            raise DomainError("y must be strictly positive and finite")
+    scalar = x_arr.ndim == y_arr.ndim == 0
+    if scalar:
+        # the Bessel body takes arrays of one dimension or more
+        y_arr = y_arr.reshape(1)
 
     sx = np.sqrt(x_arr)
     sy = np.sqrt(y_arr)
     z = sx * sy
     # where a tiny step t makes sqrt(x) sqrt(y) / t overflow, z = 1 holds the
     # place of the Bessel factor's large-argument form, taken from log z below
-    over = z > t * _DOUBLE_MAX
-    any_over = bool(over.any())
+    any_over = False
+    if math.sqrt(x_hi) * math.sqrt(y_hi) > t * _DOUBLE_MAX:
+        over = z > t * _DOUBLE_MAX
+        any_over = bool(over.any())
     z = (np.where(over, t, z) if any_over else z) / t
     # x so small that sqrt(x) sqrt(y) / t underflows is indistinguishable, at
     # working precision, from a start at zero; routing it through the Bessel
-    # factorization would send a spurious infinity through the logs instead
-    at_zero = z == 0.0
-    n_zero = np.count_nonzero(at_zero)
-    if n_zero == at_zero.size:
+    # factorization would send a spurious infinity through the logs instead.
+    # Rounding is monotone, so no entry of z is below the bound taken here
+    n_zero = 0
+    if math.sqrt(x_lo) * math.sqrt(y_lo) / t == 0.0:
+        at_zero = z == 0.0
+        n_zero = np.count_nonzero(at_zero)
+    if n_zero == z.size:
         out = log_zero_start(p, t, np.broadcast_to(y_arr, z.shape))
     else:
         # a placeholder start keeps log(x) finite at x = 0; the formula's
         # value there is replaced below
-        start = np.where(x_arr == 0.0, 1.0, x_arr)
-        log_bessel = specfun.log_ive(p.nu, z)
+        start = np.where(x_arr == 0.0, 1.0, x_arr) if x_lo == 0.0 else x_arr
+        log_bessel = specfun._log_ive(p.nu, z)
         if any_over:
             # the leading Hankel term -log(2 pi z) / 2 at the finite log z
             log_z = np.log(sx) + np.log(sy) - math.log(t)
@@ -164,8 +185,7 @@ def log_transition_density(p: BesqParams, t: float, x, y):
             )
         if n_zero:
             out[at_zero] = log_zero_start(p, t, np.broadcast_to(y_arr, z.shape)[at_zero])
-    # scalar operands give a 0-d result, returned as a Python float
-    return float(out) if np.ndim(out) == 0 else out
+    return float(out[0]) if scalar else out
 
 
 def transition_density(p: BesqParams, t: float, x, y):
@@ -186,38 +206,6 @@ def weighted_zero_limit(p: BesqParams, t: float, x):
         raise DomainError("x must be nonnegative")
     out = np.exp(log_zero_start(p, t, x_arr, weighted=True))
     if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def far_field_density(p: BesqParams, t: float, x, y):
-    """Leading large-argument form of the transition density.
-
-    Replaces the Bessel factor by its first asymptotic term:
-
-        (2t)^{-1} (2 pi)^{-1/2} t^{1/2} y^{(delta-3)/4} x^{-(delta-1)/4}
-            exp(-(sqrt x - sqrt y)^2 / (2t)).
-
-    Accurate when ``sqrt(xy)/t`` is large; both arguments must be positive.
-    """
-    t = _validate_t(t)
-    x_arr = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    if x_arr.size and not np.all(x_arr > 0.0):
-        raise DomainError("far_field_density requires x > 0")
-    if y_arr.size and not np.all(y_arr > 0.0):
-        raise DomainError("far_field_density requires y > 0")
-    sx = np.sqrt(x_arr)
-    sy = np.sqrt(y_arr)
-    log_val = (
-        -np.log(2.0 * t)
-        - 0.5 * np.log(2.0 * np.pi / t)
-        + 0.25 * (p.delta - 3.0) * np.log(y_arr)
-        - 0.25 * (p.delta - 1.0) * np.log(x_arr)
-        - (sx - sy) ** 2 / (2.0 * t)
-    )
-    out = np.exp(log_val)
-    if np.ndim(x) == 0 and np.ndim(y) == 0:
         return float(out)
     return out
 

@@ -47,7 +47,10 @@ mode, which returns the log of each integral with its relative error.  The
 x2 axis is outermost, with the pair and the triple as two rows of one call;
 each batch of x2 nodes evaluates ``g`` as a batch of x1 rows and ``h`` as a
 batch of x3 rows, and the four integrals of :func:`lemma3_ratio_check` form
-one more batch.  A batch makes one array call of the kernels for its
+one more batch, whose ``q_tilde`` and ``q`` rows at one ``r`` share one A21
+row.  A21 restarts X from zero, so its X factor is the closed-form Gamma
+density of :func:`besq.log_zero_start` and only its Y factor is a
+transition density.  A batch makes one array call of the kernels for its
 refinement levels 0, 1 and 2 together, before any row can converge, and
 one per later level, so the cost is set by the number of points rather
 than by Python calls per node.
@@ -159,8 +162,10 @@ def _log_a13(s: ScenarioParams, x2, x3):
 
 
 def _log_a21(c, delta1, delta2, z1, z2, x2):
-    # eps -> 0 limit kernel: X restarts from 0, Y carries the whole of z1
-    return _log_step(c, delta1, delta2, 1.0, 0.0, z1, x2, z2)
+    # eps -> 0 limit kernel: X restarts from 0, where its transition density
+    # is the Gamma density of log_zero_start, and Y carries the whole of z1
+    log_x = besq.log_zero_start(BesqParams(delta1), 1.0, x2)
+    return log_x + besq.log_transition_density(BesqParams(delta2), 1.0, z1, z2 - c * x2)
 
 
 def _log_a32(c, delta1, delta2, z2, x2):
@@ -388,13 +393,14 @@ def lemma3_ratio_check(
         raise DomainError("z2 must be positive and finite")
     if not (0.0 < delta1 < math.inf and 0.0 < delta2 < math.inf):
         raise DomainError("dimensions must be positive and finite")
-    # rows: q_tilde and q at r1, then at r2, sharing (0, z2/c) and one spec
-    z1 = z2 * np.array([r1, r1, r2, r2])[:, None]
-    tilde = np.array([True, False, True, False])[:, None]
+    # rows: q_tilde and q at r1, then at r2, sharing (0, z2/c) and one spec;
+    # both rows at one r read the same A21 row, and the q_tilde rows add A32
+    z1 = z2 * np.array([[r1], [r2]])
 
     def log_f(rows, x2):
-        a21 = _log_a21(c, delta1, delta2, z1[rows], z2, x2)
-        return np.where(tilde[rows], a21 + _log_a32(c, delta1, delta2, z2, x2), a21)
+        logs = _log_a21(c, delta1, delta2, z1, z2, x2)[rows // 2]
+        logs[rows % 2 == 0] += _log_a32(c, delta1, delta2, z2, x2)
+        return logs
 
     rows = quadrature.integrate_rows(
         log_f, 4, 0.0, _upper_support(z2, c), _scenario_specs(delta1, delta2)["limit"], log=True

@@ -14,6 +14,9 @@ call holds the nodes of levels 0, 1 and 2 for every row, since no row can
 converge before level 2; each later level is one call for the rows still
 refining.  Each row keeps the scalar rule (its own error estimate and
 stopping level), and its evaluations count every point it was called with.
+The loop holds its running state only for the rows still refining, writes
+each row's result as it stops, and ignores floating-point warnings in its
+own bookkeeping only: the integrand's warnings reach the caller.
 :func:`integrate` is the one-row case, whose integrand maps a 1-D array of
 abscissae to an array of the same shape; :func:`integrate_iterated` nests it
 once per outer node.  Integrands are never evaluated at the endpoints
@@ -225,101 +228,121 @@ def integrate_rows(
             rep_floor = max(rep_floor, gap**alpha / alpha)
 
     def level_nodes(level):
-        # one level's abscissae in (a, b), their weights, and where its
-        # centre and left parts end.  Each side is masked on its own: near a
-        # singular endpoint one side keeps representable nodes long after the
-        # other has rounded onto its limit; the centre joins level 0
+        # one level's abscissae in (a, b), their weights (logs in log mode),
+        # and where its centre and left parts end.  Along a node table the
+        # nodes hug their limit ever closer, so those that round onto it form
+        # a tail, cut from each side on its own: near a singular endpoint one
+        # side keeps representable nodes long after the other has lost them.
+        # The centre joins level 0
         delta, weight = _nodes(level)
-        x_left = a + r * delta
-        x_right = b - r * delta
-        left_ok = x_left > a
-        right_ok = x_right < b
-        centre = [m] if level == 0 else []
-        xs = np.concatenate([centre, x_left[left_ok], x_right[right_ok]])
-        ws = np.concatenate([[0.5 * math.pi] * len(centre), weight[left_ok], weight[right_ok]])
-        n = len(centre)
-        return xs, ws, (n, n + int(left_ok.sum()))
+        offset = r * delta
+        x_left = a + offset
+        x_right = b - offset
+        n_left = np.count_nonzero(x_left > a)
+        n_right = np.count_nonzero(x_right < b)
+        n = 1 if level == 0 else 0
+        xs = np.concatenate(((m,) * n, x_left[:n_left], x_right[:n_right]))
+        ws = np.concatenate(((0.5 * math.pi,) * n, weight[:n_left], weight[:n_right]))
+        return xs, (np.log(ws) if log else ws), (n, n + n_left)
 
-    evaluations = np.zeros(n_rows, dtype=np.int64)
-    weighted_sum = np.zeros(n_rows)
-    # a linear row keeps shift 0; a log row's sums are in units of exp(shift)
-    shift = np.full(n_rows, -math.inf if log else 0.0)
+    # results, written for each row as it stops refining; a linear row keeps
+    # shift 0, and a log row's sums are in units of exp(shift)
     values = np.full(n_rows, math.nan)
     errors = np.full(n_rows, math.inf)
+    shifts = np.full(n_rows, -math.inf if log else 0.0)
+    evaluations = np.zeros(n_rows, dtype=np.int64)
     converged = np.zeros(n_rows, dtype=bool)
+    # the state of the rows still refining, one entry per row of active:
+    # running sum, shift, and the previous level's value and error
     active = np.arange(n_rows)
+    acc = np.zeros(n_rows)
+    shift = shifts.copy()
+    prev = values.copy()
+    err = errors.copy()
 
     # No row can converge before _FIRST_CONVERGENT_LEVEL, so every row
     # evaluates all the levels up to it unless it stops as non-finite: their
-    # nodes go to f in one call, indexed by row, and each of those levels
-    # reads its slice.  Every later level is one call of its own
+    # nodes go to f in one call, and each of those levels reads its columns.
+    # Every later level is one call of its own
     first = [level_nodes(level) for level in range(_FIRST_CONVERGENT_LEVEL + 1)]
-    first_grid = _evaluate(f, active, np.concatenate([xs for xs, _, _ in first]))
-    evaluations += first_grid.shape[1]
+    grid = _evaluate(f, active, np.concatenate([xs for xs, _, _ in first]))
+    n_evals = grid.shape[1]
     start = 0
 
     for level in range(spec.max_levels + 1):
-        if active.size == 0:
-            break
         if level < len(first):
             xs, ws, (n, k) = first[level]
-            fv = first_grid[active, start : start + xs.size]
+            fv = grid[:, start : start + xs.size]
             start += xs.size
         else:
             xs, ws, (n, k) = level_nodes(level)
             if xs.size:
                 fv = _evaluate(f, active, xs)
-                evaluations[active] += xs.size
-        if xs.size:
-            if log:
-                terms = fv + np.log(ws)
+                n_evals += xs.size
+        h = 2.0 ** (-level)
+        # f has run: an inf or nan met below stops its row, and so does a
+        # linear sum that overflows, or meets inf - inf, or a value that
+        # overflows when the sum is scaled by a huge interval
+        with np.errstate(over="ignore", invalid="ignore"):
+            if xs.size and log:
+                terms = fv + ws
                 if level == 0 and not np.isfinite(terms).any(axis=1).all():
                     raise ConvergenceError(
                         "log-integrand is not finite anywhere on the first level"
                     )
-                # a +inf or nan term makes the shift non-finite: the row stops below
-                with np.errstate(invalid="ignore"):
-                    new = np.maximum(shift[active], terms.max(axis=1))
-                    rescale = np.exp(shift[active] - new)
-                    level_sum = np.exp(terms - new[:, None]).sum(axis=1)
-                weighted_sum[active] = weighted_sum[active] * rescale + level_sum
-                values[active] *= rescale
-                shift[active] = new
-            else:
-                # vecdot takes each row's dot product exactly as np.dot would;
-                # a row whose sum overflows or meets inf - inf is stopped below
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for lo, hi in ((0, n), (n, k), (k, xs.size)):
-                        weighted_sum[active] += np.vecdot(fv[:, lo:hi], ws[lo:hi])
-        h = 2.0 ** (-level)
-        # scaling a finite sum by a huge interval overflows too, and is
-        # stopped below like the sum itself; a log row keeps r out of its sum
-        with np.errstate(over="ignore"):
-            value = (h if log else r * h) * weighted_sum[active]
-        # neighbouring log values at a shift S lie |S| * 2**-52 apart, so a
-        # log row cannot be resolved more finely than that; a row whose
-        # rounding floor alone misses rel_tol would refine for nothing
-        round_floor = np.abs(shift[active]) * 2.0**-52
-        floor = np.maximum(rep_floor, round_floor)
-        # an inf or nan never refines away, and rel_tol * |value| would
-        # otherwise accept it as converged
-        finite = np.isfinite(value) & (round_floor <= spec.rel_tol)
-        errors[active[~finite]] = math.inf
-        if level >= 1:
-            ok = active[finite]
-            v = value[finite]
-            error = np.maximum(np.abs(v - values[ok]), floor[finite] * np.abs(v))
-            errors[ok] = error
+                new = np.maximum(shift, terms.max(axis=1))
+                rescale = np.exp(shift - new)
+                acc = acc * rescale + np.exp(terms - new[:, None]).sum(axis=1)
+                prev *= rescale
+                shift = new
+            elif xs.size:
+                # vecdot takes each row's dot product exactly as np.dot would
+                for lo, hi in ((0, n), (n, k), (k, xs.size)):
+                    acc += np.vecdot(fv[:, lo:hi], ws[lo:hi])
+            # a log row keeps r out of its sum
+            value = (h if log else r * h) * acc
+            # neighbouring log values at a shift S lie |S| * 2**-52 apart, so
+            # a log row cannot be resolved more finely than that; a row whose
+            # rounding floor alone misses rel_tol would refine for nothing.
+            # An inf or nan never refines away, and rel_tol * |value| would
+            # otherwise accept it as converged
+            round_floor = np.abs(shift) * 2.0**-52
+            finite = np.isfinite(value) & (round_floor <= spec.rel_tol)
+            if level >= 1:
+                size = np.abs(value)
+                err = np.maximum(np.abs(value - prev), np.maximum(rep_floor, round_floor) * size)
+            stop = ~finite
             if level >= _FIRST_CONVERGENT_LEVEL:
-                converged[ok] = error <= np.maximum(spec.rel_tol * np.abs(v), spec.abs_tol)
-        values[active] = value
-        active = active[finite & ~converged[active]]
+                done = finite & (err <= np.maximum(spec.rel_tol * size, spec.abs_tol))
+                stop |= done
+        if stop.any():
+            rows = active[stop]
+            values[rows] = value[stop]
+            # a row stopped as non-finite reports error inf
+            errors[rows] = np.where(finite, err, math.inf)[stop]
+            shifts[rows] = shift[stop]
+            evaluations[rows] = n_evals
+            if level >= _FIRST_CONVERGENT_LEVEL:
+                converged[rows] = done[stop]
+            keep = ~stop
+            active, acc, shift, value, err = active[keep], acc[keep], shift[keep], value[keep], err[keep]
+            if level < _FIRST_CONVERGENT_LEVEL:
+                grid = grid[keep]
+            if active.size == 0:
+                break
+        prev = value
+    else:
+        # the budget ran out: the rows still refining keep their last level
+        values[active] = prev
+        errors[active] = err
+        shifts[active] = shift
+        evaluations[active] = n_evals
 
     if log:
         # a row that met +inf or nan keeps it as its value, with error inf
-        ok = np.isfinite(shift)
+        ok = np.isfinite(shifts)
         errors = np.where(ok, errors / values, math.inf)
-        values = np.where(ok, shift + math.log(r) + np.log(values), shift)
+        values = np.where(ok, shifts + math.log(r) + np.log(values), shifts)
     return QuadratureRows(values, errors, evaluations, converged)
 
 

@@ -171,39 +171,44 @@ def log_ive(nu: float, x):
     if not nu > -1.0:
         raise DomainError("the Bessel order nu must exceed -1")
     arr = np.asarray(x, dtype=float)
-    if arr.size and not np.all(arr >= 0.0):
+    if arr.size and not arr.min() >= 0.0:
         raise DomainError("the Bessel argument x must be nonnegative")
-
-    flat = np.atleast_1d(arr).ravel()
-    if abs(nu) == 0.5:
-        out = _log_half_order(nu, flat)
-    else:
-        v = special.i0e(flat) if nu == 0.0 else special.ive(nu, flat)
-        # NaN (ive's value for negative orders at 0 and subnormal x, at inf
-        # and past its argument cap) fails this test as underflow zeros do
-        normal = v >= _TINY
-        out = np.log(v, out=np.empty_like(flat), where=normal)
-        if not normal.all():
-            out[flat == 0.0] = 0.0 if nu == 0.0 else (-np.inf if nu > 0.0 else np.inf)
-            # the limit of -log(2 pi x) / 2
-            out[flat == np.inf] = -np.inf
-            rest = ~normal & (flat > 0.0) & (flat < np.inf)
-            # past the argument cap the Hankel expansion at small orders, the
-            # uniform one wherever it is exact, and the series for the rest
-            hankel = rest & (flat > _AMOS_CAP) & (nu * nu <= _HANKEL_NU2_PER_X * flat)
-            uniform = rest & ~hankel & (np.hypot(nu, flat) >= _UNIFORM_MIN_HYPOT)
-            branches = (
-                (hankel, _log_hankel),
-                (uniform, _log_uniform),
-                (rest & ~hankel & ~uniform, _log_series),
-            )
-            for mask, branch in branches:
-                if np.any(mask):
-                    out[mask] = branch(nu, flat[mask])
-
+    out = _log_ive(nu, np.atleast_1d(arr).ravel())
     if np.ndim(x) == 0:
         return float(out[0])
     return out.reshape(arr.shape)
+
+
+def _log_ive(nu: float, x: np.ndarray) -> np.ndarray:
+    # the body of log_ive, without its checks: nu is a float above -1 and x a
+    # float array of one dimension or more, nonnegative (inf included, NaN
+    # not); the result has the shape of x.  The transition density calls it
+    # on the argument it has already checked
+    if abs(nu) == 0.5:
+        return _log_half_order(nu, x)
+    v = special.i0e(x) if nu == 0.0 else special.ive(nu, x)
+    # NaN (ive's value for negative orders at 0 and subnormal x, at inf
+    # and past its argument cap) fails this test as underflow zeros do
+    normal = v >= _TINY
+    out = np.log(v, out=np.empty_like(x), where=normal)
+    if not normal.all():
+        out[x == 0.0] = 0.0 if nu == 0.0 else (-np.inf if nu > 0.0 else np.inf)
+        # the limit of -log(2 pi x) / 2
+        out[x == np.inf] = -np.inf
+        rest = ~normal & (x > 0.0) & (x < np.inf)
+        # past the argument cap the Hankel expansion at small orders, the
+        # uniform one wherever it is exact, and the series for the rest
+        hankel = rest & (x > _AMOS_CAP) & (nu * nu <= _HANKEL_NU2_PER_X * x)
+        uniform = rest & ~hankel & (np.hypot(nu, x) >= _UNIFORM_MIN_HYPOT)
+        branches = (
+            (hankel, _log_hankel),
+            (uniform, _log_uniform),
+            (rest & ~hankel & ~uniform, _log_series),
+        )
+        for mask, branch in branches:
+            if np.any(mask):
+                out[mask] = branch(nu, x[mask])
+    return out
 
 
 def bessel_i_scaled(nu: float, x):

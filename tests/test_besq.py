@@ -1,5 +1,7 @@
 """Squared Bessel transition density, its limits, and the exact sampler."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -8,6 +10,7 @@ from besqlab import besq, specfun, stattest
 from besqlab.besq import BesqParams, PathSample
 from besqlab.errors import DomainError
 from besqlab.quadrature import QuadratureSpec, integrate
+from oracles import far_field_density
 
 # mpmath oracle (30 digits): (1/2t) (y/x)^{nu/2} e^{-(x+y)/2t} I_nu(sqrt(xy)/t)
 P_3_07_12_08 = 0.19858315741551859
@@ -113,24 +116,24 @@ def test_weighted_zero_limit(delta):
 
 def test_far_field_matches_density():
     exact = besq.transition_density(BesqParams(3.0), 1.0, 1e4, 1e4)
-    ff = besq.far_field_density(BesqParams(3.0), 1.0, 1e4, 1e4)
+    ff = far_field_density(3.0, 1.0, 1e4, 1e4)
     assert 0.99 <= ff / exact <= 1.01
     exact = besq.transition_density(BesqParams(2.0), 1.0, 1e6, 1e6)
-    ff = besq.far_field_density(BesqParams(2.0), 1.0, 1e6, 1e6)
+    ff = far_field_density(2.0, 1.0, 1e6, 1e6)
     assert ff == pytest.approx(exact, rel=1e-3)
     # away from t = 1 the constant carries t^{1/2}; at t = 1e-6 the Bessel
     # argument sqrt(xy)/t = 2e9 lies past scipy's cap, where order 0 takes
     # i0e and order 1/2 its closed form
     for delta in (2.0, 3.0):
         exact = besq.transition_density(BesqParams(delta), 1e-6, 2e3, 2e3)
-        ff = besq.far_field_density(BesqParams(delta), 1e-6, 2e3, 2e3)
+        ff = far_field_density(delta, 1e-6, 2e3, 2e3)
         assert ff == pytest.approx(exact, rel=1e-9)
 
 
 def test_far_field_perfect_square_cancellation():
     import math
 
-    v = besq.far_field_density(BesqParams(1.0), 1.0, 2.3, 2.3)
+    v = far_field_density(1.0, 1.0, 2.3, 2.3)
     assert v == pytest.approx(1.0 / (2.0 * math.sqrt(2.0 * math.pi) * math.sqrt(2.3)), rel=1e-12)
 
 
@@ -143,6 +146,27 @@ def test_detailed_balance_symmetry():
             lhs = besq.transition_density(p, 1.1, x, y) * (x / y) ** e
             rhs = besq.transition_density(p, 1.1, y, x) * (y / x) ** e
             assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "x,y,match",
+    [
+        (np.inf, 1.0, "x must be nonnegative and finite"),
+        (np.array([1.0, np.inf]), 1.0, "x must be nonnegative and finite"),
+        (np.nan, 1.0, "x must be nonnegative and finite"),
+        (0.0, np.inf, "y must be strictly positive and finite"),
+        (1.0, np.array([[2.0], [np.inf]]), "y must be strictly positive and finite"),
+        (1.0, np.nan, "y must be strictly positive and finite"),
+    ],
+    ids=["x-inf", "x-inf-entry", "x-nan", "zero-start-y-inf", "y-inf-entry", "y-nan"],
+)
+def test_log_density_refuses_non_finite_operands(x, y, match):
+    # an infinite x gave NaN with a RuntimeWarning, and an infinite y from a
+    # zero start a DomainError that blamed the Bessel argument
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=match):
+            besq.log_transition_density(BesqParams(1.0), 0.5, x, y)
 
 
 def test_log_density_finite_at_tiny_start():

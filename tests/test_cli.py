@@ -14,6 +14,7 @@ import pytest
 
 from besqlab import besq, cli, nonmarkov, quadrature, stattest
 from besqlab.nonmarkov import ScenarioParams
+from oracles import far_field_density
 
 
 def run_cli(*argv):
@@ -603,7 +604,7 @@ def test_density_past_bessel_argument_cap(capsys, x, t):
     assert run_cli_within(10, "density", "--delta", "3", "--t", t, "--x", x, "--y", x) == 0
     got = float(capsys.readouterr().out)
     # at delta = 3 the Bessel factor's closed form is the leading Hankel term
-    want = besq.far_field_density(besq.BesqParams(3.0), float(t), float(x), float(x))
+    want = far_field_density(3.0, float(t), float(x), float(x))
     assert got == pytest.approx(want, rel=1e-9)
 
 

@@ -222,14 +222,15 @@ def test_ratio_evaluation_counts_frozen(d1, d2, z3):
 # Kernel density calls of the same twelve ratios, (finite eps, eps -> 0).
 # Each integral's levels 0-2 share one integrand call, on the outer x2 axis
 # as on the inner x1 and x3 rows, so a ratio makes a few dozen array calls
-# whatever its point count.
+# whatever its point count.  The eps -> 0 kernel A21 takes its restarted X
+# factor from the closed-form Gamma density, with no density call.
 RATIO_DENSITY_CALLS = {
-    (1.0, 1.0, 1.0): (16, 12),
-    (1.0, 1.0, 4.0): (16, 12),
-    (1.0, 1.0, 8.0): (16, 12),
-    (2.0, 3.0, 1.0): (20, 18),
-    (2.0, 3.0, 4.0): (24, 18),
-    (2.0, 3.0, 8.0): (24, 24),
+    (1.0, 1.0, 1.0): (16, 10),
+    (1.0, 1.0, 4.0): (16, 10),
+    (1.0, 1.0, 8.0): (16, 10),
+    (2.0, 3.0, 1.0): (20, 15),
+    (2.0, 3.0, 4.0): (24, 15),
+    (2.0, 3.0, 8.0): (24, 21),
 }
 
 
@@ -455,6 +456,53 @@ def test_far_field_double_ratio_converges_to_r_law():
     assert abs(residuals[0]) > abs(residuals[1]) > abs(residuals[2])
     assert abs(residuals[2]) < 0.05
     assert len({math.copysign(1.0, r) for r in residuals}) == 1
+
+
+# lemma3 residuals at c = 0.5, delta1 = delta2, r = (0.5, 2), recorded
+# before the A21 rows were shared between q_tilde and q: (delta, z2) -> residual
+LEMMA3_RESIDUALS = {
+    (1.0, 100.0): -0.00036617467932553716,
+    (1.0, 1000.0): -3.6146346125587314e-05,
+    (8.0, 100.0): 0.008185941895473947,
+    (8.0, 1000.0): 0.0007642580863682635,
+    (60.0, 100.0): 0.07548105831777663,
+    (60.0, 1000.0): 0.0032721345907300164,
+}
+
+
+@pytest.mark.parametrize("delta,z2", list(LEMMA3_RESIDUALS))
+def test_lemma3_residuals_frozen(delta, z2):
+    got = nonmarkov.lemma3_ratio_check(0.5, 2.0, z2, 0.5, delta, delta)
+    assert got == pytest.approx(LEMMA3_RESIDUALS[(delta, z2)], rel=1e-13)
+
+
+# Integrand calls of lemma3 at c = 0.5, delta1 = delta2, r = (0.5, 2):
+# (delta, z2) -> calls.  Each call takes one A21 row per r, whose restarted
+# X factor is the closed-form Gamma density, so it makes one density call
+LEMMA3_INTEGRAND_CALLS = {(1.0, 10.0): 3, (8.0, 100.0): 4, (60.0, 1000.0): 5}
+
+
+@pytest.mark.parametrize("delta,z2", list(LEMMA3_INTEGRAND_CALLS))
+def test_lemma3_density_calls_frozen(monkeypatch, delta, z2):
+    density_calls, integrand_calls = [], []
+    density, integrate_rows = besq.log_transition_density, quadrature.integrate_rows
+
+    def counted_density(*args, **kwargs):
+        density_calls.append(1)
+        return density(*args, **kwargs)
+
+    def counted_rows(f, *args, **kwargs):
+        def counted_f(rows, x):
+            integrand_calls.append(rows.size)
+            return f(rows, x)
+
+        return integrate_rows(counted_f, *args, **kwargs)
+
+    monkeypatch.setattr(besq, "log_transition_density", counted_density)
+    monkeypatch.setattr(quadrature, "integrate_rows", counted_rows)
+    nonmarkov.lemma3_ratio_check(0.5, 2.0, z2, 0.5, delta, delta)
+    assert len(integrand_calls) == LEMMA3_INTEGRAND_CALLS[(delta, z2)]
+    assert len(density_calls) == len(integrand_calls)
 
 
 def test_far_field_double_ratio_trivial_cases():

@@ -86,6 +86,20 @@ def test_rows_overflowing_scale_stop_without_warning():
     assert not rows.converged.any()
 
 
+@pytest.mark.parametrize("log", [False, True], ids=["linear", "log"])
+def test_integrand_warnings_reach_the_caller(log):
+    # the bookkeeping ignores overflow and invalid values, which stop a row;
+    # the integrand's own warnings must not be silenced with them
+    def f(rows, x):
+        v = np.exp(1000.0 * x)
+        return np.broadcast_to(np.log(v) if log else v, (rows.size, x.size))
+
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rows = integrate_rows(f, 1, 0.0, 1.0, TIGHT, log=log)
+    assert np.isinf(rows.values[0]) and np.isinf(rows.errors[0])
+    assert not rows.converged[0]
+
+
 def _log_reciprocal(x):
     with np.errstate(over="ignore"):
         return np.log(1.0 / x)
