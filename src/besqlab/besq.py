@@ -93,12 +93,14 @@ def log_zero_start(p: BesqParams, t: float, y, weighted: bool = False):
     a valid ``t`` and ``y`` (positive unless ``weighted``).
     """
     head = 0.0 if weighted else p.nu * np.log(y)
-    return (
-        head
-        - 0.5 * p.delta * np.log(2.0 * t)
-        - special.gammaln(0.5 * p.delta)
-        - y / (2.0 * t)
-    )
+    if t < 0.5:
+        # y <= the largest double, so the quotient overflows, to its right
+        # limit -inf, only at a step t < 1/2
+        with np.errstate(over="ignore"):
+            quotient = y / (2.0 * t)
+    else:
+        quotient = y / (2.0 * t)
+    return head - 0.5 * p.delta * np.log(2.0 * t) - special.gammaln(0.5 * p.delta) - quotient
 
 
 def log_transition_density(p: BesqParams, t: float, x, y):
@@ -172,11 +174,17 @@ def log_transition_density(p: BesqParams, t: float, x, y):
         log_bessel = specfun._log_ive(p.nu, z)
         if any_over:
             # the leading Hankel term -log(2 pi z) / 2 at the finite log z
-            log_z = np.log(sx) + np.log(sy) - math.log(t)
+            # (the placeholder start keeps the log finite at x = 0, where z
+            # is 0 and so off the overflow mask)
+            log_z = np.log(np.sqrt(start)) + np.log(sy) - math.log(t)
             log_bessel = np.where(over, -0.5 * (math.log(2.0 * math.pi) + log_z), log_bessel)
         # (sqrt x - sqrt y)^2 <= max(x, y), so the quotient overflows, to its
-        # right limit -inf, only at a step t < 1/2
-        with np.errstate(over="ignore") if t < 0.5 else contextlib.nullcontext():
+        # right limit -inf, only at a step t < 1/2; at an x = 0 entry below
+        # dimension 2 it meets a Bessel term of +inf, and the NaN sum is
+        # replaced below, while every other entry's Bessel term is finite
+        with (
+            np.errstate(over="ignore", invalid="ignore") if t < 0.5 else contextlib.nullcontext()
+        ):
             out = (
                 -np.log(2.0 * t)
                 + 0.5 * p.nu * (np.log(y_arr) - np.log(start))

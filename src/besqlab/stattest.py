@@ -17,14 +17,21 @@ only for sums that can still meet the first window) and moves by
 Poisson-Gamma transitions.  ``c M - X`` moves by the Brownian endpoint plus
 the exact maximum of the Brownian bridge across each segment, so the
 running maximum carries no discretization bias.  One staged-rejection
-loop, :func:`_staged_sample`, conditions either process, in batches of a
-fixed size per process; its one stopping rule besides success is the
+loop, :func:`_staged_sample`, conditions either process, in batches of
+one fixed size; its one stopping rule besides success is the
 acceptance-rate floor, which makes a cell inconclusive.
+
+:func:`markov_discrepancy_report` runs the two arms of a cell at the same
+time, the ``alt`` arm on one worker thread.  NumPy releases the GIL inside
+its random draws and ufuncs, so the arms overlap; each arm draws from its
+own child stream, so no result depends on how the threads are scheduled.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -120,11 +127,12 @@ class ConditionalSampleResult:
 _RATE_FLOOR = 1e-6
 _RATE_PROBE_MIN = 4_000_000
 
-# Proposals per batch.  The zc sum-split first stage drops most proposals
-# before they advance, so a large batch costs little; the cmx first stage
-# advances the whole batch, and a larger one only raises peak memory.
-_ZC_BATCH = 400_000
-_CMX_BATCH = 50_000
+# Proposals per batch, for both processes.  Measured on a 2-core VM, the zc
+# cost per proposal shows no trend from 25k to 400k (42-69 ns, within run
+# noise), while one zc arm's traced peak memory grows from 0.9 MB at 50k to
+# 7.3 MB at 400k, and a cell holds both arms' batches at once.  The cmx
+# first stage advances the whole batch: 48 ns per proposal at 50k, 89 at 400k.
+_BATCH = 50_000
 
 
 def _staged_sample(
@@ -220,7 +228,7 @@ def conditional_sample(
         return besq.sample_transitions(rng, p1, t, x), besq.sample_transitions(rng, p2, t, y)
 
     return _staged_sample(
-        rng, start, advance, lambda s: c * s[0] + s[1], eps, w1, w2, n_target, _ZC_BATCH
+        rng, start, advance, lambda s: c * s[0] + s[1], eps, w1, w2, n_target, _BATCH
     )
 
 
@@ -276,10 +284,14 @@ def conditional_sample_cmx(
     _check_coupling(c)
 
     def start(rng, t, n):
-        return _advance_max(rng, (np.zeros(n), np.zeros(n)), t)
+        # the step of _advance_max from x = m = 0: the bridge maximum
+        # 0.5 (end + gap) is never below the start, as gap >= |end|
+        end = rng.normal(0.0, math.sqrt(t), n)
+        gap = np.sqrt(end * end + 2.0 * t * rng.standard_exponential(n))
+        return end, 0.5 * (end + gap)
 
     return _staged_sample(
-        rng, start, _advance_max, lambda s: c * s[1] - s[0], eps, w1, w2, n_target, _CMX_BATCH
+        rng, start, _advance_max, lambda s: c * s[1] - s[0], eps, w1, w2, n_target, _BATCH
     )
 
 
@@ -376,6 +388,40 @@ def _run_arm(
     return conditional_sample_cmx(rng, cell.c, arm.eps, arm.w1, cell.w2, arm.n_target)
 
 
+def _run_arms(config: MarkovTestConfig, cell: MarkovCell, rng_ref, rng_alt) -> tuple:
+    """Both arms of one cell, ``ref`` on this thread and ``alt`` on a worker.
+
+    Returns each arm's result, or the exception the arm raised.  The worker
+    runs in a copy of the caller's context, so NumPy's error state carries
+    over.  An interrupt leaves without waiting for the worker, a daemon, so
+    Ctrl-C ends a run at once; any other outcome joins it first.
+    """
+    alt = []
+
+    def run_alt():
+        try:
+            alt.append(_run_arm(config, rng_alt, cell, cell.alt))
+        except BaseException as exc:
+            # raised by the caller where a sequential run would raise it
+            alt.append(exc)
+
+    context = contextvars.copy_context()
+    worker = threading.Thread(target=context.run, args=(run_alt,), daemon=True)
+    worker.start()
+    try:
+        ref = _run_arm(config, rng_ref, cell, cell.ref)
+    except Exception as exc:
+        ref = exc
+    worker.join()
+    return ref, alt[0]
+
+
+def _result(arm) -> ConditionalSampleResult:
+    if isinstance(arm, BaseException):
+        raise arm
+    return arm
+
+
 def markov_discrepancy_report(config: MarkovTestConfig) -> MarkovReport:
     """Run both conditioning arms of every cell and compare with KS.
 
@@ -386,6 +432,13 @@ def markov_discrepancy_report(config: MarkovTestConfig) -> MarkovReport:
     instead of an exception.  Seeding is hierarchical (one child stream per
     cell and arm), so a fixed config and seed reproduce every report bit for
     bit regardless of evaluation order.
+
+    Cells run in order, and each cell runs its ``alt`` arm on one worker
+    thread while its ``ref`` arm runs on the calling thread, so a report
+    uses at most one extra thread at a time.  The record is the one a
+    sequential run gives, whatever the scheduling: a ``ref`` arm below the
+    floor leaves no ``proposed_*`` keys, an ``alt`` arm below it keeps the
+    ``_ref`` pair, and any other exception propagates, ``ref``'s first.
     """
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(len(config.cells))
@@ -406,10 +459,11 @@ def markov_discrepancy_report(config: MarkovTestConfig) -> MarkovReport:
             "alpha": config.alpha,
             "seed": config.seed,
         }
+        ref, alt = _run_arms(config, cell, rng_ref, rng_alt)
         try:
-            ref = _run_arm(config, rng_ref, cell, cell.ref)
+            ref = _result(ref)
             params.update(proposed_ref=ref.n_proposed, accept_ref=ref.acceptance_rate)
-            alt = _run_arm(config, rng_alt, cell, cell.alt)
+            alt = _result(alt)
             params.update(proposed_alt=alt.n_proposed, accept_alt=alt.acceptance_rate)
         except BudgetExhaustedError:
             report = TestReport(float("nan"), float("nan"), 0, "inconclusive")
@@ -432,7 +486,8 @@ def markov_discrepancy_report(config: MarkovTestConfig) -> MarkovReport:
 # 3.3e-3 for the z1=1 arm, 9.7e-6 for the z1=8 arm at c=0.5 (3.1e-5 at
 # c=1), so the deep-tail arm dominates the runtime: with the sum-split first
 # stage it took 337 s for 9.2e9 proposals on one core of a 2-core VM, and the
-# whole witness about 380 s.
+# whole witness about 380 s (sequential figures, taken while a cell still ran
+# its arms one after the other on one thread).
 
 def zc_witness_config(seed: int) -> MarkovTestConfig:
     """The frozen weighted-sum probe: verdicts (consistent, rejected, consistent).

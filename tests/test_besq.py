@@ -208,6 +208,32 @@ def test_log_density_where_the_gaussian_exponent_overflows(t, x, y):
     assert besq.transition_density(BesqParams(2.0), t, x, y) == 0.0
 
 
+@pytest.mark.parametrize(
+    "delta, t, x, y",
+    [
+        # the Bessel argument overflows on one row; log z was taken at x = 0 too
+        (3.0, 1e-200, [[0.0], [1.7e308]], [1.0, 2.0]),
+        # y / (2t) overflows in the zero-start Gamma density
+        (3.0, 1e-300, 0.0, 1e9),
+        # below dimension 2 an x = 0 entry met an infinite Bessel term, -inf + inf
+        (1.0, 1e-300, [0.0, 1e-300], [1e9, 1e300]),
+    ],
+    ids=["log-z-at-zero-start", "zero-start-quotient", "zero-start-in-grid"],
+)
+def test_log_density_at_tiny_steps_warns_of_nothing(delta, t, x, y):
+    p = BesqParams(delta)
+    x, y = np.asarray(x), np.asarray(y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.broadcast_to(besq.log_transition_density(p, t, x, y), np.broadcast(x, y).shape)
+        zero_start = besq.log_zero_start(p, t, np.broadcast_to(y, got.shape))
+        assert besq.weighted_zero_limit(p, t, 1e9) == 0.0
+    at_zero = np.broadcast_to(x, got.shape) == 0.0
+    assert np.array_equal(got[at_zero], zero_start[at_zero])
+    assert np.all(got[~at_zero] == -np.inf)
+    assert np.all(zero_start[np.broadcast_to(y, got.shape) >= 1e9] == -np.inf)
+
+
 def test_sampler_moments_from_zero():
     r = rng(11)
     p = BesqParams(2.7)

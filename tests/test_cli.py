@@ -8,6 +8,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -875,3 +876,37 @@ def test_cmx_probe_small_run(tmp_path):
     assert payload["cells"][0]["proposed_ref"] >= 200
     assert 0.0 < payload["cells"][0]["accept_alt"] <= 1.0
     assert payload["summary"][0]["verdict"] == "consistent"
+
+
+@pytest.mark.parametrize("n_ref", ["10", "2000000"], ids=["in-join", "in-ref-arm"])
+def test_ctrl_c_ends_a_probe_run_at_once(n_ref):
+    # the alt arm, the witness deep tail at acceptance 1e-5, runs for minutes
+    # on its worker thread; an interrupt must not wait for it, whether the ref
+    # arm has finished (the caller waits in the join) or is still running
+    code = (
+        "import sys; from besqlab import cli; print('imported', flush=True); "
+        "sys.exit(cli.main(sys.argv[1:]))"
+    )
+    argv = (
+        "markov-test", "--c-values", "0.5", "--seed", "3", "--n-ref", n_ref, "--n-alt", "90000",
+        "--n-target", "1", "--w1-ref-center", "1.0", "--w1-ref-halfwidth", "0.1",
+        "--w1-alt-center", "8.0", "--w1-alt-halfwidth", "0.8",
+        "--w2-center", "4.0", "--w2-halfwidth", "0.4",
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env={**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])},
+    )
+    try:
+        assert proc.stdout.readline() == "imported\n"
+        time.sleep(1.0)
+        assert proc.poll() is None
+        proc.send_signal(signal.SIGINT)
+        sent = time.monotonic()
+        _, err = proc.communicate(timeout=30)
+        assert time.monotonic() - sent < 5.0
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == -signal.SIGINT
+    assert "KeyboardInterrupt" in err

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -309,6 +310,103 @@ def test_report_deterministic_and_serializable():
                 "proposed_ref", "proposed_alt", "accept_ref", "accept_alt"):
         assert key in cell
     assert d["summary"] == [{"c": 1.0, "verdict": a.summary[1.0]}]
+
+
+def _two_cell_config(process):
+    if process == "zc":
+        w1_alt, w2 = ConditioningWindow(2.0, 0.2), ConditioningWindow(4.0, 0.4)
+        arms = (ArmSpec(0.5, ConditioningWindow(1.0, 0.1), 300), ArmSpec(0.5, w1_alt, 200))
+    else:
+        w1_alt, w2 = ConditioningWindow(1.0, 0.1), ConditioningWindow(0.35, 0.07)
+        arms = (ArmSpec(0.5, ConditioningWindow(0.15, 0.05), 300), ArmSpec(0.5, w1_alt, 200))
+    cells = (MarkovCell(0.0, *arms, w2), MarkovCell(1.0, *arms, w2))
+    return MarkovTestConfig(process=process, cells=cells, seed=41, alpha=0.01)
+
+
+@pytest.mark.parametrize("process", ["zc", "cmx"])
+def test_report_equals_arms_run_in_order(process, monkeypatch):
+    # oracle: both arms of every cell run one after the other on this thread,
+    # from the generators the report spawns; the KS inputs are the arm values
+    cfg = _two_cell_config(process)
+    compared = []
+    ks = stattest.ks_two_sample
+
+    def recording_ks(a, b, alpha):
+        compared.append((a, b))
+        return ks(a, b, alpha)
+
+    monkeypatch.setattr(stattest, "ks_two_sample", recording_ks)
+    rep = stattest.markov_discrepancy_report(cfg)
+    children = np.random.SeedSequence(cfg.seed).spawn(len(cfg.cells))
+    for cell, child, record, (a, b) in zip(cfg.cells, children, rep.cells, compared, strict=True):
+        rng_ref, rng_alt = [np.random.Generator(np.random.PCG64(s)) for s in child.spawn(2)]
+        ref = stattest._run_arm(cfg, rng_ref, cell, cell.ref)
+        alt = stattest._run_arm(cfg, rng_alt, cell, cell.alt)
+        assert np.array_equal(a, ref.values) and np.array_equal(b, alt.values)
+        want = ks(ref.values, alt.values, cfg.alpha)
+        assert {k: record[k] for k in vars(want)} == vars(want)
+        assert (record["proposed_ref"], record["accept_ref"]) == (ref.n_proposed, ref.acceptance_rate)
+        assert (record["proposed_alt"], record["accept_alt"]) == (alt.n_proposed, alt.acceptance_rate)
+        assert rep.summary[cell.c] == want.verdict
+
+
+def test_report_keeps_the_ref_counts_when_only_alt_exhausts():
+    cfg = MarkovTestConfig(
+        process="zc",
+        cells=(
+            MarkovCell(
+                0.5,
+                ArmSpec(0.5, ConditioningWindow(1.0, 0.1), 100),
+                ArmSpec(0.5, ConditioningWindow(-5.0, 0.1), 100),
+                ConditioningWindow(2.0, 0.2),
+            ),
+        ),
+        seed=9,
+    )
+    (cell,) = stattest.markov_discrepancy_report(cfg).cells
+    assert cell["verdict"] == "inconclusive"
+    assert cell["proposed_ref"] >= 100 and cell["accept_ref"] > 0.0
+    assert not {"proposed_alt", "accept_alt"} & set(cell)
+
+
+def test_report_leaves_no_thread_behind(monkeypatch):
+    # each cell's alt arm runs on a worker, which is joined whether the arms
+    # return or raise; of two failing arms, the ref arm's error propagates,
+    # as it would in a sequential run
+    before = threading.active_count()
+    cfg = _two_cell_config("cmx")
+    stattest.markov_discrepancy_report(cfg)
+    assert threading.active_count() == before
+    run_arm = stattest._run_arm
+
+    def failing(failed):
+        def run(config, rng, cell, arm):
+            if arm is cell.alt and "alt" in failed:
+                raise ValueError("alt")
+            if arm is cell.ref and "ref" in failed:
+                raise KeyError("ref")
+            return run_arm(config, rng, cell, arm)
+
+        return run
+
+    for failed, error in ((("alt",), ValueError), (("ref",), KeyError), (("ref", "alt"), KeyError)):
+        monkeypatch.setattr(stattest, "_run_arm", failing(failed))
+        with pytest.raises(error):
+            stattest.markov_discrepancy_report(cfg)
+        assert threading.active_count() == before
+
+
+def test_both_arms_see_the_callers_numpy_error_state(monkeypatch):
+    seen = []
+
+    def run(config, rng, cell, arm):
+        seen.append(np.geterr()["divide"])
+        return stattest.ConditionalSampleResult(np.arange(3.0), 3, 3)
+
+    monkeypatch.setattr(stattest, "_run_arm", run)
+    with np.errstate(divide="raise"):
+        stattest.markov_discrepancy_report(_two_cell_config("zc"))
+    assert seen == ["raise"] * 4
 
 
 def test_markov_coupling_two_arm_consistency():
