@@ -16,6 +16,10 @@ stattest
     Monte Carlo conditional-law comparisons and the running-maximum analogue.
 cli
     Command line front end.
+
+Importing the package imports every submodule but not ``scipy.special``,
+which loads on first use: the path commands (``simulate``, ``eigen``) never
+need it, and it was about 0.35 s of a ~0.45 s start.
 """
 
 __version__ = "0.1.0"

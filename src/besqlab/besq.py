@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+import scipy
 
 from . import specfun
 from .errors import DomainError
@@ -100,7 +100,7 @@ def log_zero_start(p: BesqParams, t: float, y, weighted: bool = False):
             quotient = y / (2.0 * t)
     else:
         quotient = y / (2.0 * t)
-    return head - 0.5 * p.delta * np.log(2.0 * t) - special.gammaln(0.5 * p.delta) - quotient
+    return head - 0.5 * p.delta * np.log(2.0 * t) - scipy.special.gammaln(0.5 * p.delta) - quotient
 
 
 def log_transition_density(p: BesqParams, t: float, x, y):
@@ -273,17 +273,24 @@ def sample_path(
     if starts.ndim > 1:
         raise DomainError("x0 must be a scalar or a 1-D array of starts")
     _check_starts(starts, steps.min(initial=np.inf), "x0")
-    values = np.empty(starts.shape + times.shape)
-    # one path steps as a Python float, which takes numpy's scalar draws
+    # the draws of _step, with its arguments and order, on bound methods; one
+    # path steps as a Python float, which takes numpy's scalar draws
+    poisson, gamma, half = rng.poisson, rng.gamma, 0.5 * p.delta
     current = starts if starts.ndim else float(starts)
+    draws = []
     try:
-        for i, t in enumerate(steps.tolist()):
-            current = _step(rng, p.delta, t, current)
-            values[..., i] = current
+        for t in steps.tolist():
+            scale = 2.0 * t
+            current = gamma(half + poisson(current / scale), scale)
+            draws.append(current)
     except ValueError as exc:
         # a large dimension drifts by about delta t, past the Poisson cap
         raise DomainError(f"path grew past the Poisson sampler's range ({exc})") from exc
     _check_draws(current)
+    # rows are steps; the transpose puts time last, as shape (T,) or (n, T),
+    # in C order
+    values = np.array(draws, dtype=float).reshape(times.shape + starts.shape)
+    values = np.ascontiguousarray(values.T)
     return PathSample(times, values)
 
 

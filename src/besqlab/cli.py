@@ -224,10 +224,11 @@ def _write(path, text: str) -> None:
 
 
 def _write_rows(path, header: list[str], rows) -> None:
-    # tolist() gives Python floats, whose repr is the shortest round-trip text
-    rows = np.asarray(rows, dtype=float).tolist()
-    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
-    _write(path, "\n".join(lines) + "\n")
+    # tolist() gives Python floats, whose repr (%r) is the shortest
+    # round-trip text; one format call writes the whole table
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%r"] * rows.shape[1]) + "\n"
+    _write(path, ",".join(header) + "\n" + (line * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
 
 def _rng(seed: int) -> np.random.Generator:

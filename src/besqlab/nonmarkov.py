@@ -63,7 +63,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import special
+import scipy
 
 from . import besq, quadrature
 from .besq import BesqParams
@@ -358,7 +358,7 @@ def zero_limit_weighted_triple(s: ScenarioParams) -> float:
     )[1]
     if not qt.converged:
         raise ConvergenceError("weighted zero-limit quadrature did not converge")
-    log_c1 = special.betaln(0.5 * s.delta1, 0.5 * s.delta2) - 0.5 * s.delta1 * math.log(s.c)
+    log_c1 = scipy.special.betaln(0.5 * s.delta1, 0.5 * s.delta2) - 0.5 * s.delta1 * math.log(s.c)
     return math.exp(log_c1 + qt.value)
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import kolmogorov
+import scipy
 
 from . import besq
 from .besq import BesqParams, PathSample
@@ -103,7 +103,7 @@ def ks_two_sample(a, b, alpha: float = 0.001) -> TestReport:
     statistic = float(np.max(np.abs(cdf_a - cdf_b)))
     effective = math.sqrt(n * m / (n + m))
     threshold = math.sqrt(-0.5 * math.log(0.5 * alpha)) / effective
-    pvalue = float(kolmogorov(effective * statistic))
+    pvalue = float(scipy.special.kolmogorov(effective * statistic))
     verdict = "rejected" if statistic > threshold else "consistent"
     return TestReport(statistic, threshold, n + m, verdict, pvalue)
 

@@ -301,6 +301,25 @@ def test_sample_path_mean_and_shapes():
     assert empty.times.size == 0 and empty.values.size == 0
 
 
+@pytest.mark.parametrize("delta", [1.0, 2.5])
+@pytest.mark.parametrize("start", [1.5, np.array([0.0, 1.0, 4.0])], ids=["scalar", "three"])
+@pytest.mark.parametrize("times", [[0.25, 0.5, 1.0, 2.0], []], ids=["grid", "empty"])
+def test_sample_path_is_a_loop_of_transitions(delta, start, times):
+    # the grid loop makes the same draws, in the same order, as one exact
+    # transition per step; a scalar start steps as a Python float
+    p = BesqParams(delta)
+    path = besq.sample_path(rng(21), p, start, times)
+    r = rng(21)
+    current, want = (start if np.ndim(start) else float(start)), []
+    for t in besq.time_grid(times)[1].tolist():
+        current = besq.sample_transitions(r, p, t, current)
+        want.append(current)
+    want = np.array(want, dtype=float).reshape(len(times), *np.shape(start)).T
+    assert path.values.shape == np.shape(start) + (len(times),)
+    assert path.values.flags.c_contiguous
+    np.testing.assert_array_equal(path.values, want)
+
+
 def test_sample_path_start_validation():
     r = rng(16)
     p = BesqParams(2.0)
@@ -363,12 +382,11 @@ def test_time_grid_returns_steps_from_zero():
 
 
 def test_bessel_path_is_sqrt_of_besq():
-    r1 = np.random.Generator(np.random.PCG64(np.random.SeedSequence(77)))
-    r2 = np.random.Generator(np.random.PCG64(np.random.SeedSequence(77)))
     times = np.array([0.3, 0.8])
-    sq = besq.sample_path(r1, BesqParams(3.0), 4.0, times)
-    root = besq.bessel_path(r2, BesqParams(3.0), 2.0, times)
-    assert np.allclose(root.values, np.sqrt(sq.values))
+    for xi0 in (2.0, np.array([0.0, 1.0, 2.0])):
+        sq = besq.sample_path(rng(77), BesqParams(3.0), xi0 * xi0, times)
+        root = besq.bessel_path(rng(77), BesqParams(3.0), xi0, times)
+        np.testing.assert_array_equal(root.values, np.sqrt(sq.values))
 
 
 def test_validation_errors():

@@ -132,6 +132,38 @@ def test_one_path_outputs_frozen(capsys):
     assert rows[15] == "2.0,1.2316027268216898,-2.523663528511901"
 
 
+def test_csv_cells_are_repr_text(capsys):
+    values = [-0.0, 5e-324, 1e16, 1e-5, float("nan"), 0.1]
+    cli._write_rows(None, ["a", "b", "c"], np.array(values).reshape(2, 3))
+    cli._write_rows(None, ["a", "b"], np.empty((0, 2)))
+    assert capsys.readouterr().out == "a,b,c\n-0.0,5e-324,1e+16\n1e-05,nan,0.1\na,b\n"
+
+
+def test_path_commands_never_load_scipy_special():
+    # scipy.special loads on first use; every path command must run without it
+    grid = ("--times", "0.5,1,2", "--seed", "1")
+    code = "\n".join([
+        "import sys",
+        "from besqlab import cli",
+        "for argv in (",
+        "    ['simulate', '--kind', 'besq', '--delta', '2.5', *GRID],",
+        "    ['simulate', '--kind', 'bessel', '--delta', '1.5', *GRID],",
+        "    ['eigen', '--source', 'matrix', '--c', '0.5', '--delta', '2', *GRID],",
+        "    ['eigen', '--source', 'sde', '--c', '1', '--delta', '1', *GRID],",
+        "):",
+        "    assert cli.main(argv) == 0",
+        "print('scipy.special' in sys.modules)",
+        "cli.main(['density', '--delta', '2', '--t', '0.5', '--x', '0', '--y', '1'])",
+        "print('scipy.special' in sys.modules)",
+    ]).replace("GRID", repr(grid))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])},
+    )
+    # the control: density needs scipy.special, and loads it
+    assert done.stdout.splitlines()[-3:] == ["False", "0.3678794412", "True"]
+
+
 def test_eigen_sde_requires_unit_coupling(capsys):
     assert run_cli(
         "eigen", "--c", "0.5", "--delta", "2", "--times", "1", "--source", "sde", "--seed", "1"
