@@ -243,18 +243,14 @@ def _check_draws(values) -> None:
         raise DomainError("path grew past the sampler's range (a draw overflowed)")
 
 
-def _step(rng: np.random.Generator, delta: float, t: float, x: np.ndarray) -> np.ndarray:
-    # X_t | X_0 = x is 2t * W with W noncentral chi-square: Poisson-mixed Gamma.
-    n = rng.poisson(x / (2.0 * t))
-    return rng.gamma(0.5 * delta + n, 2.0 * t)
-
-
 def sample_transitions(rng: np.random.Generator, p: BesqParams, t: float, x) -> np.ndarray:
     """Vectorized exact transitions: one draw per entry of ``x``."""
     t = _validate_t(t)
     x_arr = np.asarray(x, dtype=float)
     _check_starts(x_arr, t, "x")
-    out = _step(rng, p.delta, t, x_arr)
+    # X_t | X_0 = x is 2t * W with W noncentral chi-square: Poisson-mixed Gamma
+    n = rng.poisson(x_arr / (2.0 * t))
+    out = rng.gamma(0.5 * p.delta + n, 2.0 * t)
     _check_draws(out)
     return out
 
@@ -273,8 +269,9 @@ def sample_path(
     if starts.ndim > 1:
         raise DomainError("x0 must be a scalar or a 1-D array of starts")
     _check_starts(starts, steps.min(initial=np.inf), "x0")
-    # the draws of _step, with its arguments and order, on bound methods; one
-    # path steps as a Python float, which takes numpy's scalar draws
+    # the draws of sample_transitions, with its arguments and order, on bound
+    # methods; one path steps as a Python float, which takes numpy's scalar
+    # draws
     poisson, gamma, half = rng.poisson, rng.gamma, 0.5 * p.delta
     current = starts if starts.ndim else float(starts)
     draws = []

@@ -205,6 +205,8 @@ def _require(params: dict, *names):
 
 def _check_output(path: str) -> None:
     # refuse a path that cannot be written before any work is done
+    if not path:
+        raise _ConfigError("--output needs a file path, not an empty one")
     folder = os.path.dirname(path) or "."
     if os.path.isdir(path):
         raise _ConfigError(f"cannot write {path}: it is a directory")
@@ -231,10 +233,6 @@ def _write_rows(path, header: list[str], rows) -> None:
     _write(path, ",".join(header) + "\n" + (line * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 # ---------------------------------------------------------------------------
 # Command bodies.
 
@@ -252,7 +250,7 @@ def _run_density(params: dict, seed, output) -> int:
 def _run_simulate(params: dict, seed, output) -> int:
     delta, grid = _require(params, "delta", "times")
     x0 = params["x0"]
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     p = BesqParams(delta)
     if params["kind"] == "bessel":
         path = besq.bessel_path(rng, p, x0, grid)
@@ -264,7 +262,7 @@ def _run_simulate(params: dict, seed, output) -> int:
 
 def _run_eigen(params: dict, seed, output) -> int:
     c, delta, grid = _require(params, "c", "delta", "times")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     if params["source"] == "sde":
         if c != 1.0:
             raise _ConfigError("--source sde integrates the fully coupled system; needs --c 1")
@@ -371,7 +369,7 @@ def main(argv=None) -> int:
             _check_output(args.output)
         skip = ("command", "config", "seed", "output")
         params = {k: v for k, v in vars(args).items() if v is not None and k not in skip}
-        started = time.time()
+        started = time.perf_counter()
         status = handler(params, args.seed, args.output)
     except (_ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -387,7 +385,7 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "status": status,
             "version": __version__,
-            "wall_time_s": time.time() - started,
+            "wall_time_s": time.perf_counter() - started,
             "outputs": [] if error is not None else [args.output],
         }
         if error is not None:

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -199,18 +200,18 @@ def _scenario_specs(delta1: float, delta2: float) -> dict:
     # the attainable relative error near 1e-8, so asking for more would
     # only burn every refinement level
     right = min(0.5 * delta2, 1.0)
+    spec = partial(QuadratureSpec, left_exponent=left, right_exponent=right)
     if delta2 < 2.0:
-        return {
-            "x1": QuadratureSpec(1e-7, 1e-15, 12, left, right),
-            "x2": QuadratureSpec(1e-7, 1e-15, 12, left, right),
-            "x3": QuadratureSpec(1e-7, 1e-16, 12, left, right),
-            "limit": QuadratureSpec(1e-7, 1e-16, 13, left, right),
-        }
+        x1 = x2 = x3 = limit = 1e-7
+    else:
+        x1, x2, x3, limit = 1e-9, 1e-8, 1e-10, 1e-10
+    # every row is a log row, where an abs_tol below rel_tol * 2**-max_levels
+    # never decides convergence: the default abs_tol is below all of them
     return {
-        "x1": QuadratureSpec(1e-9, 1e-15, 12, left, right),
-        "x2": QuadratureSpec(1e-8, 1e-15, 12, left, right),
-        "x3": QuadratureSpec(1e-10, 1e-16, 12, left, right),
-        "limit": QuadratureSpec(1e-10, 1e-16, 13, left, right),
+        "x1": spec(x1),
+        "x2": spec(x2),
+        "x3": spec(x3),
+        "limit": spec(limit, max_levels=13),
     }
 
 

@@ -50,9 +50,10 @@ class QuadratureSpec:
     """Tolerances and refinement budget for one integration axis.
 
     ``left_exponent`` / ``right_exponent`` record the integrable endpoint
-    behavior ``(x - a)**(exponent - 1)`` the caller expects; tanh-sinh does not
-    need the value to place nodes, but the spec travels with the axis so that
-    nested integrals document their singularity structure.
+    behavior ``(x - a)**(exponent - 1)`` the caller expects.  Tanh-sinh does
+    not need them to place nodes, but an exponent below 1 sets the row's
+    representability floor: the share of the mass within one ulp of that
+    endpoint, which no refinement can reach, joins every error estimate.
 
     In a log row of :func:`integrate_rows`, ``abs_tol`` is stated in units of
     the row's largest weighted node: the largest ``r * w * f`` it has met,
@@ -168,7 +169,8 @@ def integrate_rows(
         refining and 1-D abscissae, and returns their ``(rows.size,
         xs.size)`` grid of integrand values.  The first call takes every row
         at the nodes of levels 0, 1 and 2 together; each later call takes
-        one level.  The same rules as for :func:`integrate` hold per row.
+        one level.  The abscissae lie inside ``(a, b)``, never on an
+        endpoint, so an integrable endpoint singularity is fine.
     n_rows : int
         Number of integrands; they share the limits and ``spec``.
     a, b : float
@@ -188,13 +190,15 @@ def integrate_rows(
     Returns
     -------
     QuadratureRows
-        Each row follows the rule of :func:`integrate` on its own: it stops
-        refining once its successive-level difference meets the tolerance,
-        or with ``error = inf`` and ``converged`` False once its value is not
-        finite.  A log row also stops so once its rounding floor
-        ``|S| * 2**-52`` alone exceeds ``rel_tol``.  ``evaluations`` counts
-        the points ``f`` was called with for each row, so a row that stops
-        at level 0 or 1 still counts the whole first call.
+        Each row stops refining on its own: converged once its
+        successive-level difference meets the tolerance, or with ``error =
+        inf`` and ``converged`` False once its value is not finite.  A log
+        row also stops so once its rounding floor ``|S| * 2**-52`` alone
+        exceeds ``rel_tol``.  A row still refining when ``max_levels`` runs
+        out keeps its last level's value and error, with ``converged``
+        False.  ``evaluations`` counts the points ``f`` was called with for
+        each row, so a row that stops at level 0 or 1 still counts the whole
+        first call.
 
     Raises
     ------
@@ -228,12 +232,11 @@ def integrate_rows(
             rep_floor = max(rep_floor, gap**alpha / alpha)
 
     def level_nodes(level):
-        # one level's abscissae in (a, b), their weights (logs in log mode),
-        # and where its centre and left parts end.  Along a node table the
-        # nodes hug their limit ever closer, so those that round onto it form
-        # a tail, cut from each side on its own: near a singular endpoint one
-        # side keeps representable nodes long after the other has lost them.
-        # The centre joins level 0
+        # one level's abscissae in (a, b) and their weights (logs in log
+        # mode).  Along a node table the nodes hug their limit ever closer, so
+        # those that round onto it form a tail, cut from each side on its
+        # own: near a singular endpoint one side keeps representable nodes
+        # long after the other has lost them.  The centre joins level 0
         delta, weight = _nodes(level)
         offset = r * delta
         x_left = a + offset
@@ -243,7 +246,7 @@ def integrate_rows(
         n = 1 if level == 0 else 0
         xs = np.concatenate(((m,) * n, x_left[:n_left], x_right[:n_right]))
         ws = np.concatenate(((0.5 * math.pi,) * n, weight[:n_left], weight[:n_right]))
-        return xs, (np.log(ws) if log else ws), (n, n + n_left)
+        return xs, (np.log(ws) if log else ws)
 
     # results, written for each row as it stops refining; a linear row keeps
     # shift 0, and a log row's sums are in units of exp(shift)
@@ -265,17 +268,17 @@ def integrate_rows(
     # nodes go to f in one call, and each of those levels reads its columns.
     # Every later level is one call of its own
     first = [level_nodes(level) for level in range(_FIRST_CONVERGENT_LEVEL + 1)]
-    grid = _evaluate(f, active, np.concatenate([xs for xs, _, _ in first]))
+    grid = _evaluate(f, active, np.concatenate([xs for xs, _ in first]))
     n_evals = grid.shape[1]
     start = 0
 
     for level in range(spec.max_levels + 1):
         if level < len(first):
-            xs, ws, (n, k) = first[level]
+            xs, ws = first[level]
             fv = grid[:, start : start + xs.size]
             start += xs.size
         else:
-            xs, ws, (n, k) = level_nodes(level)
+            xs, ws = level_nodes(level)
             if xs.size:
                 fv = _evaluate(f, active, xs)
                 n_evals += xs.size
@@ -296,9 +299,7 @@ def integrate_rows(
                 prev *= rescale
                 shift = new
             elif xs.size:
-                # vecdot takes each row's dot product exactly as np.dot would
-                for lo, hi in ((0, n), (n, k), (k, xs.size)):
-                    acc += np.vecdot(fv[:, lo:hi], ws[lo:hi])
+                acc += np.vecdot(fv, ws)
             # a log row keeps r out of its sum
             value = (h if log else r * h) * acc
             # neighbouring log values at a shift S lie |S| * 2**-52 apart, so
@@ -376,22 +377,6 @@ def integrate(
     return integrate_rows(lambda rows, xs: f(xs), 1, a, b, spec).row(0)
 
 
-def propagated_error(
-    inner: Sequence[tuple[float, float]], outer_value: float, length: float
-) -> float:
-    """Error that inner integrals add to an outer integral over their values.
-
-    ``inner`` holds the ``(value, error_estimate)`` of every inner integral
-    the outer rule evaluated.  For nonnegative integrands
-    ``sum_j w_j e_j <= max_j(e_j / v_j) * sum_j w_j v_j``, so the worst inner
-    relative error scales the outer value; inner values that underflowed to
-    zero contribute their absolute estimate times the interval length.
-    """
-    rel = max((e / abs(v) for v, e in inner if v != 0.0), default=0.0)
-    zero_abs = max((e for v, e in inner if v == 0.0), default=0.0)
-    return rel * abs(outer_value) + zero_abs * length
-
-
 def integrate_iterated(
     f: Callable[..., np.ndarray],
     boxes: Sequence[tuple],
@@ -415,7 +400,11 @@ def integrate_iterated(
     QuadratureResult
         ``evaluations`` counts innermost integrand evaluations.  The error
         estimate composes for nonnegative integrands: each axis adds its own
-        quadrature error plus :func:`propagated_error` of its inner integrals.
+        quadrature error to the error its inner integrals carry in.  Since
+        ``sum_j w_j e_j <= max_j(e_j / v_j) * sum_j w_j v_j``, the worst
+        inner relative error scales the axis value; inner values that
+        underflowed to zero add their absolute estimate times the interval
+        length.
     """
     d = len(boxes)
     if d < 1 or d > 3:
@@ -457,7 +446,9 @@ def integrate_iterated(
         res = integrate(layer, lo, hi, specs[axis])
         if not res.converged:
             all_converged[0] = False
-        propagated = propagated_error(inner_pairs, res.value, hi - lo)
+        rel = max((e / abs(v) for v, e in inner_pairs if v != 0.0), default=0.0)
+        zero_abs = max((e for v, e in inner_pairs if v == 0.0), default=0.0)
+        propagated = rel * abs(res.value) + zero_abs * (hi - lo)
         return QuadratureResult(
             res.value, res.error_estimate + propagated, res.evaluations, res.converged
         )

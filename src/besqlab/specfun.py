@@ -11,10 +11,10 @@ home.  It takes the cheapest exact form the order allows:
   no argument cap and costs under a third of ``ive``;
 - every other order takes ``scipy.special.ive`` (Amos's algorithm, ACM TOMS
   644) wherever that value is a normal double.  Elsewhere it takes the
-  Hankel expansion (DLMF 10.40.1) past the argument cap of Amos's routines,
-  the uniform large-order expansion (DLMF 10.41.3) wherever ``nu`` or ``x``
-  is large enough for its truncation to be exact in double precision, and
-  the small-argument power series summed in log space for the rest.
+  uniform large-order expansion (DLMF 10.41.3) at ``|nu|`` wherever ``nu``
+  or ``x`` is large enough for its truncation to be exact in double
+  precision, past the argument cap of Amos's routines included, and the
+  small-argument power series summed in log space for the rest.
 
 All public functions are pure, accept scalars or arrays, and raise
 :class:`~besqlab.errors.DomainError` outside their mathematical domain and
@@ -39,13 +39,9 @@ _TINY = np.finfo(float).tiny
 _LOG_TWO = np.log(2.0)
 _LOG_TWO_PI = np.log(2.0 * np.pi)
 _LOG_EPS = np.log(np.finfo(float).eps)
-# scipy's ive is NaN for every order at arguments above 2^30
-_AMOS_CAP = 2.0**30
-# the first term the Hankel sum leaves out is about (nu^2/x)^3/48, below
-# double epsilon while nu^2 <= 2e-5 x; larger orders take the uniform expansion
-_HANKEL_NU2_PER_X = 2e-5
 # the first term the uniform sum leaves out is at most 0.11 hypot(nu, x)^-4,
-# below double epsilon from here on; past the argument cap that always holds
+# below double epsilon from here on; past 2^30, where scipy's ive is NaN for
+# every order, that always holds
 _UNIFORM_MIN_HYPOT = 2.0**13
 _SERIES_MAX_TERMS = 100_000
 
@@ -95,35 +91,26 @@ def _log_series(nu: float, x: np.ndarray) -> np.ndarray:
     return nu * (np.log(x) - _LOG_TWO) - scipy.special.gammaln(nu + 1.0) - x + log_sum
 
 
-def _log_hankel(nu: float, x: np.ndarray) -> np.ndarray:
-    # DLMF 10.40.1 to three terms:
-    # exp(-x) I_nu(x) ~ (2 pi x)^{-1/2} (1 - a1/x + a2/x^2), with
-    # a1 = (4 nu^2 - 1)/8 and a2 = (4 nu^2 - 1)(4 nu^2 - 9)/128
-    mu = 4.0 * nu * nu
-    a1 = (mu - 1.0) / 8.0
-    a2 = a1 * (mu - 9.0) / 16.0
-    return -0.5 * (_LOG_TWO_PI + np.log(x)) + np.log1p((a2 / x - a1) / x)
-
-
 def _log_uniform(nu: float, x: np.ndarray) -> np.ndarray:
-    # DLMF 10.41.3 at z = x/nu, to the U3 term:
+    # DLMF 10.41.3 at z = x/nu, for nu > 0, to the U3 term:
     # exp(-x) I_nu(nu z) ~ exp(nu (eta - z)) (2 pi nu)^{-1/2} s^{-1/2} sum U_k(p)/nu^k
     # with s = sqrt(1 + z^2), p = 1/s and eta = s + log(z / (1 + s)).  With
     # d = s - z = 1/(s + z), nu (eta - z) = nu d - nu log1p((1 + d)/z): the
-    # naive log(z / (1 + s)) loses about 1e-11 at x = 1e12.  The first term
-    # left out, U4(p)/nu^4, is at most 0.11 (nu s)^-4 = 0.11 hypot(nu, x)^-4.
-    z = x / nu
-    s = np.hypot(1.0, z)
-    d = 1.0 / (s + z)
-    p = 1.0 / s
+    # naive log(z / (1 + s)) loses about 1e-11 at x = 1e12.  Everything is
+    # taken through h = nu s = hypot(nu, x), so that z itself, which
+    # overflows for a small order at the largest x, is never formed.  The
+    # first term left out, U4(p)/nu^4, is at most 0.11 h^-4.
+    h = np.hypot(nu, x)
+    p = nu / h
+    d = p / (1.0 + x / h)
     p2 = p * p
     u1 = p * (3.0 - 5.0 * p2) / 24.0
     u2 = p2 * (81.0 + p2 * (-462.0 + 385.0 * p2)) / 1152.0
     u3 = p * p2 * (30375.0 + p2 * (-369603.0 + p2 * (765765.0 - 425425.0 * p2))) / 414720.0
     return (
         nu * d
-        - nu * np.log1p((1.0 + d) / z)
-        - 0.5 * (_LOG_TWO_PI + np.log(nu) + np.log(s))
+        - nu * np.log1p((1.0 + d) * (nu / x))
+        - 0.5 * (_LOG_TWO_PI + np.log(h))
         + np.log1p((u1 + (u2 + u3 / nu) / nu) / nu)
     )
 
@@ -156,8 +143,8 @@ def log_ive(nu: float, x):
     itself underflows.  The form is chosen by order, the cheapest exact one
     first: the closed form for ``nu = +-1/2``, ``scipy.special.i0e`` for
     ``nu = 0`` (neither needs another branch at any ``x``), and for every
-    other order ``scipy.special.ive`` with the Hankel, uniform and series
-    branches where its value is not a normal double.
+    other order ``scipy.special.ive`` with the uniform and series branches
+    where its value is not a normal double.
 
     Parameters
     ----------
@@ -202,18 +189,16 @@ def _log_ive(nu: float, x: np.ndarray) -> np.ndarray:
         # the limit of -log(2 pi x) / 2
         out[x == np.inf] = -np.inf
         rest = ~normal & (x > 0.0) & (x < np.inf)
-        # past the argument cap the Hankel expansion at small orders, the
-        # uniform one wherever it is exact, and the series for the rest
-        hankel = rest & (x > _AMOS_CAP) & (nu * nu <= _HANKEL_NU2_PER_X * x)
-        uniform = rest & ~hankel & (np.hypot(nu, x) >= _UNIFORM_MIN_HYPOT)
-        branches = (
-            (hankel, _log_hankel),
-            (uniform, _log_uniform),
-            (rest & ~hankel & ~uniform, _log_series),
-        )
-        for mask, branch in branches:
-            if np.any(mask):
-                out[mask] = branch(nu, x[mask])
+        # the uniform expansion wherever it is exact, and the series for the
+        # rest.  For -1 < nu < 0, I_nu = I_|nu| + (2/pi) sin(|nu| pi) K_|nu|,
+        # and the K share, about exp(-2x), is below double epsilon wherever
+        # the uniform form is taken for a negative order: past x = 2^30
+        uniform = rest & (np.hypot(nu, x) >= _UNIFORM_MIN_HYPOT)
+        if uniform.any():
+            out[uniform] = _log_uniform(abs(nu), x[uniform])
+        series = rest & ~uniform
+        if series.any():
+            out[series] = _log_series(nu, x[series])
     return out
 
 

@@ -445,7 +445,7 @@ def markov_discrepancy_report(config: MarkovTestConfig) -> MarkovReport:
     cells = []
     summary = {}
     for cell, child in zip(config.cells, children):
-        rng_ref, rng_alt = [np.random.Generator(np.random.PCG64(s)) for s in child.spawn(2)]
+        rng_ref, rng_alt = [np.random.default_rng(s) for s in child.spawn(2)]
         params = {
             "process": config.process,
             "c": cell.c,

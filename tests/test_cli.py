@@ -615,6 +615,55 @@ def test_unwritable_sidecar_is_config_error(tmp_path, capsys):
     assert err == f"configuration error: cannot write {out}.meta.json: Is a directory\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("density", "--delta", "2", "--t", "1", "--x", "1", "--y", "1"), id="density"),
+        pytest.param(("simulate", "--delta", "1", "--times", "1,2", "--seed", "0"), id="simulate"),
+        pytest.param(
+            (
+                "ratio", "--c", "0.5", "--delta1", "1", "--delta2", "1",
+                "--eps", "0.5", "--z1", "1", "--z2", "4", "--z3", "1",
+            ),
+            id="ratio",
+        ),
+    ],
+)
+def test_empty_output_path_is_config_error(tmp_path, capsys, monkeypatch, argv):
+    # an empty path names no file: refused before any work, with no sidecar
+    # written into the working directory
+    monkeypatch.chdir(tmp_path)
+    for module, name in (
+        (besq, "transition_density"),
+        (besq, "sample_path"),
+        (nonmarkov, "conditional_ratio_detail"),
+    ):
+        monkeypatch.setattr(module, name, lambda *a: pytest.fail(f"{name} ran"))
+    assert run_cli(*argv, "--output", "") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sidecar_wall_time_ignores_a_wall_clock_step(tmp_path, monkeypatch):
+    # the wall clock can step backwards while a command runs; the sidecar's
+    # wall time comes from a monotonic clock and stays nonnegative
+    real_handler, needs_seed = cli._COMMANDS["density"]
+    real_time = time.time
+
+    def handler(*args):
+        monkeypatch.setattr(time, "time", lambda: real_time() - 3600.0)
+        return real_handler(*args)
+
+    monkeypatch.setitem(cli._COMMANDS, "density", (handler, needs_seed))
+    out = tmp_path / "d.csv"
+    argv = ("density", "--delta", "2", "--t", "1", "--x", "1", "--y", "1", "--output", str(out))
+    assert run_cli(*argv) == 0
+    meta = json.loads((tmp_path / "d.csv.meta.json").read_text())
+    assert 0.0 <= meta["wall_time_s"] < 60.0
+
+
 def run_cli_within(seconds, *argv):
     # a hang fails the test instead of stalling the suite
     def expire(signum, frame):
@@ -642,8 +691,8 @@ def test_density_past_bessel_argument_cap(capsys, x, t):
 
 
 def test_density_large_order_past_bessel_argument_cap(capsys):
-    # nu = 1499 is too large for the Hankel expansion at sqrt(x y)/t = 2e9;
-    # the uniform expansion takes it.  Frozen from a 50-digit mpmath evaluation
+    # past the cap, at sqrt(x y)/t = 2e9, the uniform expansion takes
+    # nu = 1499.  Frozen from a 50-digit mpmath evaluation
     assert run_cli_within(
         10, "density", "--delta", "3000", "--t", "1", "--x", "2e9", "--y", "2e9"
     ) == 0

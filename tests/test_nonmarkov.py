@@ -282,6 +282,15 @@ def test_ratio_error_estimates_do_not_rise(d1, d2, z3):
         assert nonmarkov.conditional_ratio_detail(s_eps).rel_error_estimate <= rel_error
 
 
+@pytest.mark.parametrize("d1,d2", [(1.0, 1.0), (3.0, 1.5), (2.0, 3.0), (0.5, 2.0)])
+def test_scenario_abs_tol_never_decides_convergence(d1, d2):
+    # every kernel integral is a log row, whose value is at least 2**-level in
+    # units of its largest weighted node (QuadratureSpec): an abs_tol below
+    # rel_tol * 2**-max_levels leaves convergence to rel_tol alone
+    for axis, spec in nonmarkov._scenario_specs(d1, d2).items():
+        assert spec.abs_tol < spec.rel_tol * 2.0**-spec.max_levels, axis
+
+
 def test_log_integrand_not_finite_on_the_first_level_raises(monkeypatch):
     # an A13 kernel that underflowed to -inf at every node leaves h with no
     # scale to integrate on: a typed failure, not a ratio of 0

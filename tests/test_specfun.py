@@ -86,13 +86,15 @@ def test_log_ive_continuous_where_ive_leaves_normal_range():
 
 def test_log_ive_past_scipy_argument_cap():
     # scipy's ive is NaN for every order above x = 2^30; past it log_ive takes
-    # the Hankel expansion, or the uniform one (DLMF 10.41.3) where
-    # nu^2 > 2e-5 x, as for nu = 147 just past the cap and for 1000 and 1e4
-    # up to 2e9.  Both must agree with mpmath on both sides of the cap
+    # the uniform expansion (DLMF 10.41.3) at |nu| for every order but +-1/2
+    # and 0, negative ones included: for -1 < nu < 0 the gap I_nu - I_|nu|
+    # is about exp(-2x) I_|nu|.  It must agree with mpmath on both sides of
+    # the cap, and at the largest double, where x / nu overflows for |nu| < 1
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
-    for nu in (-0.5, 0.0, 0.5, 3.0, 40.0, 140.0, 147.0, 1000.0, 1e4):
-        for x in (0.999 * 2.0**30, 1.001 * 2.0**30, 2e9, 1e15, 1e300):
+    orders = (-0.9, -0.5, -0.25, 0.0, 0.1, 0.5, 1.5, 3.0, 40.0, 140.0, 147.0, 1000.0, 1e4)
+    for nu in orders:
+        for x in (0.999 * 2.0**30, 1.001 * 2.0**30, 2e9, 1e15, 1e300, np.finfo(float).max):
             want = float(mpmath.log(mpmath.besseli(nu, x) * mpmath.exp(-x)))
             assert specfun.log_ive(nu, x) == pytest.approx(want, rel=1e-15)
 
