@@ -53,8 +53,7 @@ def _check_coupling(c: float) -> None:
 
 def _check_grid(delta: float, times) -> tuple[np.ndarray, np.ndarray]:
     # the one check of delta and the grid, made before any draw
-    if not delta > 0.0:
-        raise DomainError("delta must be positive")
+    BesqParams(delta)
     times, steps = besq.time_grid(times)
     if not times.size:
         raise DomainError("times must be nonempty")

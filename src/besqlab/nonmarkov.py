@@ -43,13 +43,15 @@ densities underflow raw arithmetic long before the ratios of interest
 become ill-defined.
 
 Every integral is a row of :func:`quadrature.integrate_rows` in its log
-mode, which returns the log of each integral with its relative error.  The
-x2 axis is outermost, with the pair and the triple as two rows of one call;
-each batch of x2 nodes evaluates ``g`` as a batch of x1 rows and ``h`` as a
-batch of x3 rows, and the four integrals of :func:`lemma3_ratio_check` form
-one more batch, whose ``q_tilde`` and ``q`` rows at one ``r`` share one A21
-row.  A21 restarts X from zero, so its X factor is the closed-form Gamma
-density of :func:`besq.log_zero_start` and only its Y factor is a
+mode, which returns the log of each integral with its relative error.  Each
+kernel family makes one pass with x2 outermost.  The ratio pass holds the
+pair and the triple as two rows; each batch of its x2 nodes evaluates ``g``
+as a batch of x1 rows and ``h`` as a batch of x3 rows.  The ``eps -> 0``
+pass holds ``q_tilde`` and ``q`` (A21 with and without A32) at a column of
+``z1`` values, two for :func:`lemma3_ratio_check` and one for
+:func:`zero_limit_weighted_triple`, and its two rows at one ``z1`` share
+one A21 row.  A21 restarts X from zero, so its X factor is the closed-form
+Gamma density of :func:`besq.log_zero_start` and only its Y factor is a
 transition density.  A batch makes one array call of the kernels for its
 refinement levels 0, 1 and 2 together, before any row can converge, and
 one per later level, so the cost is set by the number of points rather
@@ -59,9 +61,8 @@ than by Python calls per node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 import numpy as np
 import scipy
@@ -171,7 +172,6 @@ def _log_a21(c, delta1, delta2, z1, z2, x2):
 
 def _log_a32(c, delta1, delta2, z2, x2):
     # product of weighted zero-limits, the z3 -> 0 companion of A21
-    x2 = np.asarray(x2, dtype=float)
     l1 = besq.log_zero_start(BesqParams(delta1), 1.0, x2, weighted=True)
     l2 = besq.log_zero_start(BesqParams(delta2), 1.0, z2 - c * x2, weighted=True)
     return l1 + l2
@@ -215,56 +215,39 @@ def _scenario_specs(delta1: float, delta2: float) -> dict:
     }
 
 
-def _factor(batch: quadrature.QuadratureRows) -> tuple:
-    # one inner factor at a batch of x2 nodes: its logs, the relative error
-    # of each of its rows, their points, and their convergence
-    return (
-        batch.values,
-        batch.errors,
-        int(batch.evaluations.sum()),
-        bool(batch.converged.all()),
-    )
+def _exact(logs: np.ndarray) -> quadrature.QuadratureRows:
+    # a closed-form inner factor, as integrate_rows gives one: exact, and no points
+    n = logs.shape
+    return quadrature.QuadratureRows(logs, np.zeros(n), np.zeros(n, int), np.ones(n, bool))
 
 
-def _exact(logs: np.ndarray) -> tuple:
-    # a closed-form inner factor, as _factor gives it: exact, and no points
-    return logs, np.zeros(logs.shape), 0, True
+def _kernel_logs(s: ScenarioParams, triple: bool = True) -> list[QuadratureResult]:
+    """The ratio pass: logs of ``pair = int_0^b2 g dx2`` and, with ``triple``,
+    ``triple = int_0^b2 g h dx2``, each with its relative error.
 
-
-def _x3_rows(s: ScenarioParams) -> Callable[[np.ndarray], tuple]:
-    """The factor ``h(x2) = int_0^b3 A13 dx3``, one x3 row per x2 node, kept in
-    log space: near ``z3 -> 0`` A13's endpoint blowup overflows linear values."""
-    b3 = _upper_support(s.z3, s.c)
-    spec = _scenario_specs(s.delta1, s.delta2)["x3"]
-    return lambda x2: _factor(quadrature.integrate_rows(
-        lambda r, x3: _log_a13(s, x2[r, None], x3), x2.size, 0.0, b3, spec, log=True
-    ))
-
-
-def _kernel_logs(
-    s: ScenarioParams, log_h: Callable[[np.ndarray], tuple] | None = None
-) -> list[QuadratureResult]:
-    """Logs of ``pair = int_0^b2 g dx2`` and, given ``log_h``, ``triple = int_0^b2 g h dx2``.
-
-    ``g`` is the x1 rows of A11 A12, or A21 at ``s.eps = None``.  Pair and
-    triple are the two log rows of one outer integral; ``h`` (say
-    :func:`_x3_rows`) runs only while the triple row refines.  A row's error
-    adds the worst relative error of ``g`` (plus ``h``) at its nodes;
-    every row reports the pass's x1 and x3 points.  Each result's value is
-    a log and its error estimate relative.
+    ``g`` is the x1 rows of A11 A12, or A21 at ``s.eps = None``, and ``h``
+    the x3 rows of A13, kept in log space: near ``z3 -> 0`` A13's endpoint
+    blowup overflows linear values.  ``h`` runs only while the triple row
+    refines.  A row's error adds the worst relative error of ``g`` (plus
+    ``h``) at its nodes; every row reports the pass's x1 and x3 points.
     """
     specs = _scenario_specs(s.delta1, s.delta2)
-    b1 = _upper_support(s.z1, s.c)
 
     def log_g(x2):
         if s.eps is None:
             return _exact(_log_a21(s.c, s.delta1, s.delta2, s.z1, s.z2, x2))
-        return _factor(quadrature.integrate_rows(
+        return quadrature.integrate_rows(
             lambda r, x1: log_kernel_a11(s, x1) + _log_a12(s, x1, x2[r, None]),
-            x2.size, 0.0, b1, specs["x1"], log=True,
-        ))
+            x2.size, 0.0, _upper_support(s.z1, s.c), specs["x1"], log=True,
+        )
 
-    n_rows = 1 if log_h is None else 2
+    def log_h(x2):
+        return quadrature.integrate_rows(
+            lambda r, x3: _log_a13(s, x2[r, None], x3),
+            x2.size, 0.0, _upper_support(s.z3, s.c), specs["x3"], log=True,
+        )
+
+    n_rows = 2 if triple else 1
     inner_rel = np.zeros(n_rows)
     inner_ok = np.ones(n_rows, dtype=bool)
     points = 0
@@ -273,20 +256,33 @@ def _kernel_logs(
         nonlocal points
         # row 0 integrates g and row 1 g h, so running sums give both rows;
         # a row's inner error is the worst over its nodes of e_g (+ e_h)
-        logs, rels, counts, oks = zip(log_g(x2), *([log_h(x2)] if rows[-1] == 1 else []))
-        points += sum(counts)
-        inner_rel[rows] = np.maximum(inner_rel[rows], np.cumsum(rels, axis=0).max(axis=1)[rows])
-        inner_ok[rows] &= np.logical_and.accumulate(oks)[rows]
-        return np.cumsum(logs, axis=0)[rows]
+        factors = [log_g(x2)] + ([log_h(x2)] if rows[-1] == 1 else [])
+        points += sum(f.evaluations.sum() for f in factors)
+        rels = np.cumsum([f.errors for f in factors], axis=0)
+        inner_rel[rows] = np.maximum(inner_rel[rows], rels.max(axis=1)[rows])
+        inner_ok[rows] &= np.logical_and.accumulate([f.converged.all() for f in factors])[rows]
+        return np.cumsum([f.values for f in factors], axis=0)[rows]
 
-    outer = quadrature.integrate_rows(
-        log_f, n_rows, 0.0, _upper_support(s.z2, s.c), specs["limit" if s.eps is None else "x2"],
-        log=True,
-    )
+    spec = specs["limit" if s.eps is None else "x2"]
+    outer = quadrature.integrate_rows(log_f, n_rows, 0.0, _upper_support(s.z2, s.c), spec, log=True)
     outer.errors += inner_rel
     outer.converged &= inner_ok
     outer.evaluations[:] = points
     return [outer.row(i) for i in range(n_rows)]
+
+
+def _limit_logs(c, delta1, delta2, z1s, z2) -> quadrature.QuadratureRows:
+    """The ``eps -> 0`` pass: rows ``2k`` and ``2k + 1`` are the logs of
+    ``q_tilde`` and ``q`` at ``z1s[k]``, and both read one A21 row."""
+    z1 = np.reshape(z1s, (-1, 1))
+
+    def log_f(rows, x2):
+        logs = _log_a21(c, delta1, delta2, z1, z2, x2)[rows // 2]
+        logs[rows % 2 == 0] += _log_a32(c, delta1, delta2, z2, x2)
+        return logs
+
+    spec = _scenario_specs(delta1, delta2)["limit"]
+    return quadrature.integrate_rows(log_f, 2 * z1.size, 0.0, _upper_support(z2, c), spec, log=True)
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +293,12 @@ def joint_density_pair(s: ScenarioParams) -> float:
 
     At ``s.eps = None`` it is the ``eps -> 0`` limit object.
     """
-    return _density(_kernel_logs(s)[0], "pair")
+    return _density(_kernel_logs(s, triple=False)[0], "pair")
 
 
 def joint_density_triple(s: ScenarioParams) -> float:
     """Kernel integral for the law of ``(Z(eps), Z(1), Z(2))`` at ``(z1, z2, z3)``."""
-    return _density(_kernel_logs(s, _x3_rows(s))[1], "triple")
+    return _density(_kernel_logs(s)[1], "triple")
 
 
 def _density(res: QuadratureResult, what: str) -> float:
@@ -328,7 +324,7 @@ def conditional_ratio_detail(s: ScenarioParams) -> RatioResult:
         delta = s.delta2 if s.c == 0.0 else s.delta1 + s.delta2
         ratio = besq.transition_density(BesqParams(delta), 1.0, s.z2, s.z3) * k
         return RatioResult(ratio, 0.0, 0, True)
-    pair, triple = _kernel_logs(s, _x3_rows(s))
+    pair, triple = _kernel_logs(s)
     if pair.value < _LOG_FLOOR:
         raise UnreliableRatioError(
             "pair density below 1e-300; the conditional ratio is not trustworthy"
@@ -353,10 +349,7 @@ def zero_limit_weighted_triple(s: ScenarioParams) -> float:
     pairs the A21 kernel with the product of weighted zero-limits (A32);
     ``s.z3`` and ``s.eps`` play no role here.
     """
-    qt = _kernel_logs(
-        replace(s, eps=None),
-        lambda x2: _exact(_log_a32(s.c, s.delta1, s.delta2, s.z2, x2)),
-    )[1]
+    qt = _limit_logs(s.c, s.delta1, s.delta2, [s.z1], s.z2).row(0)
     if not qt.converged:
         raise ConvergenceError("weighted zero-limit quadrature did not converge")
     log_c1 = scipy.special.betaln(0.5 * s.delta1, 0.5 * s.delta2) - 0.5 * s.delta1 * math.log(s.c)
@@ -392,20 +385,11 @@ def lemma3_ratio_check(
         raise DomainError("ratios r must be positive and finite")
     if not 0.0 < z2 < math.inf:
         raise DomainError("z2 must be positive and finite")
+    if not (r1 * z2 < math.inf and r2 * z2 < math.inf):
+        raise DomainError("levels r * z2 must be finite")
     if not (0.0 < delta1 < math.inf and 0.0 < delta2 < math.inf):
         raise DomainError("dimensions must be positive and finite")
-    # rows: q_tilde and q at r1, then at r2, sharing (0, z2/c) and one spec;
-    # both rows at one r read the same A21 row, and the q_tilde rows add A32
-    z1 = z2 * np.array([[r1], [r2]])
-
-    def log_f(rows, x2):
-        logs = _log_a21(c, delta1, delta2, z1, z2, x2)[rows // 2]
-        logs[rows % 2 == 0] += _log_a32(c, delta1, delta2, z2, x2)
-        return logs
-
-    rows = quadrature.integrate_rows(
-        log_f, 4, 0.0, _upper_support(z2, c), _scenario_specs(delta1, delta2)["limit"], log=True
-    )
+    rows = _limit_logs(c, delta1, delta2, z2 * np.array([r1, r2]), z2)
     results = [rows.row(i) for i in range(4)]
     logs = []
     for qt, qp in (results[:2], results[2:]):

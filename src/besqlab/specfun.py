@@ -11,10 +11,11 @@ home.  It takes the cheapest exact form the order allows:
   no argument cap and costs under a third of ``ive``;
 - every other order takes ``scipy.special.ive`` (Amos's algorithm, ACM TOMS
   644) wherever that value is a normal double.  Elsewhere it takes the
-  uniform large-order expansion (DLMF 10.41.3) at ``|nu|`` wherever ``nu``
-  or ``x`` is large enough for its truncation to be exact in double
-  precision, past the argument cap of Amos's routines included, and the
-  small-argument power series summed in log space for the rest.
+  uniform large-order expansion (DLMF 10.41.3) at ``|nu|`` wherever
+  ``x >= 1`` and ``nu`` or ``x`` is large enough for its truncation to be
+  exact in double precision, past the argument cap of Amos's routines
+  included, and the small-argument power series summed in log space for
+  the rest, which below ``x = 1`` needs only a few terms at such orders.
 
 All public functions are pure, accept scalars or arrays, and raise
 :class:`~besqlab.errors.DomainError` outside their mathematical domain and
@@ -189,11 +190,14 @@ def _log_ive(nu: float, x: np.ndarray) -> np.ndarray:
         # the limit of -log(2 pi x) / 2
         out[x == np.inf] = -np.inf
         rest = ~normal & (x > 0.0) & (x < np.inf)
-        # the uniform expansion wherever it is exact, and the series for the
-        # rest.  For -1 < nu < 0, I_nu = I_|nu| + (2/pi) sin(|nu| pi) K_|nu|,
-        # and the K share, about exp(-2x), is below double epsilon wherever
-        # the uniform form is taken for a negative order: past x = 2^30
-        uniform = rest & (np.hypot(nu, x) >= _UNIFORM_MIN_HYPOT)
+        # the uniform expansion wherever it is exact and x >= 1, and the
+        # series for the rest.  Below x = 1 the series needs a term or two at
+        # any order the uniform form would take, while that form's nu / x
+        # overflows at large orders near the bottom of the double range.
+        # For -1 < nu < 0, I_nu = I_|nu| + (2/pi) sin(|nu| pi) K_|nu|, and
+        # the K share, about exp(-2x), is below double epsilon wherever the
+        # uniform form is taken for a negative order: past x = 2^30
+        uniform = rest & (x >= 1.0) & (np.hypot(nu, x) >= _UNIFORM_MIN_HYPOT)
         if uniform.any():
             out[uniform] = _log_uniform(abs(nu), x[uniform])
         series = rest & ~uniform

@@ -144,14 +144,13 @@ def _staged_sample(
     w1: ConditioningWindow,
     w2: ConditioningWindow,
     n_target: int,
-    batch: int,
 ) -> ConditionalSampleResult:
     """Window-conditioned draw of a process observed at ``(eps, 1, 2)``.
 
     The hidden state is a tuple of equal-length arrays.  ``start(rng, eps, n)``
     draws ``n`` states at time ``eps``, ``advance(rng, state, t)`` moves each
     state ``t`` forward, and ``observe(state)`` maps states to the observed
-    values.  Each batch of ``batch`` proposals is filtered through ``w1``
+    values.  Each batch of ``_BATCH`` proposals is filtered through ``w1``
     and then ``w2`` before its survivors are advanced, which is exact
     whenever the hidden state is Markov.  The rate floor is the one stop:
     ``BudgetExhaustedError`` once the acceptance rate falls below 1e-6,
@@ -169,8 +168,8 @@ def _staged_sample(
         # at a huge coupling an observed value overflows to inf, which no
         # window contains: the right outcome, so the overflow is not a defect
         with np.errstate(over="ignore"):
-            state = start(rng, eps, batch)
-            n_proposed += batch
+            state = start(rng, eps, _BATCH)
+            n_proposed += _BATCH
             for window, length in ((w1, 1.0 - eps), (w2, 1.0)):
                 keep = window.contains(observe(state))
                 state = tuple(part[keep] for part in state)
@@ -227,9 +226,7 @@ def conditional_sample(
         x, y = state
         return besq.sample_transitions(rng, p1, t, x), besq.sample_transitions(rng, p2, t, y)
 
-    return _staged_sample(
-        rng, start, advance, lambda s: c * s[0] + s[1], eps, w1, w2, n_target, _BATCH
-    )
+    return _staged_sample(rng, start, advance, lambda s: c * s[0] + s[1], eps, w1, w2, n_target)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +288,7 @@ def conditional_sample_cmx(
         return end, 0.5 * (end + gap)
 
     return _staged_sample(
-        rng, start, _advance_max, lambda s: c * s[1] - s[0], eps, w1, w2, n_target, _BATCH
+        rng, start, _advance_max, lambda s: c * s[1] - s[0], eps, w1, w2, n_target
     )
 
 

@@ -543,6 +543,8 @@ def test_empty_list_is_refused(tmp_path, capsys, argv, key):
           "--r1", "0.5", "--r2", "inf", "--z2", "10"), "ratios r must be positive and finite"),
         (("lemma3", "--c", "0.5", "--delta1", "1", "--delta2", "1",
           "--r1", "0.5", "--r2", "2", "--z2", "inf"), "z2 must be positive and finite"),
+        (("lemma3", "--c", "0.5", "--delta1", "1", "--delta2", "1",
+          "--r1", "0.5", "--r2", "2", "--z2", "1e308"), "levels r * z2 must be finite"),
         (("markov-test", "--c-values", "1", "--delta1", "inf", "--w2-center", "2",
           *_PROBE_FLAGS), "delta"),
         (("markov-test", "--c-values", "inf", "--w2-center", "2", *_PROBE_FLAGS),
@@ -551,7 +553,7 @@ def test_empty_list_is_refused(tmp_path, capsys, argv, key):
     ],
     ids=[
         "density-delta", "density-t", "simulate-delta", "eigen-matrix-delta", "eigen-sde-delta",
-        "ratio-delta1", "lemma3-delta1", "lemma3-r1", "lemma3-r2", "lemma3-z2",
+        "ratio-delta1", "lemma3-delta1", "lemma3-r1", "lemma3-r2", "lemma3-z2", "lemma3-r-z2",
         "markov-delta1", "markov-c", "markov-center",
     ],
 )
@@ -730,12 +732,20 @@ def test_density_infinite_point_is_config_error(capsys, x, y):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_ratio_overflowing_level_is_numeric_failure(capsys):
-    # the x3 integral over (0, 2e300) overflows; the quadrature stops it as
-    # non-finite without an overflow warning, and the command exits 3
+@pytest.mark.parametrize(
+    "delta1, z3",
+    [("1", "1e300"), ("1e6", "1")],
+    ids=["z3-level", "delta1-order"],
+)
+def test_ratio_overflowing_level_is_numeric_failure(capsys, delta1, z3):
+    # at z3 = 1e300 the x3 integral over (0, 2e300) overflows; the quadrature
+    # stops it as non-finite without an overflow warning.  At delta1 = 1e6
+    # the Bessel factor of order 499999 meets arguments near the bottom of
+    # the double range, which take the series without an overflow warning,
+    # and the pair density falls below 1e-300.  Both exit 3
     assert run_cli_within(
-        10, "ratio", "--c", "0.5", "--delta1", "1", "--delta2", "1",
-        "--eps", "0.5", "--z1", "1", "--z2", "4", "--z3", "1e300",
+        10, "ratio", "--c", "0.5", "--delta1", delta1, "--delta2", "1",
+        "--eps", "0.5", "--z1", "1", "--z2", "4", "--z3", z3,
     ) == 3
     assert "numeric failure" in capsys.readouterr().err
 

@@ -201,7 +201,7 @@ def test_config_validation():
     calls = [
         lambda rng, c=c: dyson.eigen_paths(rng, c, 1.0, (1.0,)) for c in (-1.0, np.inf, np.nan)
     ]
-    for delta in (0.0, -1.0, np.nan):
+    for delta in (0.0, -1.0, np.nan, np.inf):
         calls.append(lambda rng, d=delta: dyson.eigen_paths(rng, 1.0, d, (1.0,)))
         calls.append(lambda rng, d=delta: dyson.simulate_drivers(rng, d, (1.0,)))
     for grid in BAD_GRIDS:
@@ -235,7 +235,8 @@ def test_sde_gap_stays_positive():
 
 
 def test_sde_rejects_bad_inputs():
-    for delta, grid in [(0.0, (1.0,)), (1.0, (2.0, 1.0))] + [(1.0, g) for g in BAD_GRIDS]:
+    bad = [(0.0, (1.0,)), (np.inf, (1.0,)), (1.0, (2.0, 1.0))] + [(1.0, g) for g in BAD_GRIDS]
+    for delta, grid in bad:
         rng = np.random.default_rng(81)
         state = rng.bit_generator.state
         with pytest.raises(DomainError):

@@ -189,7 +189,7 @@ def _recursive_kernel_logs(s):
 )
 def test_batched_kernel_integrals_match_recursive_oracle(s):
     for scenario in (s, dataclasses.replace(s, eps=None)):
-        pair, triple = nonmarkov._kernel_logs(scenario, nonmarkov._x3_rows(scenario))
+        pair, triple = nonmarkov._kernel_logs(scenario)
         want_pair, want_triple, points = _recursive_kernel_logs(scenario)
         for batched, log_value in ((pair, want_pair), (triple, want_triple)):
             assert batched.converged
@@ -277,7 +277,7 @@ def test_ratio_error_estimates_do_not_rise(d1, d2, z3):
     s = ScenarioParams(c=0.5, delta1=d1, delta2=d2, eps=0.5, z1=1.0, z2=4.0, z3=z3)
     for eps, (pair_error, rel_error) in zip((0.5, None), RATIO_ERRORS[(d1, d2, z3)]):
         s_eps = dataclasses.replace(s, eps=eps)
-        pair, _ = nonmarkov._kernel_logs(s_eps, nonmarkov._x3_rows(s_eps))
+        pair, _ = nonmarkov._kernel_logs(s_eps)
         assert pair.error_estimate == pair_error
         assert nonmarkov.conditional_ratio_detail(s_eps).rel_error_estimate <= rel_error
 
@@ -336,7 +336,7 @@ def test_unit_coupling_ratio_forgets_the_past(d1, d2, eps, z1, z2, z3):
     s = ScenarioParams(c=1.0, delta1=d1, delta2=d2, eps=eps, z1=z1, z2=z2, z3=z3)
     want = besq.transition_density(BesqParams(d1 + d2), 1.0, z2, z3)
     for scenario in (s, dataclasses.replace(s, eps=None)):
-        pair, triple = nonmarkov._kernel_logs(scenario, nonmarkov._x3_rows(scenario))
+        pair, triple = nonmarkov._kernel_logs(scenario)
         got = math.exp(triple.value - pair.value)
         rel_error = pair.error_estimate + triple.error_estimate
         assert got == pytest.approx(want, rel=1e-5)

@@ -102,12 +102,17 @@ def test_log_ive_past_scipy_argument_cap():
 def test_log_ive_large_orders_below_the_cap_take_the_uniform_expansion():
     # where ive underflows at a large order, the series at nu = 5e4, x = 3e5
     # would need over 1e5 terms; the uniform expansion is exact to double
-    # precision wherever hypot(nu, x) >= 2^13.  mpmath's own series takes
-    # about 80 s at that point, so its 30-digit value is frozen
+    # precision wherever hypot(nu, x) >= 2^13 and x >= 1.  mpmath's own
+    # series takes about 80 s at that point, so its 30-digit value is frozen.
+    # Below x = 1 the series takes a term or two, down to the subnormal x
+    # where the uniform form's nu / x overflowed to a value of -inf
     assert specfun.log_ive(5e4, 3e5) == pytest.approx(LOG_IVE_5E4_3E5, rel=1e-15)
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
-    for nu, xs in ((8192.0, (1e-3, 1.0)), (9000.0, (0.5, 8e3, 2e4)), (2e4, (10.0, 3e4))):
+    for nu, xs in (
+        (8192.0, (1e-3, 1.0)), (9000.0, (1e-320, 0.5, 8e3, 2e4)), (2e4, (1e-310, 10.0, 3e4)),
+        (1e4, (5e-324,)),
+    ):
         for x, got in zip(xs, specfun.log_ive(nu, np.array(xs)).tolist()):
             want = float(mpmath.log(mpmath.besseli(nu, x, maxterms=10**5) * mpmath.exp(-x)))
             assert got == pytest.approx(want, rel=1e-15), (nu, x)

@@ -127,8 +127,7 @@ def test_sum_split_first_stage_law(c, d1, d2):
         return besq.sample_transitions(r, p1, t, state[0]), besq.sample_transitions(r, p2, t, state[1])
 
     oracle = stattest._staged_sample(
-        rng(26), start, advance, lambda st: c * st[0] + st[1],
-        eps, w1, w2, n, 20_000,
+        rng(26), start, advance, lambda st: c * st[0] + st[1], eps, w1, w2, n
     )
     got = stattest.conditional_sample(rng(27), c, d1, d2, eps, w1, w2, n)
     assert stattest.ks_two_sample(got.values, oracle.values, alpha=0.001).verdict == "consistent"
