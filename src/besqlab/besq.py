@@ -197,8 +197,11 @@ def log_transition_density(p: BesqParams, t: float, x, y):
 
 
 def transition_density(p: BesqParams, t: float, x, y):
-    """Transition density ``p_t(x, y)``; exp of :func:`log_transition_density`."""
-    return np.exp(log_transition_density(p, t, x, y))
+    """Transition density ``p_t(x, y)``; exp of :func:`log_transition_density`,
+    and inf, without a warning, where that log is past the double range."""
+    log_p = log_transition_density(p, t, x, y)
+    with np.errstate(over="ignore"):
+        return np.exp(log_p)
 
 
 def weighted_zero_limit(p: BesqParams, t: float, x):
@@ -212,7 +215,9 @@ def weighted_zero_limit(p: BesqParams, t: float, x):
     x_arr = np.asarray(x, dtype=float)
     if x_arr.size and not np.all(x_arr >= 0.0):
         raise DomainError("x must be nonnegative")
-    out = np.exp(log_zero_start(p, t, x_arr, weighted=True))
+    log_w = log_zero_start(p, t, x_arr, weighted=True)
+    with np.errstate(over="ignore"):  # a tiny t overflows (2t)^{-delta/2} to inf
+        out = np.exp(log_w)
     if np.ndim(x) == 0:
         return float(out)
     return out

@@ -56,6 +56,11 @@ transition density.  A batch makes one array call of the kernels for its
 refinement levels 0, 1 and 2 together, before any row can converge, and
 one per later level, so the cost is set by the number of points rather
 than by Python calls per node.
+
+Every x1, x3, x2 and limit row goes through one convergence gate,
+:func:`_log_rows`: a row that ends unconverged raises ConvergenceError
+naming its axis at once, so a failed inner row ends the whole pass before
+its outer axis refines on it, and every value returned is converged.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ import scipy
 from . import besq, quadrature
 from .besq import BesqParams
 from .errors import ConvergenceError, DomainError, UnreliableRatioError
-from .quadrature import QuadratureResult, QuadratureSpec
+from .quadrature import QuadratureResult, QuadratureRows, QuadratureSpec
 
 # Below this log value a pair density cannot be divided through reliably.
 _LOG_FLOOR = math.log(1e-300)
@@ -125,7 +130,6 @@ class RatioResult:
     ratio: float
     rel_error_estimate: float
     evaluations: int
-    converged: bool
 
 
 # ---------------------------------------------------------------------------
@@ -197,28 +201,34 @@ def _scenario_specs(delta1: float, delta2: float) -> dict:
     # every x_i integral runs to z_i/c, where the companion argument
     # z_i - c x_i closes down to zero; for delta2 < 2 that endpoint is
     # singular, and node spacing next to an endpoint away from 0.0 floors
-    # the attainable relative error near 1e-8, so asking for more would
-    # only burn every refinement level
+    # the attainable relative error at (2**-53)**a / a, a = delta2/2, near
+    # 1e-8 at delta2 = 1: asking for more would only burn every refinement
+    # level.  Below delta2 ~ 0.93 the floor passes 1e-7 and ratios exit 3
     right = min(0.5 * delta2, 1.0)
     spec = partial(QuadratureSpec, left_exponent=left, right_exponent=right)
-    if delta2 < 2.0:
-        x1 = x2 = x3 = limit = 1e-7
-    else:
-        x1, x2, x3, limit = 1e-9, 1e-8, 1e-10, 1e-10
+    x1, x2, x3, limit = (1e-7,) * 4 if delta2 < 2.0 else (1e-9, 1e-8, 1e-10, 1e-10)
     # every row is a log row, where an abs_tol below rel_tol * 2**-max_levels
     # never decides convergence: the default abs_tol is below all of them
-    return {
-        "x1": spec(x1),
-        "x2": spec(x2),
-        "x3": spec(x3),
-        "limit": spec(limit, max_levels=13),
-    }
+    return {"x1": spec(x1), "x2": spec(x2), "x3": spec(x3), "limit": spec(limit, max_levels=13)}
 
 
-def _exact(logs: np.ndarray) -> quadrature.QuadratureRows:
+def _log_rows(axis: str, f, n_rows: int, b: float, spec: QuadratureSpec) -> QuadratureRows:
+    # the kernel integrals' one convergence gate: n_rows log rows over (0, b),
+    # or a ConvergenceError naming the axis as soon as any row fails
+    rows = quadrature.integrate_rows(f, n_rows, 0.0, b, spec, log=True)
+    failed = ~rows.converged
+    if failed.any():
+        raise ConvergenceError(
+            f"{axis} quadrature did not converge: {failed.sum()} of {n_rows} rows, "
+            f"worst relative error {rows.errors[failed].max():.3g}"
+        )
+    return rows
+
+
+def _exact(logs: np.ndarray) -> QuadratureRows:
     # a closed-form inner factor, as integrate_rows gives one: exact, and no points
     n = logs.shape
-    return quadrature.QuadratureRows(logs, np.zeros(n), np.zeros(n, int), np.ones(n, bool))
+    return QuadratureRows(logs, np.zeros(n), np.zeros(n, int), np.ones(n, bool))
 
 
 def _kernel_logs(s: ScenarioParams, triple: bool = True) -> list[QuadratureResult]:
@@ -236,20 +246,19 @@ def _kernel_logs(s: ScenarioParams, triple: bool = True) -> list[QuadratureResul
     def log_g(x2):
         if s.eps is None:
             return _exact(_log_a21(s.c, s.delta1, s.delta2, s.z1, s.z2, x2))
-        return quadrature.integrate_rows(
-            lambda r, x1: log_kernel_a11(s, x1) + _log_a12(s, x1, x2[r, None]),
-            x2.size, 0.0, _upper_support(s.z1, s.c), specs["x1"], log=True,
+        return _log_rows(
+            "x1", lambda r, x1: log_kernel_a11(s, x1) + _log_a12(s, x1, x2[r, None]),
+            x2.size, _upper_support(s.z1, s.c), specs["x1"],
         )
 
     def log_h(x2):
-        return quadrature.integrate_rows(
-            lambda r, x3: _log_a13(s, x2[r, None], x3),
-            x2.size, 0.0, _upper_support(s.z3, s.c), specs["x3"], log=True,
+        return _log_rows(
+            "x3", lambda r, x3: _log_a13(s, x2[r, None], x3),
+            x2.size, _upper_support(s.z3, s.c), specs["x3"],
         )
 
     n_rows = 2 if triple else 1
     inner_rel = np.zeros(n_rows)
-    inner_ok = np.ones(n_rows, dtype=bool)
     points = 0
 
     def log_f(rows, x2):
@@ -260,18 +269,16 @@ def _kernel_logs(s: ScenarioParams, triple: bool = True) -> list[QuadratureResul
         points += sum(f.evaluations.sum() for f in factors)
         rels = np.cumsum([f.errors for f in factors], axis=0)
         inner_rel[rows] = np.maximum(inner_rel[rows], rels.max(axis=1)[rows])
-        inner_ok[rows] &= np.logical_and.accumulate([f.converged.all() for f in factors])[rows]
         return np.cumsum([f.values for f in factors], axis=0)[rows]
 
     spec = specs["limit" if s.eps is None else "x2"]
-    outer = quadrature.integrate_rows(log_f, n_rows, 0.0, _upper_support(s.z2, s.c), spec, log=True)
+    outer = _log_rows("x2", log_f, n_rows, _upper_support(s.z2, s.c), spec)
     outer.errors += inner_rel
-    outer.converged &= inner_ok
     outer.evaluations[:] = points
     return [outer.row(i) for i in range(n_rows)]
 
 
-def _limit_logs(c, delta1, delta2, z1s, z2) -> quadrature.QuadratureRows:
+def _limit_logs(c, delta1, delta2, z1s, z2) -> QuadratureRows:
     """The ``eps -> 0`` pass: rows ``2k`` and ``2k + 1`` are the logs of
     ``q_tilde`` and ``q`` at ``z1s[k]``, and both read one A21 row."""
     z1 = np.reshape(z1s, (-1, 1))
@@ -282,7 +289,7 @@ def _limit_logs(c, delta1, delta2, z1s, z2) -> quadrature.QuadratureRows:
         return logs
 
     spec = _scenario_specs(delta1, delta2)["limit"]
-    return quadrature.integrate_rows(log_f, 2 * z1.size, 0.0, _upper_support(z2, c), spec, log=True)
+    return _log_rows("limit", log_f, 2 * z1.size, _upper_support(z2, c), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -293,28 +300,22 @@ def joint_density_pair(s: ScenarioParams) -> float:
 
     At ``s.eps = None`` it is the ``eps -> 0`` limit object.
     """
-    return _density(_kernel_logs(s, triple=False)[0], "pair")
+    return math.exp(_kernel_logs(s, triple=False)[0].value)
 
 
 def joint_density_triple(s: ScenarioParams) -> float:
     """Kernel integral for the law of ``(Z(eps), Z(1), Z(2))`` at ``(z1, z2, z3)``."""
-    return _density(_kernel_logs(s)[1], "triple")
-
-
-def _density(res: QuadratureResult, what: str) -> float:
-    if not res.converged:
-        raise ConvergenceError(f"{what} density quadrature did not converge")
-    return math.exp(res.value) if math.isfinite(res.value) else 0.0
+    return math.exp(_kernel_logs(s)[1].value)
 
 
 def conditional_ratio_detail(s: ScenarioParams) -> RatioResult:
     """Conditional density of ``Z(2)`` at ``z3`` given ``(Z(eps), Z(1)) = (z1, z2)``.
 
     Returns the ratio together with a first-order relative error estimate
-    (sum of the pair and triple estimates), the inner x1 and x3 points,
-    and the joint convergence flag.  Any coupling ``c >= 0`` is served: see
-    the module docstring for the exact couplings 0 and 1 and the law of
-    ``Z/c`` behind ``c > 1``.
+    (sum of the pair and triple estimates) and the inner x1 and x3 points,
+    or raises ConvergenceError naming the axis where a row failed.  Any
+    coupling ``c >= 0`` is served: see the module docstring for the exact
+    couplings 0 and 1 and the law of ``Z/c`` behind ``c > 1``.
     """
     k = 1.0
     if s.c > 1.0:
@@ -323,18 +324,16 @@ def conditional_ratio_detail(s: ScenarioParams) -> RatioResult:
     if s.c == 0.0 or s.c == 1.0:
         delta = s.delta2 if s.c == 0.0 else s.delta1 + s.delta2
         ratio = besq.transition_density(BesqParams(delta), 1.0, s.z2, s.z3) * k
-        return RatioResult(ratio, 0.0, 0, True)
+        return RatioResult(ratio, 0.0, 0)
     pair, triple = _kernel_logs(s)
     if pair.value < _LOG_FLOOR:
         raise UnreliableRatioError(
             "pair density below 1e-300; the conditional ratio is not trustworthy"
         )
-    log_ratio = triple.value - pair.value
     return RatioResult(
-        ratio=(math.exp(log_ratio) if math.isfinite(log_ratio) else 0.0) * k,
+        ratio=math.exp(triple.value - pair.value) * k,
         rel_error_estimate=pair.error_estimate + triple.error_estimate,
         evaluations=triple.evaluations,
-        converged=pair.converged and triple.converged,
     )
 
 
@@ -350,8 +349,6 @@ def zero_limit_weighted_triple(s: ScenarioParams) -> float:
     ``s.z3`` and ``s.eps`` play no role here.
     """
     qt = _limit_logs(s.c, s.delta1, s.delta2, [s.z1], s.z2).row(0)
-    if not qt.converged:
-        raise ConvergenceError("weighted zero-limit quadrature did not converge")
     log_c1 = scipy.special.betaln(0.5 * s.delta1, 0.5 * s.delta2) - 0.5 * s.delta1 * math.log(s.c)
     return math.exp(log_c1 + qt.value)
 
@@ -389,15 +386,10 @@ def lemma3_ratio_check(
         raise DomainError("levels r * z2 must be finite")
     if not (0.0 < delta1 < math.inf and 0.0 < delta2 < math.inf):
         raise DomainError("dimensions must be positive and finite")
-    rows = _limit_logs(c, delta1, delta2, z2 * np.array([r1, r2]), z2)
-    results = [rows.row(i) for i in range(4)]
-    logs = []
-    for qt, qp in (results[:2], results[2:]):
-        if not (qt.converged and qp.converged):
-            raise ConvergenceError("ratio-law quadrature did not converge")
-        if qp.value < _LOG_FLOOR:
-            raise UnreliableRatioError("pair integral below 1e-300 in the ratio law")
-        logs.append(qt.value - qp.value)
-    double_ratio = math.exp(logs[0] - logs[1])
+    logs = _limit_logs(c, delta1, delta2, z2 * np.array([r1, r2]), z2).values
+    if logs[1::2].min() < _LOG_FLOOR:
+        raise UnreliableRatioError("pair integral below 1e-300 in the ratio law")
+    log_rho = logs[0::2] - logs[1::2]
+    double_ratio = math.exp(log_rho[0] - log_rho[1])
     predicted = (d_of_r(r1, c) / d_of_r(r2, c)) ** (-0.5 * delta1)
     return double_ratio - predicted

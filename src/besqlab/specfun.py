@@ -100,7 +100,8 @@ def _log_uniform(nu: float, x: np.ndarray) -> np.ndarray:
     # naive log(z / (1 + s)) loses about 1e-11 at x = 1e12.  Everything is
     # taken through h = nu s = hypot(nu, x), so that z itself, which
     # overflows for a small order at the largest x, is never formed.  The
-    # first term left out, U4(p)/nu^4, is at most 0.11 h^-4.
+    # first term left out, U4(p)/nu^4, is at most 0.11 h^-4.  At x = 1, past
+    # an order of about 2.5e305, the value overflows to its limit -inf.
     h = np.hypot(nu, x)
     p = nu / h
     d = p / (1.0 + x / h)
@@ -108,12 +109,13 @@ def _log_uniform(nu: float, x: np.ndarray) -> np.ndarray:
     u1 = p * (3.0 - 5.0 * p2) / 24.0
     u2 = p2 * (81.0 + p2 * (-462.0 + 385.0 * p2)) / 1152.0
     u3 = p * p2 * (30375.0 + p2 * (-369603.0 + p2 * (765765.0 - 425425.0 * p2))) / 414720.0
-    return (
-        nu * d
-        - nu * np.log1p((1.0 + d) * (nu / x))
-        - 0.5 * (_LOG_TWO_PI + np.log(h))
-        + np.log1p((u1 + (u2 + u3 / nu) / nu) / nu)
-    )
+    with np.errstate(over="ignore"):
+        return (
+            nu * d
+            - nu * np.log1p((1.0 + d) * (nu / x))
+            - 0.5 * (_LOG_TWO_PI + np.log(h))
+            + np.log1p((u1 + (u2 + u3 / nu) / nu) / nu)
+        )
 
 
 def _log_half_order(nu: float, x: np.ndarray) -> np.ndarray:

@@ -234,6 +234,13 @@ def test_log_density_at_tiny_steps_warns_of_nothing(delta, t, x, y):
     assert np.all(zero_start[np.broadcast_to(y, got.shape) >= 1e9] == -np.inf)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_linear_densities_at_tiny_steps_overflow_to_inf_without_a_warning():
+    # the log density exceeds the double range; inf is the limit of both
+    assert besq.transition_density(BesqParams(3.0), 5e-324, 1e-300, 1e-300) == np.inf
+    assert besq.weighted_zero_limit(BesqParams(3.0), 1e-300, 0.0) == np.inf
+
+
 def test_sampler_moments_from_zero():
     r = rng(11)
     p = BesqParams(2.7)

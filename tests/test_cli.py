@@ -419,9 +419,7 @@ def test_rescaled_coupling_matches_reduced_scenario(capsys):
     ) == 0
     got = float(capsys.readouterr().out.strip())
     s = ScenarioParams(c=0.5, delta1=1.0, delta2=1.5, eps=0.5, z1=0.5, z2=2.0, z3=0.5)
-    detail = nonmarkov.conditional_ratio_detail(s)
-    assert detail.converged
-    want = 0.5 * detail.ratio
+    want = 0.5 * nonmarkov.conditional_ratio_detail(s).ratio
     assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -748,6 +746,42 @@ def test_ratio_overflowing_level_is_numeric_failure(capsys, delta1, z3):
         "--eps", "0.5", "--z1", "1", "--z2", "4", "--z3", z3,
     ) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, axis",
+    [
+        (("--c", "0.5", "--delta1", "1", "--delta2", "0.9"), "x1"),
+        (("--c", "0.5", "--delta1", "1", "--delta2", "0.5"), "x1"),
+        (("--c", "0.5", "--delta1", "1", "--delta2", "1e-300"), "x1"),
+        (("--c", "2", "--delta1", "0.5", "--delta2", "2"), "x1"),
+        (("--c", "2", "--delta1", "0.5", "--delta2", "2", "--limit-eps"), "x3"),
+    ],
+    ids=["delta2-0.9", "delta2-0.5", "delta2-1e-300", "swapped", "swapped-limit-eps"],
+)
+def test_ratio_below_the_endpoint_floor_fails_at_once(tmp_path, capsys, argv, axis):
+    # below delta2 ~ 0.93 (after the c > 1 swap) the singular endpoint z/c
+    # floors every inner row's relative error above its 1e-7 tolerance; the
+    # first failed batch of rows ends the ratio, instead of the outer x2 axis
+    # refining on top of rows that can never converge
+    out = tmp_path / "ratio.csv"
+    assert run_cli_within(
+        10, "ratio", *argv, "--eps", "0.5", "--z1", "1", "--z2", "4", "--z3", "1",
+        "--output", str(out),
+    ) == 3
+    assert f"{axis} quadrature did not converge" in capsys.readouterr().err
+    meta = json.loads((tmp_path / "ratio.csv.meta.json").read_text())
+    assert meta["status"] == 3
+    assert meta["error"].startswith(f"{axis} quadrature did not converge")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_density_at_an_order_past_the_uniform_expansion_range(capsys):
+    # the uniform expansion's order term overflows to its limit, and the
+    # density to 0, without a warning on stderr
+    assert run_cli("density", "--delta", "1e306", "--t", "1", "--x", "1", "--y", "1") == 0
+    assert capsys.readouterr() == ("0\n", "")
 
 
 def test_ratio_infinite_coupling_is_config_error(capsys):

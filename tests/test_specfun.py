@@ -1,5 +1,7 @@
 """Scaled Bessel function and log-gamma against closed forms and scipy."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special
@@ -187,6 +189,14 @@ def test_no_overflow_at_huge_argument():
     v = specfun.bessel_i_scaled(1.0, 1e8)
     assert np.isfinite(v) and v > 0.0
     assert specfun.bessel_i_scaled(1.0, np.inf) == 0.0
+
+
+def test_log_ive_order_past_the_uniform_expansion_range():
+    # nu log1p(2 nu / x) overflows past an order of about 2.5e305; -inf is
+    # the limit, reached without an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert specfun.log_ive(5e307, 1.0) == -np.inf
 
 
 def test_subnormal_argument_stays_finite():
