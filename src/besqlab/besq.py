@@ -5,8 +5,13 @@ A squared Bessel process of dimension ``delta > 0`` solves
 closed form through the modified Bessel function of order
 ``nu = delta/2 - 1``; this module evaluates that kernel in log space in three
 regimes (interior, started at zero, weighted zero-target limit) and samples
-transitions exactly through the Poisson-Gamma mixture representation of the
-noncentral chi-square law.
+transitions exactly from the noncentral chi-square law, in one of two forms.
+For ``delta >= 1`` it is the Gaussian split: a BESQ(delta) is a BESQ(1), a
+squared Brownian motion, plus an independent BESQ(delta - 1) from zero
+(Shiga & Watanabe 1973; Revuz & Yor, ch. XI), so no draw depends on the
+state.  Below dimension 1 it is the Poisson mixture of Gammas.  Both forms
+refuse the same range, set out at :func:`sample_transitions` and
+:func:`sample_path`.
 
 Paths are sampled on an observation grid checked by :func:`time_grid`, the
 one grid check of the package.  :func:`sample_path` is the one grid loop: a
@@ -223,60 +228,106 @@ def weighted_zero_limit(p: BesqParams, t: float, x):
     return out
 
 
-# numpy's Poisson sampler refuses means above about 9.2e18; the cap a
-# decade lower leaves room for a path's growth from its start
+# numpy's Poisson sampler refuses means above 2**63 less ten of its square
+# roots, about 9.2e18; starts are held a decade lower, which leaves room for
+# a path's growth from its start
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 _POISSON_MEAN_MAX = 1e18
 
 
-def _check_starts(x: np.ndarray, step: float, name: str) -> None:
-    # starts are checked once, against the shortest step, so that the grid
-    # loop in sample_path carries no per-step check; the quotient cannot
-    # overflow where the product with a huge step would
+def _check_starts(x: np.ndarray, shortest: float, longest: float, name: str) -> None:
+    # starts and steps are checked once, before any draw, so that the grid
+    # loops in sample_path carry no per-step check.  Both exact forms keep
+    # the range of the Poisson-Gamma one: a start below _POISSON_MEAN_MAX
+    # times 2 step at the shortest step (the quotient cannot overflow where
+    # the product with a huge step would), and a Gamma scale 2 step that is
+    # finite at the longest
     if not np.all(x >= 0.0):
         raise DomainError(f"{name} must be nonnegative")
-    if not 0.5 * np.max(x, initial=0.0) / _POISSON_MEAN_MAX < step:
+    if not 0.5 * np.max(x, initial=0.0) / _POISSON_MEAN_MAX < shortest:
         raise DomainError(
             f"{name} must be finite, with {name} / (2 step) below {_POISSON_MEAN_MAX:g}"
         )
+    if not longest <= 0.5 * _DOUBLE_MAX:
+        raise DomainError("a step above half the largest double is past the sampler's range")
 
 
 def _check_draws(values) -> None:
-    # at a dimension or step near the float limit the Gamma draw overflows to
-    # inf without a warning; the next Poisson draw refuses it, so only the
-    # last step of a path needs this check
+    # a draw at a dimension or step near the float limit overflows to inf
+    # without a warning; at any step of a path but the last, the next step's
+    # Poisson cap refuses it, so only the last value needs this check
     if not np.isfinite(values).all():
         raise DomainError("path grew past the sampler's range (a draw overflowed)")
 
 
 def sample_transitions(rng: np.random.Generator, p: BesqParams, t: float, x) -> np.ndarray:
-    """Vectorized exact transitions: one draw per entry of ``x``."""
+    """Vectorized exact transitions over a step ``t``: one draw per entry of ``x``.
+
+    ``X_t | X_0 = x`` is ``t`` times a noncentral chi-square of ``delta``
+    degrees of freedom and noncentrality ``x / t``, drawn in one of two exact
+    forms.  For ``delta >= 1`` it is the Gaussian split ``(sqrt x + sqrt t
+    Z)^2 + t G``, with ``Z`` standard normal and ``G`` chi-square of ``delta
+    - 1`` degrees of freedom (absent at ``delta = 1``): a BESQ(1) plus an
+    independent BESQ(delta - 1) from zero (Shiga-Watanabe additivity).
+    Below 1 it is the Poisson mixture of Gammas: ``N`` Poisson of mean ``x /
+    (2t)``, then a Gamma of shape ``delta/2 + N`` and scale ``2t``.
+
+    Both forms refuse, with :class:`~besqlab.errors.DomainError`, a start
+    with ``x / (2t)`` not below 1e18, a step with ``2t`` past the largest
+    double, and a draw that overflows.
+    """
     t = _validate_t(t)
     x_arr = np.asarray(x, dtype=float)
-    _check_starts(x_arr, t, "x")
-    # X_t | X_0 = x is 2t * W with W noncentral chi-square: Poisson-mixed Gamma
-    n = rng.poisson(x_arr / (2.0 * t))
-    out = rng.gamma(0.5 * p.delta + n, 2.0 * t)
+    _check_starts(x_arr, t, t, "x")
+    if p.delta >= 1.0:
+        with np.errstate(over="ignore"):
+            out = np.square(np.sqrt(x_arr) + math.sqrt(t) * rng.standard_normal(x_arr.shape))
+            if p.delta > 1.0:
+                out += t * rng.chisquare(p.delta - 1.0, x_arr.shape)
+    else:
+        out = rng.gamma(0.5 * p.delta + rng.poisson(x_arr / (2.0 * t)), 2.0 * t)
     _check_draws(out)
     return out
 
 
-def sample_path(
-    rng: np.random.Generator, p: BesqParams, x0, times
-) -> PathSample:
-    """Sample BESQ paths exactly on a :func:`time_grid`.
+def _split_path(rng: np.random.Generator, p: BesqParams, starts: np.ndarray, steps: np.ndarray):
+    # the Gaussian split of sample_transitions on the root r = sqrt(X):
+    # r_k = hypot(r_{k-1} + sqrt(h_k) Z_k, sqrt(h_k G_k)), with every step's
+    # Z drawn in one call and every step's G in one more; at delta = 1 there
+    # is no G, and hypot(u, 0) is |u| exactly.  Rows are steps
+    shape = steps.shape + starts.shape
+    column = steps.reshape(steps.shape + (1,) * starts.ndim)
+    kicks = np.sqrt(column) * rng.standard_normal(shape)
+    with np.errstate(over="ignore"):
+        if p.delta > 1.0:
+            spreads = np.sqrt(column * rng.chisquare(p.delta - 1.0, shape))
+        else:
+            spreads = np.zeros(shape)
+        # one path steps as a Python float, many as rows of arrays
+        if starts.ndim:
+            hypot, root, pairs = np.hypot, np.sqrt(starts), zip(kicks, spreads)
+        else:
+            hypot, root = math.hypot, math.sqrt(starts)
+            pairs = zip(kicks.tolist(), spreads.tolist())
+        roots = []
+        for kick, spread in pairs:
+            root = hypot(root + kick, spread)
+            roots.append(root)
+        values = np.square(np.array(roots, dtype=float).reshape(shape))
+        # the range of the Poisson-Gamma form, checked on the whole path: each
+        # step's start stays below numpy's Poisson cap, and NaN fails too
+        in_range = (values[:-1] / (2.0 * column[1:]) <= _POISSON_LAM_MAX).all()
+    if not in_range:
+        raise DomainError("path grew past the sampler's range (x / (2 step) above the Poisson cap)")
+    return values
 
-    A scalar ``x0`` gives one path, ``values`` of shape ``(T,)``; an ``x0``
-    of shape ``(n,)`` gives one independent path per start, ``values`` of
-    shape ``(n, T)``.
-    """
-    times, steps = time_grid(times)
-    starts = np.asarray(x0, dtype=float)
-    if starts.ndim > 1:
-        raise DomainError("x0 must be a scalar or a 1-D array of starts")
-    _check_starts(starts, steps.min(initial=np.inf), "x0")
-    # the draws of sample_transitions, with its arguments and order, on bound
-    # methods; one path steps as a Python float, which takes numpy's scalar
-    # draws
+
+def _poisson_gamma_path(
+    rng: np.random.Generator, p: BesqParams, starts: np.ndarray, steps: np.ndarray
+):
+    # the draws of sample_transitions below dimension 1, with its arguments
+    # and order, on bound methods; one path steps as a Python float, which
+    # takes numpy's scalar draws.  Rows are steps
     poisson, gamma, half = rng.poisson, rng.gamma, 0.5 * p.delta
     current = starts if starts.ndim else float(starts)
     draws = []
@@ -286,14 +337,36 @@ def sample_path(
             current = gamma(half + poisson(current / scale), scale)
             draws.append(current)
     except ValueError as exc:
-        # a large dimension drifts by about delta t, past the Poisson cap
         raise DomainError(f"path grew past the Poisson sampler's range ({exc})") from exc
-    _check_draws(current)
-    # rows are steps; the transpose puts time last, as shape (T,) or (n, T),
-    # in C order
-    values = np.array(draws, dtype=float).reshape(times.shape + starts.shape)
-    values = np.ascontiguousarray(values.T)
-    return PathSample(times, values)
+    return np.array(draws, dtype=float).reshape(steps.shape + starts.shape)
+
+
+def sample_path(
+    rng: np.random.Generator, p: BesqParams, x0, times
+) -> PathSample:
+    """Sample BESQ paths exactly on a :func:`time_grid`.
+
+    A scalar ``x0`` gives one path, ``values`` of shape ``(T,)``; an ``x0``
+    of shape ``(n,)`` gives one independent path per start, ``values`` of
+    shape ``(n, T)``.  Each step is an exact transition in the form of
+    :func:`sample_transitions`.  For ``delta >= 1`` the normal draws of the
+    whole grid come in one call and its chi-square draws in one more, so the
+    grid loop keeps only the square-root recursion; below 1 the loop draws a
+    Poisson and a Gamma per step.  A path refuses what
+    :func:`sample_transitions` refuses, at the grid's shortest and longest
+    step, and a path whose ``x / (2 step)`` passes numpy's Poisson cap (about
+    9.2e18) at some step.
+    """
+    times, steps = time_grid(times)
+    starts = np.asarray(x0, dtype=float)
+    if starts.ndim > 1:
+        raise DomainError("x0 must be a scalar or a 1-D array of starts")
+    _check_starts(starts, steps.min(initial=np.inf), steps.max(initial=0.0), "x0")
+    form = _split_path if p.delta >= 1.0 else _poisson_gamma_path
+    values = form(rng, p, starts, steps)
+    _check_draws(values[-1:])
+    # the transpose puts time last, as shape (T,) or (n, T), in C order
+    return PathSample(times, np.ascontiguousarray(values.T))
 
 
 def bessel_path(

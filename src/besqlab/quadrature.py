@@ -194,11 +194,12 @@ def integrate_rows(
         successive-level difference meets the tolerance, or with ``error =
         inf`` and ``converged`` False once its value is not finite.  A log
         row also stops so once its rounding floor ``|S| * 2**-52`` alone
-        exceeds ``rel_tol``.  A row still refining when ``max_levels`` runs
-        out keeps its last level's value and error, with ``converged``
-        False.  ``evaluations`` counts the points ``f`` was called with for
-        each row, so a row that stops at level 0 or 1 still counts the whole
-        first call.
+        exceeds ``rel_tol``.  A row whose representability floor alone
+        misses its tolerance stops unconverged, with its last level's value
+        and error, at the first level that tests convergence; so does a row
+        still refining when ``max_levels`` runs out.  ``evaluations`` counts
+        the points ``f`` was called with for each row, so a row that stops
+        at level 0 or 1 still counts the whole first call.
 
     Raises
     ------
@@ -314,8 +315,12 @@ def integrate_rows(
                 err = np.maximum(np.abs(value - prev), np.maximum(rep_floor, round_floor) * size)
             stop = ~finite
             if level >= _FIRST_CONVERGENT_LEVEL:
-                done = finite & (err <= np.maximum(spec.rel_tol * size, spec.abs_tol))
-                stop |= done
+                tol = np.maximum(spec.rel_tol * size, spec.abs_tol)
+                done = finite & (err <= tol)
+                # err is never below rep_floor * size, so a row whose
+                # representability floor alone misses its tolerance would
+                # refine for nothing as well
+                stop |= done | (rep_floor * size > tol)
         if stop.any():
             rows = active[stop]
             values[rows] = value[stop]

@@ -13,9 +13,11 @@ with running maximum ``M``, where the Markov couplings are ``c in {0, 1, 2}``
 Sampling is exact for both.  ``Z`` starts from the sum-split law of the
 pair at ``eps`` (a Gamma draw for ``X + Y``, whose sum is the
 BESQ(delta1+delta2) of Shiga-Watanabe additivity, and a Beta split drawn
-only for sums that can still meet the first window) and moves by
-Poisson-Gamma transitions.  ``c M - X`` moves by the Brownian endpoint plus
-the exact maximum of the Brownian bridge across each segment, so the
+only for sums that can still meet the first window) and moves by the
+exact transitions of :func:`besqlab.besq.sample_transitions`: the Gaussian
+split of the noncentral chi-square at a dimension of 1 or more, its
+Poisson-Gamma mixture below.  ``c M - X`` moves by the Brownian endpoint
+plus the exact maximum of the Brownian bridge across each segment, so the
 running maximum carries no discretization bias.  One staged-rejection
 loop, :func:`_staged_sample`, conditions either process, in batches of
 one fixed size; its one stopping rule besides success is the
@@ -39,7 +41,7 @@ import numpy as np
 import scipy
 
 from . import besq
-from .besq import BesqParams, PathSample
+from .besq import BesqParams
 from .errors import BudgetExhaustedError, DomainError
 
 
@@ -246,25 +248,6 @@ def _advance_max(
     return end, np.maximum(m, 0.5 * (x + end + gap))
 
 
-def cmx_path(rng: np.random.Generator, c: float, times, n: int) -> PathSample:
-    """``n`` independent exact paths of ``c M - X`` observed on ``times``.
-
-    ``M`` is the running maximum of the Brownian path ``X``, drawn as the
-    exact maximum of the Brownian bridge across each observation segment;
-    ``values`` has shape ``(n, T)``.
-    """
-    _check_coupling(c)
-    times, steps = besq.time_grid(times)
-    if not times.size:
-        raise DomainError("times must be nonempty")
-    state = (np.zeros(n), np.zeros(n))
-    out = np.empty((n, times.size))
-    for j, t in enumerate(steps.tolist()):
-        state = _advance_max(rng, state, t)
-        out[:, j] = c * state[1] - state[0]
-    return PathSample(times, out)
-
-
 def conditional_sample_cmx(
     rng: np.random.Generator,
     c: float,
@@ -276,7 +259,7 @@ def conditional_sample_cmx(
     """Window-conditioned draw of ``(c M - X)(2)`` given its values at ``eps`` and 1.
 
     Runs :func:`_staged_sample` on the pair ``(X, M)``, which is Markov
-    whatever the coupling, with the exact segment step of :func:`cmx_path`.
+    whatever the coupling, with the exact segment step of :func:`_advance_max`.
     """
     _check_coupling(c)
 

@@ -22,6 +22,10 @@ LOG_P_82_1_900_900 = -5.9023807196519532
 LOG_P_2002_1_500_500 = -830.72327296778844
 LOG_P_8_1_1EM300_4 = -2.4054651081081644
 LOG_IVE_1000_500 = -830.03012578722849
+# a BESQ(0.5) path from 1.3 at default_rng(2025) on (0.25, 0.5, 1, 2),
+# recorded from the Poisson-Gamma loop before paths of dimension 1 and more
+# moved to the Gaussian split
+FROZEN_BESQ_05_X13 = [1.7085914693358153, 1.9489150897823848, 9.531849506982816, 6.385252919441901]
 
 rng = np.random.default_rng
 
@@ -308,23 +312,73 @@ def test_sample_path_mean_and_shapes():
     assert empty.times.size == 0 and empty.values.size == 0
 
 
-@pytest.mark.parametrize("delta", [1.0, 2.5])
+@pytest.mark.parametrize("delta", [0.5, 1.0, 2.5])
 @pytest.mark.parametrize("start", [1.5, np.array([0.0, 1.0, 4.0])], ids=["scalar", "three"])
 @pytest.mark.parametrize("times", [[0.25, 0.5, 1.0, 2.0], []], ids=["grid", "empty"])
 def test_sample_path_is_a_loop_of_transitions(delta, start, times):
-    # the grid loop makes the same draws, in the same order, as one exact
-    # transition per step; a scalar start steps as a Python float
+    # below dimension 1 the grid loop makes the same draws, in the same order,
+    # as one exact transition per step; a scalar start steps as a Python
+    # float.  From dimension 1 on it takes every step's normal draw first, then
+    # every step's chi-square draw, and steps the Gaussian split on them
     p = BesqParams(delta)
     path = besq.sample_path(rng(21), p, start, times)
     r = rng(21)
+    steps = besq.time_grid(times)[1].tolist()
+    shape = (len(steps),) + np.shape(start)
+    if delta >= 1.0:
+        kicks = r.standard_normal(shape)
+        spreads = r.chisquare(delta - 1.0, shape) if delta > 1.0 else np.zeros(shape)
     current, want = (start if np.ndim(start) else float(start)), []
-    for t in besq.time_grid(times)[1].tolist():
-        current = besq.sample_transitions(r, p, t, current)
+    for k, t in enumerate(steps):
+        if delta >= 1.0:
+            current = (np.sqrt(current) + np.sqrt(t) * kicks[k]) ** 2 + t * spreads[k]
+        else:
+            current = besq.sample_transitions(r, p, t, current)
         want.append(current)
-    want = np.array(want, dtype=float).reshape(len(times), *np.shape(start)).T
+    want = np.array(want, dtype=float).reshape(shape).T
     assert path.values.shape == np.shape(start) + (len(times),)
     assert path.values.flags.c_contiguous
-    np.testing.assert_array_equal(path.values, want)
+    if delta >= 1.0:
+        np.testing.assert_allclose(path.values, want, rtol=1e-13, atol=0.0)
+    else:
+        np.testing.assert_array_equal(path.values, want)
+
+
+def test_poisson_gamma_stream_frozen():
+    # below dimension 1 a path keeps the Poisson-Gamma draws it was recorded with
+    path = besq.sample_path(rng(2025), BesqParams(0.5), 1.3, [0.25, 0.5, 1.0, 2.0])
+    np.testing.assert_array_equal(path.values, FROZEN_BESQ_05_X13)
+
+
+SPLIT_DIMS = [1.0, 1.5, 2.0, 4.0]
+SPLIT_GRID = [0.25, 0.5, 1.0, 2.0]
+
+
+def _ncx2_pvalue(values, delta, x0, t):
+    # X_t / t from x0 is noncentral chi-square: delta degrees, noncentrality x0 / t
+    return stats.kstest(values / t, stats.ncx2(delta, x0 / t).cdf).pvalue
+
+
+@pytest.mark.parametrize("x0", [0.0, 1.3])
+@pytest.mark.parametrize("delta", SPLIT_DIMS)
+def test_split_transitions_are_noncentral_chi_square(delta, x0):
+    xs = besq.sample_transitions(rng(31), BesqParams(delta), 0.7, np.full(4000, x0))
+    assert _ncx2_pvalue(xs, delta, x0, 0.7) > 1e-3
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["one-path", "batch"])
+@pytest.mark.parametrize("x0", [0.0, 1.3])
+@pytest.mark.parametrize("delta", SPLIT_DIMS)
+def test_split_path_marginals_are_noncentral_chi_square(delta, x0, batched):
+    # every grid time of a path from x0 has the law of one transition from x0
+    p, n = BesqParams(delta), 2000
+    if batched:
+        values = besq.sample_path(rng(32), p, np.full(n, x0), SPLIT_GRID).values
+    else:
+        r = rng(33)
+        values = np.array([besq.sample_path(r, p, x0, SPLIT_GRID).values for _ in range(n)])
+    for j, t in enumerate(SPLIT_GRID):
+        assert _ncx2_pvalue(values[:, j], delta, x0, t) > 1e-3, t
 
 
 def test_sample_path_start_validation():

@@ -126,10 +126,10 @@ def test_one_path_outputs_frozen(capsys):
     assert run_cli("eigen", "--c", "0.5", "--delta", "2", "--times", grid, "--seed", "0") == 0
     rows = [line for line in capsys.readouterr().out.splitlines() if line[0].isdigit()]
     assert [row.split(",")[0] for row in rows] == ["0.25", "0.5", "1.0", "2.0"] * 4
-    assert rows[3] == "2.0,4.641811333497872"
-    assert rows[7] == "2.0,0.35220062899395377"
-    assert rows[11] == "2.0,2.8686889216557283,-1.7371076727056256"
-    assert rows[15] == "2.0,1.2316027268216898,-2.523663528511901"
+    assert rows[3] == "2.0,11.777406389114502"
+    assert rows[7] == "2.0,2.871053425873291"
+    assert rows[11] == "2.0,2.960168361987325,-1.8285871130372227"
+    assert rows[15] == "2.0,1.3053924832335098,-2.597453284923721"
 
 
 def test_csv_cells_are_repr_text(capsys):
@@ -776,6 +776,29 @@ def test_ratio_below_the_endpoint_floor_fails_at_once(tmp_path, capsys, argv, ax
     assert not out.exists()
 
 
+def test_rows_below_the_endpoint_floor_stop_at_the_first_convergent_level(monkeypatch, capsys):
+    # the floored x1 rows once refined to max_levels: 37 rows of 38,234
+    # points each, about 1.6 s, for a batch that could never converge
+    batches = []
+    integrate_rows = quadrature.integrate_rows
+
+    def counted(*args, **kwargs):
+        batches.append(integrate_rows(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(quadrature, "integrate_rows", counted)
+    assert run_cli(
+        "ratio", "--c", "0.5", "--delta1", "1", "--delta2", "0.5", "--eps", "0.5",
+        "--z1", "1", "--z2", "4", "--z3", "1",
+    ) == 3
+    assert "x1 quadrature did not converge" in capsys.readouterr().err
+    failed = batches[-1]
+    assert not failed.converged.all()
+    # the first integrand call, levels 0 to 2, is the most a row can cost
+    first_call = 1 + 2 * sum(quadrature._nodes(level)[0].size for level in range(3))
+    assert failed.evaluations.max() <= first_call
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_density_at_an_order_past_the_uniform_expansion_range(capsys):
     # the uniform expansion's order term overflows to its limit, and the
@@ -852,18 +875,18 @@ GUARD_STDOUT = [
     (
         "eigen --source matrix --c 0.5 --delta 2",
         "t,lambda1,lambda2\n"
-        "0.25,1.0277835667826662,0.09660664675351427\n"
-        "0.5,0.4244432638722264,-0.7040556472741095\n"
-        "1.0,0.994180066202955,-3.2258975995571593\n"
-        "2.0,1.2316027268216898,-2.523663528511901\n",
+        "0.25,0.8597424813494945,0.26464773218668597\n"
+        "0.5,0.3450438278493023,-0.6246562112511854\n"
+        "1.0,0.9676697420992768,-3.199387275453481\n"
+        "2.0,1.3053924832335098,-2.597453284923721\n",
     ),
     (
         "eigen --source sde --c 1 --delta 1",
         "t,lambda1,lambda2\n"
-        "0.25,0.9585022955529401,0.06234136845178523\n"
-        "0.5,0.49539207907280064,-0.10807789054723532\n"
-        "1.0,1.7423929511637903,-0.619123092461187\n"
-        "2.0,2.8686889216557283,-1.7371076727056256\n",
+        "0.25,1.0947508807168906,-0.07390721671216527\n"
+        "0.5,0.4899840734360346,-0.1026698849104693\n"
+        "1.0,2.0458116765472636,-0.9225418178446603\n"
+        "2.0,2.960168361987325,-1.8285871130372227\n",
     ),
 ]
 _LIMIT_RATIO = "ratio --c 0.5 --delta1 1 --delta2 1 --z1 1 --z2 4 --z3 4 --limit-eps"

