@@ -25,12 +25,7 @@ need it, and it was about 0.35 s of a ~0.45 s start.
 __version__ = "0.1.0"
 
 from . import besq, cli, dyson, nonmarkov, quadrature, specfun, stattest
-from .errors import (
-    BudgetExhaustedError,
-    ConvergenceError,
-    DomainError,
-    UnreliableRatioError,
-)
+from .errors import BudgetExhaustedError, ConvergenceError, DomainError
 
 __all__ = [
     "__version__",
@@ -44,5 +39,4 @@ __all__ = [
     "BudgetExhaustedError",
     "ConvergenceError",
     "DomainError",
-    "UnreliableRatioError",
 ]

@@ -18,12 +18,13 @@ file over default.  A list flag takes a number or a list of numbers, and a
 switch such as ``--limit-eps`` takes true or false.  Stochastic commands
 require an explicit nonnegative ``--seed``.  Exit codes: 0 success,
 2 configuration error, 3 numeric non-convergence, 4 inconclusive statistics.
-With ``--output``, a ``.meta.json`` sidecar records the parameters, the exit
-status and the wall time on exits 0, 3 and 4; on exit 3 it also carries the
-error message, which for a kernel integral names the quadrature axis whose
-rows failed.  An ``--output`` path that is a directory, or whose
-directory is missing, is a configuration error refused before the command
-runs; a write that fails later exits 2 as well.
+Exit 3 is only a ConvergenceError: for a kernel integral, a quadrature row
+that did not converge.  With ``--output``, a ``.meta.json`` sidecar records
+the parameters, the exit status and the wall time on exits 0, 3 and 4; on
+exit 3 it also carries the error message, which for a kernel integral names
+the quadrature axis whose rows failed.  An ``--output`` path that is a
+directory, or whose directory is missing, is a configuration error refused
+before the command runs; a write that fails later exits 2 as well.
 
 The parser and the ``_COMMANDS`` table are built once per process, at
 import.  The table maps each subcommand to its handler, which takes
@@ -50,7 +51,7 @@ import numpy as np
 
 from . import __version__, besq, dyson, nonmarkov, stattest
 from .besq import BesqParams
-from .errors import ConvergenceError, DomainError, UnreliableRatioError
+from .errors import ConvergenceError, DomainError
 
 
 class _ConfigError(Exception):
@@ -373,8 +374,8 @@ def main(argv=None) -> int:
     except (_ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, UnreliableRatioError) as exc:
-        # only a handler raises these, so a numeric failure leaves its evidence
+    except ConvergenceError as exc:
+        # only a handler raises it, so a numeric failure leaves its evidence
         print(f"numeric failure: {exc}", file=sys.stderr)
         status, error = 3, str(exc)
     if args.output is not None:

@@ -6,11 +6,11 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A numerical method exhausted its budget or has no accurate branch for its input."""
+    """A numerical method exhausted its budget or has no accurate branch for its input.
 
-
-class UnreliableRatioError(ArithmeticError):
-    """A density ratio whose denominator is too small to divide through."""
+    The one numeric failure (exit 3): for a kernel integral, a quadrature row
+    that did not converge, on the axis the message names.
+    """
 
 
 class BudgetExhaustedError(RuntimeError):

@@ -192,14 +192,16 @@ def integrate_rows(
     QuadratureRows
         Each row stops refining on its own: converged once its
         successive-level difference meets the tolerance, or with ``error =
-        inf`` and ``converged`` False once its value is not finite.  A log
-        row also stops so once its rounding floor ``|S| * 2**-52`` alone
-        exceeds ``rel_tol``.  A row whose representability floor alone
-        misses its tolerance stops unconverged, with its last level's value
-        and error, at the first level that tests convergence; so does a row
-        still refining when ``max_levels`` runs out.  ``evaluations`` counts
-        the points ``f`` was called with for each row, so a row that stops
-        at level 0 or 1 still counts the whole first call.
+        inf`` and ``converged`` False only once its value is not finite.  A
+        log row whose rounding floor ``|S| * 2**-52`` alone misses
+        ``rel_tol`` refines until its level difference reaches that floor,
+        and stops unconverged with the floor as its error.  A row whose
+        representability floor alone misses its tolerance stops
+        unconverged, with its last level's value and error, at the first
+        level that tests convergence; so does a row still refining when
+        ``max_levels`` runs out.  ``evaluations`` counts the points ``f``
+        was called with for each row, so a row that stops at level 0 or 1
+        still counts the whole first call.
 
     Raises
     ------
@@ -303,24 +305,23 @@ def integrate_rows(
                 acc += np.vecdot(fv, ws)
             # a log row keeps r out of its sum
             value = (h if log else r * h) * acc
-            # neighbouring log values at a shift S lie |S| * 2**-52 apart, so
-            # a log row cannot be resolved more finely than that; a row whose
-            # rounding floor alone misses rel_tol would refine for nothing.
-            # An inf or nan never refines away, and rel_tol * |value| would
-            # otherwise accept it as converged
-            round_floor = np.abs(shift) * 2.0**-52
-            finite = np.isfinite(value) & (round_floor <= spec.rel_tol)
+            # log values at a shift S lie |S| * 2**-52 apart, the rounding
+            # floor of a log row.  An inf or nan never refines away, and
+            # rel_tol * |value| would otherwise accept it as converged
+            finite = np.isfinite(value)
             if level >= 1:
                 size = np.abs(value)
-                err = np.maximum(np.abs(value - prev), np.maximum(rep_floor, round_floor) * size)
+                rounding = np.abs(shift) * 2.0**-52 * size
+                err = np.maximum(np.abs(value - prev), np.maximum(rep_floor * size, rounding))
             stop = ~finite
             if level >= _FIRST_CONVERGENT_LEVEL:
                 tol = np.maximum(spec.rel_tol * size, spec.abs_tol)
                 done = finite & (err <= tol)
-                # err is never below rep_floor * size, so a row whose
-                # representability floor alone misses its tolerance would
-                # refine for nothing as well
-                stop |= done | (rep_floor * size > tol)
+                # a row whose rounding floor misses its tolerance refines
+                # until its level difference reaches that floor.  err is
+                # never below rep_floor * size, so a row whose
+                # representability floor misses it would refine for nothing
+                stop |= done | (err <= rounding) | (rep_floor * size > tol)
         if stop.any():
             rows = active[stop]
             values[rows] = value[stop]

@@ -562,22 +562,22 @@ def test_non_finite_dimension_time_coupling_or_center_is_config_error(capsys, ar
     assert message in captured.err
 
 
-def test_ratio_unreliable_is_numeric_failure(tmp_path, capsys):
+def test_deep_tail_ratio_exits_zero_with_an_honest_error(tmp_path, capsys):
+    # the pair density is far below the smallest double, but pair and triple
+    # are logs, so the ratio between them is an ordinary number
     out = tmp_path / "ratio.csv"
     assert run_cli(
         "ratio", "--c", "0.5", "--delta1", "1", "--delta2", "1",
         "--eps", "0.5", "--z1", "4000", "--z2", "4", "--z3", "1", "--output", str(out),
-    ) == 3
-    assert "numeric" in capsys.readouterr().err
-    # the sidecar is evidence of the failure; no data file was written
-    assert not out.exists()
+    ) == 0
+    assert capsys.readouterr().out == "0.1123851552\n"
+    row = out.read_text().strip().splitlines()[1].split(",")
+    assert float(row[8]) == pytest.approx(0.1123851552, rel=1e-9)
+    assert 0.0 < float(row[9]) < 1e-6
     meta = json.loads((tmp_path / "ratio.csv.meta.json").read_text())
-    assert meta["command"] == "ratio"
-    assert meta["status"] == 3
-    assert "1e-300" in meta["error"]
-    assert meta["params"]["z1"] == 4000.0
-    assert meta["outputs"] == []
-    assert meta["wall_time_s"] >= 0.0
+    assert meta["status"] == 0
+    assert meta["outputs"] == [str(out)]
+    assert "error" not in meta
 
 
 @pytest.mark.parametrize(
@@ -730,22 +730,40 @@ def test_density_infinite_point_is_config_error(capsys, x, y):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize(
-    "delta1, z3",
-    [("1", "1e300"), ("1e6", "1")],
-    ids=["z3-level", "delta1-order"],
-)
+@pytest.mark.parametrize("delta1, z3", [("1", "1e300")], ids=["z3-level"])
 def test_ratio_overflowing_level_is_numeric_failure(capsys, delta1, z3):
     # at z3 = 1e300 the x3 integral over (0, 2e300) overflows; the quadrature
-    # stops it as non-finite without an overflow warning.  At delta1 = 1e6
-    # the Bessel factor of order 499999 meets arguments near the bottom of
-    # the double range, which take the series without an overflow warning,
-    # and the pair density falls below 1e-300.  Both exit 3
+    # stops it as non-finite without an overflow warning, and the ratio exits 3
     assert run_cli_within(
         10, "ratio", "--c", "0.5", "--delta1", delta1, "--delta2", "1",
         "--eps", "0.5", "--z1", "1", "--z2", "4", "--z3", z3,
     ) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ratio_at_a_huge_order_rounds_to_zero(capsys, monkeypatch):
+    # at delta1 = 1e6 the Bessel factor of order 499999 meets arguments near
+    # the bottom of the double range, which take the series without an
+    # overflow warning.  Pair and triple stay finite logs, about 6.06e6
+    # apart, so the printed 0 is the correctly rounded ratio
+    logs = []
+    kernel_logs = nonmarkov._kernel_logs
+
+    def recorded(*args, **kwargs):
+        logs.extend(kernel_logs(*args, **kwargs))
+        return logs
+
+    monkeypatch.setattr(nonmarkov, "_kernel_logs", recorded)
+    assert run_cli_within(
+        10, "ratio", "--c", "0.5", "--delta1", "1e6", "--delta2", "1",
+        "--eps", "0.5", "--z1", "1", "--z2", "4", "--z3", "1",
+    ) == 0
+    assert capsys.readouterr().out == "0\n"
+    pair, triple = logs
+    assert math.isfinite(pair.value) and math.isfinite(triple.value)
+    assert triple.value - pair.value == pytest.approx(-6.06e6, rel=1e-3)
+    assert triple.value - pair.value < -746.0
 
 
 @pytest.mark.parametrize(
@@ -923,6 +941,30 @@ def test_ratio_csv_schema(tmp_path, capsys):
     row = lines[1].split(",")
     assert len(row) == 10
     assert float(row[8]) > 0.0
+
+
+def test_lemma3_runs_where_the_pair_integral_underflows(capsys):
+    # at r2 = 4 and z2 = 1e4 the pair integral q is near e^-5006, far below
+    # the smallest double; its log is all the double ratio needs
+    assert run_cli(
+        "lemma3", "--c", "0.5", "--delta1", "1", "--delta2", "1",
+        "--r1", "0.25", "--r2", "4", "--z2", "10000",
+    ) == 0
+    residual = float(capsys.readouterr().out.strip().splitlines()[1].split(",")[6])
+    assert residual == pytest.approx(-6.69e-6, rel=1e-3)
+
+
+def test_lemma3_row_at_its_rounding_floor_reports_a_finite_error(capsys):
+    # at delta = 3 and z2 = 1e6 three limit rows have logs of -5e5 to -1e6,
+    # whose rounding floors of 1.1e-10 to 2.2e-10 exceed the 1e-10 tolerance
+    assert run_cli(
+        "lemma3", "--c", "0.5", "--delta1", "3", "--delta2", "3",
+        "--r1", "0.25", "--r2", "4", "--z2", "1e6",
+    ) == 3
+    err = capsys.readouterr().err
+    assert "limit quadrature did not converge: 3 of 4 rows" in err
+    worst = float(err.rsplit("worst relative error ", 1)[1])
+    assert worst == pytest.approx(1e6 * 2.0**-52, rel=0.01)
 
 
 def test_lemma3_sweep_csv(tmp_path):

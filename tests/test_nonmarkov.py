@@ -8,7 +8,7 @@ import pytest
 
 from besqlab import besq, nonmarkov, quadrature
 from besqlab.besq import BesqParams
-from besqlab.errors import ConvergenceError, DomainError, UnreliableRatioError
+from besqlab.errors import ConvergenceError, DomainError
 from besqlab.nonmarkov import ScenarioParams
 from besqlab.quadrature import QuadratureSpec
 
@@ -524,6 +524,35 @@ def test_lemma3_density_calls_frozen(monkeypatch, delta, z2):
     assert len(density_calls) == len(integrand_calls)
 
 
+# z2 * residual of lemma3 at c = 0.5, delta1 = delta2 = delta, r = (r1, r2),
+# at z2 = 1e3, 1e4, 1e5: (delta, r1, r2) -> values
+LEMMA3_SCALED_RESIDUALS = {
+    (1.0, 0.25, 4.0): (-0.06699990387670773, -0.06690607963877326, -0.0668955391636139),
+    (1.0, 0.5, 2.0): (-0.036146346125587314, -0.03610020241850975, -0.03609590337738666),
+    (3.0, 0.25, 4.0): (0.06068457334662547, 0.06040482316227447, 0.06037795234892229),
+    (3.0, 0.5, 2.0): (0.03941754811820353, 0.03923264726424236, 0.03921394685635349),
+    (8.0, 0.25, 4.0): (0.9436002151872458, 0.9360844326611328, 0.9353367792286349),
+    (8.0, 0.5, 2.0): (0.7642580863682635, 0.758988325286758, 0.7584631193324753),
+}
+
+
+@pytest.mark.parametrize("delta,r1,r2", list(LEMMA3_SCALED_RESIDUALS))
+def test_lemma3_residual_decays_as_one_over_z2(delta, r1, r2):
+    # the Laplace limit is approached at rate 1/z2: z2 * residual settles on
+    # a constant, each decade of z2 cutting its change by about 10x
+    frozen = LEMMA3_SCALED_RESIDUALS[(delta, r1, r2)]
+    def scaled(z2):
+        return z2 * nonmarkov.lemma3_ratio_check(r1, r2, z2, 0.5, delta, delta)
+
+    got = [scaled(z2) for z2 in (1e3, 1e4, 1e5)]
+    assert got == pytest.approx(frozen, abs=1e-8)
+    steps = np.abs(np.diff(got))
+    assert steps[1] * 5.0 <= steps[0]
+    if delta == 1.0:
+        # the delta2 < 2 rows ask for 1e-7 and so run on to z2 = 1e6
+        assert scaled(1e6) == pytest.approx(got[-1], abs=1e-4)
+
+
 def test_far_field_double_ratio_trivial_cases():
     assert nonmarkov.lemma3_ratio_check(2.0, 2.0, 10.0, 0.5, 1.0, 1.0) == 0.0
     with pytest.raises(DomainError):
@@ -545,12 +574,21 @@ def test_far_field_double_ratio_refuses_non_finite_inputs(monkeypatch, r1, r2, z
         nonmarkov.lemma3_ratio_check(r1, r2, z2, 0.5, 1.0, 1.0)
 
 
-def test_unreliable_ratio_guard():
-    # a conditioning value this deep in the tail drives the pair density
-    # below 1e-300; the quotient must refuse rather than divide
+def test_deep_tail_ratio_converges():
+    # at z1 = 4000 the pair density is far below the smallest double, but
+    # pair and triple are logs with relative errors, so their quotient is an
+    # ordinary number with an honest error
     s = ScenarioParams(c=0.5, delta1=1.0, delta2=1.0, eps=0.5, z1=4000.0, z2=4.0, z3=1.0)
-    with pytest.raises(UnreliableRatioError):
-        nonmarkov.conditional_ratio_detail(s)
+    got = nonmarkov.conditional_ratio_detail(s)
+    assert abs(got.ratio - 0.1123851552) <= got.rel_error_estimate * got.ratio
+    # towards c = 1 it meets the single BESQ(2) kernel of the Markov coupling
+    near_one = nonmarkov.conditional_ratio_detail(dataclasses.replace(s, c=0.999999))
+    assert near_one.ratio == pytest.approx(
+        besq.transition_density(BesqParams(2.0), 1.0, 4.0, 1.0), abs=1e-7
+    )
+    # c = 2 at doubled levels is the same law of Z/2, with Jacobian 1/2
+    swapped = ScenarioParams(c=2.0, delta1=1.0, delta2=1.0, eps=0.5, z1=8000.0, z2=8.0, z3=2.0)
+    assert nonmarkov.conditional_ratio_detail(swapped).ratio == 0.5 * got.ratio
 
 
 def test_scenario_validation():

@@ -265,7 +265,9 @@ def test_log_rows_raise_their_shift_at_a_later_level():
 
 
 def test_log_row_below_its_rounding_floor_stops_on_the_first_level():
-    # log values near -1e300 lie about 2e284 apart, so no tolerance can be met
+    # log values near -1e300 lie about 2e284 apart, so no tolerance can be
+    # met: the row stops at the first level that tests convergence, still in
+    # the first call, and its error is that finite floor
     calls = []
 
     def log_f(rows, x):
@@ -275,7 +277,43 @@ def test_log_row_below_its_rounding_floor_stops_on_the_first_level():
     r = integrate_rows(log_f, 1, 0.0, 1.0, TIGHT, log=True).row(0)
     assert len(calls) == 1 and r.evaluations == calls[0]
     assert not r.converged
-    assert math.isinf(r.error_estimate)
+    assert r.error_estimate == pytest.approx(1e300 * 2.0**-52, rel=1e-6)
+
+
+def test_log_row_near_its_rounding_floor_reports_the_floor():
+    # int_0^1 e**(-1e6 - x): at a shift near -1e6 log values lie 2.2e-10
+    # apart, above a 1e-10 tolerance but below a 1e-9 one.  Both rows refine
+    # to the same value; only the second may claim convergence
+    truth = -1e6 + math.log(-math.expm1(-1.0))
+
+    def row_at(rel_tol):
+        def log_f(rows, x):
+            return np.broadcast_to(-1e6 - x, (rows.size, x.size))
+
+        return integrate_rows(log_f, 1, 0.0, 1.0, QuadratureSpec(rel_tol), log=True).row(0)
+
+    floored, resolved = row_at(1e-10), row_at(1e-9)
+    assert not floored.converged and resolved.converged
+    assert floored.error_estimate == pytest.approx(1e6 * 2.0**-52, rel=1e-6)
+    assert (floored.value, floored.error_estimate) == (resolved.value, resolved.error_estimate)
+    assert abs(math.expm1(floored.value - truth)) <= floored.error_estimate
+
+
+def test_log_row_whose_shift_rises_past_its_rounding_floor_keeps_refining():
+    # a peak of log height 1e8 first met by the level-3 node 0.597 lifts the
+    # shift there past the rounding floor of rel_tol.  The row refines on,
+    # too narrow a peak to resolve, and reports its last level difference
+    mu, sigma = 0.595, 0.005
+    calls = []
+
+    def log_f(rows, x):
+        calls.append(x.size)
+        return 1e8 * np.exp(-0.5 * ((x - mu) / sigma) ** 2) - 10.0 * np.abs(x - 0.3)
+
+    r = integrate_rows(log_f, 1, 0.0, 1.0, QuadratureSpec(1e-9, 1e-15, 5), log=True).row(0)
+    assert len(calls) == 4
+    assert not r.converged
+    assert r.error_estimate == pytest.approx(1.0)
 
 
 def test_singular_interval_not_at_origin():
