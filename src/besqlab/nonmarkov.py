@@ -42,8 +42,8 @@ the largest weighted node seen so far; products of three transition
 densities underflow raw arithmetic long before the ratios of interest
 become ill-defined.
 
-Every integral is a row of :func:`quadrature.integrate_rows` in its log
-mode, which returns the log of each integral with its relative error.  Each
+Every integral is a row of :func:`quadrature.integrate_rows`, which
+returns the log of each integral with its relative error.  Each
 kernel family makes one pass with x2 outermost.  The ratio pass holds the
 pair and the triple as two rows; each batch of its x2 nodes evaluates ``g``
 as a batch of x1 rows and ``h`` as a batch of x3 rows.  The ``eps -> 0``
@@ -204,15 +204,13 @@ def _scenario_specs(delta1: float, delta2: float) -> dict:
     right = min(0.5 * delta2, 1.0)
     spec = partial(QuadratureSpec, left_exponent=left, right_exponent=right)
     x1, x2, x3, limit = (1e-7,) * 4 if delta2 < 2.0 else (1e-9, 1e-8, 1e-10, 1e-10)
-    # every row is a log row, where an abs_tol below rel_tol * 2**-max_levels
-    # never decides convergence: the default abs_tol is below all of them
     return {"x1": spec(x1), "x2": spec(x2), "x3": spec(x3), "limit": spec(limit, max_levels=13)}
 
 
 def _log_rows(axis: str, f, n_rows: int, b: float, spec: QuadratureSpec) -> QuadratureRows:
     # the kernel integrals' one convergence gate: n_rows log rows over (0, b),
     # or a ConvergenceError naming the axis as soon as any row fails
-    rows = quadrature.integrate_rows(f, n_rows, 0.0, b, spec, log=True)
+    rows = quadrature.integrate_rows(f, n_rows, 0.0, b, spec)
     failed = ~rows.converged
     if failed.any():
         raise ConvergenceError(

@@ -9,25 +9,24 @@ step in ``t`` and reuses every previously evaluated node.
 One level loop, :func:`integrate_rows`, drives every integral.  It
 integrates a batch of rows that share the interval and the spec: the
 integrand receives the indices of the rows still refining and a 1-D array of
-abscissae, and returns one rows x nodes grid in a single call.  The first
-call holds the nodes of levels 0, 1 and 2 for every row, since no row can
-converge before level 2; each later level is one call for the rows still
-refining.  Each row keeps the scalar rule (its own error estimate and
+abscissae, and returns one rows x nodes grid of log values in a single call.
+The first call holds the nodes of levels 0, 1 and 2 for every row, since no
+row can converge before level 2; each later level is one call for the rows
+still refining.  Each row keeps the scalar rule (its own error estimate and
 stopping level), and its evaluations count every point it was called with.
 The loop holds its running state only for the rows still refining, writes
 each row's result as it stops, and ignores floating-point warnings in its
 own bookkeeping only: the integrand's warnings reach the caller.
-:func:`integrate` is the one-row case, whose integrand maps a 1-D array of
-abscissae to an array of the same shape; :func:`integrate_iterated` nests it
-once per outer node.  Integrands are never evaluated at the endpoints
-themselves.
+Integrands are never evaluated at the endpoints themselves.
 
-In log mode the integrand returns the log of a nonnegative integrand and
-each row comes back as the log of its integral.  This is the one home of
-the log-space shift: each row sums its terms relative to the largest
-weighted node it has seen, and rescales its running sum whenever a level
-raises that maximum (the online normalizer of softmax), so no point is
-evaluated only to choose a shift and no term can overflow.
+Every row is a log row: the integrand returns the log of a nonnegative
+integrand, and the row comes back as the log of its integral with a relative
+error.  This is the one home of the log-space shift: each row sums its terms
+relative to the largest weighted node it has seen, and rescales its running
+sum whenever a level raises that maximum (the online normalizer of softmax),
+so no point is evaluated only to choose a shift and no term can overflow.
+:func:`integrate` is the one-row case for a nonnegative integrand given by
+its values, and :func:`integrate_iterated` nests it once per outer node.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ _T_MAX = math.asinh(745.0 / math.pi)
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and refinement budget for one integration axis.
+    """Tolerance and refinement budget for one integration axis.
 
     ``left_exponent`` / ``right_exponent`` record the integrable endpoint
     behavior ``(x - a)**(exponent - 1)`` the caller expects.  Tanh-sinh does
@@ -55,24 +54,20 @@ class QuadratureSpec:
     representability floor: the share of the mass within one ulp of that
     endpoint, which no refinement can reach, joins every error estimate.
 
-    In a log row of :func:`integrate_rows`, ``abs_tol`` is stated in units of
-    the row's largest weighted node: the largest ``r * w * f`` it has met,
-    for half interval ``r`` and node weight ``w``.  In those units a level's
-    value is at least its step ``2**-level``, so an ``abs_tol`` below
-    ``rel_tol * 2**-max_levels`` never decides convergence.  The row's error
+    ``rel_tol`` is the only tolerance: a row converges once its level
+    difference is at most ``rel_tol`` times its value.  The row's error
     floor also holds ``|S| * 2**-52``, the spacing of log values at its
     shift ``S``.
     """
 
     rel_tol: float = 1e-9
-    abs_tol: float = 1e-14
     max_levels: int = 12
     left_exponent: float = 1.0
     right_exponent: float = 1.0
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise DomainError("tolerances must be positive")
+        if not self.rel_tol > 0.0:
+            raise DomainError("rel_tol must be positive")
         if self.max_levels < 2:
             raise DomainError("max_levels must be at least 2")
         if not (0.0 < self.left_exponent <= 1.0 and 0.0 < self.right_exponent <= 1.0):
@@ -157,56 +152,52 @@ def integrate_rows(
     a: float,
     b: float,
     spec: QuadratureSpec | None = None,
-    *,
-    log: bool = False,
 ) -> QuadratureRows:
-    """Integrate ``n_rows`` vectorized integrands over one open interval ``(a, b)``.
+    """Integrate ``n_rows`` log-integrands over one open interval ``(a, b)``.
+
+    Each row sums ``exp(log f + log w - S)``, for the largest ``log f + log
+    w`` it has met as the shift ``S``; a level that raises ``S`` rescales
+    the running sum and the previous value by ``exp(S_old - S_new)``.  So
+    every term is at most 1, and the tiny weights of deep nodes keep an
+    endpoint singularity from dragging the shift away from the body.
 
     Parameters
     ----------
     f : callable
         ``f(rows, xs)`` receives the integer indices of the rows still
         refining and 1-D abscissae, and returns their ``(rows.size,
-        xs.size)`` grid of integrand values.  The first call takes every row
-        at the nodes of levels 0, 1 and 2 together; each later call takes
-        one level.  The abscissae lie inside ``(a, b)``, never on an
-        endpoint, so an integrable endpoint singularity is fine.
+        xs.size)`` grid of the logs of a nonnegative integrand.  The first
+        call takes every row at the nodes of levels 0, 1 and 2 together;
+        each later call takes one level.  The abscissae lie inside ``(a,
+        b)``, never on an endpoint, so an integrable endpoint singularity is
+        fine.
     n_rows : int
         Number of integrands; they share the limits and ``spec``.
     a, b : float
         Finite limits with ``a < b``.
     spec : QuadratureSpec, optional
-        Tolerances and budget; defaults to ``QuadratureSpec()``.
-    log : bool, keyword-only
-        ``f`` returns the log of a nonnegative integrand, and each row comes
-        back as the log of its integral with a relative error.  Each row
-        sums ``exp(log f + log w - S)`` over its nodes, where the shift ``S``
-        is the largest ``log f + log w`` it has met so far; when a level
-        raises ``S``, the running sum and the previous level's value are
-        rescaled by ``exp(S_old - S_new)``.  So every term is at most 1, and
-        the tiny weights of deep nodes keep an endpoint singularity from
-        dragging the shift away from the body.
+        Tolerance and budget; defaults to ``QuadratureSpec()``.
 
     Returns
     -------
     QuadratureRows
-        Each row stops refining on its own: converged once its
-        successive-level difference meets the tolerance, or with ``error =
-        inf`` and ``converged`` False only once its value is not finite.  A
-        log row whose rounding floor ``|S| * 2**-52`` alone misses
-        ``rel_tol`` refines until its level difference reaches that floor,
-        and stops unconverged with the floor as its error.  A row whose
-        representability floor alone misses its tolerance stops
-        unconverged, with its last level's value and error, at the first
-        level that tests convergence; so does a row still refining when
-        ``max_levels`` runs out.  ``evaluations`` counts the points ``f``
-        was called with for each row, so a row that stops at level 0 or 1
-        still counts the whole first call.
+        The log of each row's integral, with a relative error.  Each row
+        stops refining on its own: converged once its successive-level
+        difference meets ``rel_tol``, or with ``error = inf`` and
+        ``converged`` False only once its value is not finite.  A row whose
+        rounding floor ``|S| * 2**-52`` alone misses ``rel_tol`` refines
+        until its level difference reaches that floor, and stops unconverged
+        with the floor as its error.  A row whose representability floor
+        alone misses ``rel_tol`` stops unconverged, with its last level's
+        value and error, at the first level that tests convergence; so does
+        a row still refining when ``max_levels`` runs out.  ``evaluations``
+        counts the points ``f`` was called with for each row, so a row that
+        stops at level 0 or 1 still counts the whole first call.
 
     Raises
     ------
     ConvergenceError
-        A log row has no finite value on the first level.
+        A row has no finite value on the first level.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -235,8 +226,8 @@ def integrate_rows(
             rep_floor = max(rep_floor, gap**alpha / alpha)
 
     def level_nodes(level):
-        # one level's abscissae in (a, b) and their weights (logs in log
-        # mode).  Along a node table the nodes hug their limit ever closer, so
+        # one level's abscissae in (a, b) and the logs of their weights.
+        # Along a node table the nodes hug their limit ever closer, so
         # those that round onto it form a tail, cut from each side on its
         # own: near a singular endpoint one side keeps representable nodes
         # long after the other has lost them.  The centre joins level 0
@@ -249,13 +240,13 @@ def integrate_rows(
         n = 1 if level == 0 else 0
         xs = np.concatenate(((m,) * n, x_left[:n_left], x_right[:n_right]))
         ws = np.concatenate(((0.5 * math.pi,) * n, weight[:n_left], weight[:n_right]))
-        return xs, (np.log(ws) if log else ws)
+        return xs, np.log(ws)
 
-    # results, written for each row as it stops refining; a linear row keeps
-    # shift 0, and a log row's sums are in units of exp(shift)
+    # results, written for each row as it stops refining; a row's sums are
+    # in units of exp(shift)
     values = np.full(n_rows, math.nan)
     errors = np.full(n_rows, math.inf)
-    shifts = np.full(n_rows, -math.inf if log else 0.0)
+    shifts = np.full(n_rows, -math.inf)
     evaluations = np.zeros(n_rows, dtype=np.int64)
     converged = np.zeros(n_rows, dtype=bool)
     # the state of the rows still refining, one entry per row of active:
@@ -285,12 +276,9 @@ def integrate_rows(
             if xs.size:
                 fv = _evaluate(f, active, xs)
                 n_evals += xs.size
-        h = 2.0 ** (-level)
-        # f has run: an inf or nan met below stops its row, and so does a
-        # linear sum that overflows, or meets inf - inf, or a value that
-        # overflows when the sum is scaled by a huge interval
+        # f has run: a +inf or nan met below stops its row
         with np.errstate(over="ignore", invalid="ignore"):
-            if xs.size and log:
+            if xs.size:
                 terms = fv + ws
                 if level == 0 and not np.isfinite(terms).any(axis=1).all():
                     raise ConvergenceError(
@@ -301,27 +289,23 @@ def integrate_rows(
                 acc = acc * rescale + np.exp(terms - new[:, None]).sum(axis=1)
                 prev *= rescale
                 shift = new
-            elif xs.size:
-                acc += np.vecdot(fv, ws)
-            # a log row keeps r out of its sum
-            value = (h if log else r * h) * acc
+            # the half interval r joins the log at the end
+            value = 2.0 ** (-level) * acc
             # log values at a shift S lie |S| * 2**-52 apart, the rounding
-            # floor of a log row.  An inf or nan never refines away, and
-            # rel_tol * |value| would otherwise accept it as converged
+            # floor of a row.  An inf or nan never refines away, and
+            # rel_tol * value would otherwise accept it as converged
             finite = np.isfinite(value)
             if level >= 1:
-                size = np.abs(value)
-                rounding = np.abs(shift) * 2.0**-52 * size
-                err = np.maximum(np.abs(value - prev), np.maximum(rep_floor * size, rounding))
+                rounding = np.abs(shift) * 2.0**-52 * value
+                err = np.maximum(np.abs(value - prev), np.maximum(rep_floor * value, rounding))
             stop = ~finite
             if level >= _FIRST_CONVERGENT_LEVEL:
-                tol = np.maximum(spec.rel_tol * size, spec.abs_tol)
-                done = finite & (err <= tol)
-                # a row whose rounding floor misses its tolerance refines
-                # until its level difference reaches that floor.  err is
-                # never below rep_floor * size, so a row whose
-                # representability floor misses it would refine for nothing
-                stop |= done | (err <= rounding) | (rep_floor * size > tol)
+                done = finite & (err <= spec.rel_tol * value)
+                # a row whose rounding floor misses rel_tol refines until its
+                # level difference reaches that floor.  err is never below
+                # rep_floor * value, so a row whose representability floor
+                # misses rel_tol would refine for nothing
+                stop |= done | (err <= rounding) | (rep_floor > spec.rel_tol)
         if stop.any():
             rows = active[stop]
             values[rows] = value[stop]
@@ -345,11 +329,10 @@ def integrate_rows(
         shifts[active] = shift
         evaluations[active] = n_evals
 
-    if log:
-        # a row that met +inf or nan keeps it as its value, with error inf
-        ok = np.isfinite(shifts)
-        errors = np.where(ok, errors / values, math.inf)
-        values = np.where(ok, shifts + math.log(r) + np.log(values), shifts)
+    # a row that met +inf or nan keeps it as its value, with error inf
+    ok = np.isfinite(shifts)
+    errors = np.where(ok, errors / values, math.inf)
+    values = np.where(ok, shifts + math.log(r) + np.log(values), shifts)
     return QuadratureRows(values, errors, evaluations, converged)
 
 
@@ -359,28 +342,46 @@ def integrate(
     b: float,
     spec: QuadratureSpec | None = None,
 ) -> QuadratureResult:
-    """Integrate a vectorized integrand over the open interval ``(a, b)``.
+    """Integrate a nonnegative vectorized integrand over the open interval ``(a, b)``.
+
+    The one-row case of :func:`integrate_rows`, on ``log f`` with ``log 0 =
+    -inf``: a negative value of ``f`` raises ``DomainError``, and an ``f``
+    that is 0 at every first-level node raises ``ConvergenceError``.
 
     Parameters
     ----------
     f : callable
-        Maps a 1-D array of points in ``(a, b)`` to integrand values.
-        Must be finite on the open interval; endpoint singularities are fine
-        because the endpoints themselves are never passed in.
+        Maps a 1-D array of points in ``(a, b)`` to nonnegative integrand
+        values.  Endpoint singularities are fine because the endpoints
+        themselves are never passed in.
     a, b : float
         Finite limits with ``a < b``.
     spec : QuadratureSpec, optional
-        Tolerances and budget; defaults to ``QuadratureSpec()``.
+        Tolerance and budget; defaults to ``QuadratureSpec()``.
 
     Returns
     -------
     QuadratureResult
-        ``converged`` is False if the refinement budget ran out before the
-        successive-level difference met the tolerance; no exception is raised
-        so the caller can inspect the partial value.  This is the one-row
-        case of :func:`integrate_rows`.
+        ``value`` is ``exp`` of the row's log, ``error_estimate`` is
+        ``value`` times its relative error, and ``converged`` is False if
+        the budget ran out first: no exception is raised, so the caller can
+        inspect the partial value.  A value past the double range is
+        ``inf``, with error ``inf`` and ``converged`` False.
     """
-    return integrate_rows(lambda rows, xs: f(xs), 1, a, b, spec).row(0)
+
+    def log_f(rows, xs):
+        v = np.asarray(f(xs), dtype=float)
+        if (v < 0.0).any():
+            raise DomainError("integrate needs a nonnegative integrand")
+        with np.errstate(divide="ignore"):
+            return np.log(v)
+
+    row = integrate_rows(log_f, 1, a, b, spec).row(0)
+    with np.errstate(over="ignore"):
+        value = float(np.exp(row.value))
+    if not math.isfinite(value):
+        return QuadratureResult(value, math.inf, row.evaluations, False)
+    return QuadratureResult(value, value * row.error_estimate, row.evaluations, row.converged)
 
 
 def integrate_iterated(
@@ -388,13 +389,13 @@ def integrate_iterated(
     boxes: Sequence[tuple],
     specs: Sequence[QuadratureSpec],
 ) -> QuadratureResult:
-    """Iterated integral over up to three nested axes.
+    """Iterated integral of a nonnegative integrand over up to three nested axes.
 
     Parameters
     ----------
     f : callable
         ``f(x1, ..., xd)`` where the leading ``d - 1`` arguments are scalars
-        and the last is a 1-D array; must return an array of matching shape.
+        and the last is a 1-D array; returns nonnegative values of its shape.
     boxes : sequence of (lower, upper)
         One per axis, outermost first.  Each bound is a float or a callable
         receiving the outer coordinates (so inner limits may depend on them).
@@ -404,13 +405,11 @@ def integrate_iterated(
     Returns
     -------
     QuadratureResult
-        ``evaluations`` counts innermost integrand evaluations.  The error
-        estimate composes for nonnegative integrands: each axis adds its own
-        quadrature error to the error its inner integrals carry in.  Since
-        ``sum_j w_j e_j <= max_j(e_j / v_j) * sum_j w_j v_j``, the worst
-        inner relative error scales the axis value; inner values that
-        underflowed to zero add their absolute estimate times the interval
-        length.
+        ``evaluations`` counts innermost integrand evaluations.  Each axis
+        adds its own quadrature error to the error its inner integrals carry
+        in.  Since ``sum_j w_j e_j <= max_j(e_j / v_j) * sum_j w_j v_j``, the
+        worst inner relative error scales the axis value; an inner value of
+        zero has error zero.
     """
     d = len(boxes)
     if d < 1 or d > 3:
@@ -452,11 +451,9 @@ def integrate_iterated(
         res = integrate(layer, lo, hi, specs[axis])
         if not res.converged:
             all_converged[0] = False
-        rel = max((e / abs(v) for v, e in inner_pairs if v != 0.0), default=0.0)
-        zero_abs = max((e for v, e in inner_pairs if v == 0.0), default=0.0)
-        propagated = rel * abs(res.value) + zero_abs * (hi - lo)
+        rel = max((e / v for v, e in inner_pairs if v > 0.0), default=0.0)
         return QuadratureResult(
-            res.value, res.error_estimate + propagated, res.evaluations, res.converged
+            res.value, res.error_estimate + rel * res.value, res.evaluations, res.converged
         )
 
     top = nest((), 0)

@@ -264,8 +264,9 @@ def conditional_sample_cmx(
     _check_coupling(c)
 
     def start(rng, t, n):
-        # the step of _advance_max from x = m = 0: the bridge maximum
-        # 0.5 (end + gap) is never below the start, as gap >= |end|
+        # the step of _advance_max from x = m = 0, spelled out because a call
+        # on zero arrays makes four more passes over every first-stage batch;
+        # the bridge maximum 0.5 (end + gap) is never below 0, as gap >= |end|
         end = rng.normal(0.0, math.sqrt(t), n)
         gap = np.sqrt(end * end + 2.0 * t * rng.standard_exponential(n))
         return end, 0.5 * (end + gap)

@@ -87,7 +87,7 @@ def test_normalization(delta, x):
     # density's mass below b is chndtr(b/t, delta, x/t); at b = 80 that is
     # the total mass to within 1e-12
     t = 1.0
-    spec = QuadratureSpec(1e-10, 1e-16, 12, left_exponent=min(0.5 * delta, 1.0))
+    spec = QuadratureSpec(1e-10, 12, left_exponent=min(0.5 * delta, 1.0))
     for b in (0.5, 2.0, 8.0, 80.0):
         r = integrate(lambda y: besq.transition_density(BesqParams(delta), t, x, y), 0.0, b, spec)
         assert r.converged
@@ -97,7 +97,7 @@ def test_normalization(delta, x):
 def test_chapman_kolmogorov_spot():
     p = BesqParams(2.5)
     s, t, x, y = 0.3, 1.0, 0.5, 2.0
-    spec = QuadratureSpec(1e-10, 1e-16, 12, left_exponent=1.0)
+    spec = QuadratureSpec(1e-10, 12, left_exponent=1.0)
     # the first kernel puts less than 1e-30 of its mass past z = 200
     conv = integrate(
         lambda z: besq.transition_density(p, s, x, z) * besq.transition_density(p, t, z, y),
@@ -274,7 +274,7 @@ def test_sampler_chisquare_against_density():
     edges[0], edges[-1] = 0.0, 100.0
     assert stats.ncx2.sf(edges[-1] / t, 2.5, x / t) < 1e-15
     counts, _ = np.histogram(xs, edges)
-    spec = QuadratureSpec(1e-9, 1e-15, 12)
+    spec = QuadratureSpec(1e-9, 12)
 
     probs = []
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -1,6 +1,7 @@
 """Exit codes, config merging, emitted files, and input checks."""
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -589,7 +590,7 @@ def test_deep_tail_ratio_exits_zero_with_an_honest_error(tmp_path, capsys):
                 "ratio", "--c", "0.5", "--delta1", "1", "--delta2", "1",
                 "--eps", "0.5", "--z1", "4000", "--z2", "4", "--z3", "1",
             ),
-            id="ratio-numeric-failure",
+            id="ratio-deep-tail",
         ),
     ],
 )
@@ -1066,6 +1067,21 @@ def test_cmx_probe_small_run(tmp_path):
     assert payload["cells"][0]["proposed_ref"] >= 200
     assert 0.0 < payload["cells"][0]["accept_alt"] <= 1.0
     assert payload["summary"][0]["verdict"] == "consistent"
+
+
+def test_cmx_probe_report_is_frozen(tmp_path):
+    # every byte of a seeded two-cell report: the bridge-maximum start of
+    # the cmx sampler and the draws after it keep their stream
+    out = tmp_path / "cmx.json"
+    assert run_cli(*_CMX_FLAGS[:2], "1,0.5", *_CMX_FLAGS[3:], "--output", str(out)) == 0
+    payload = out.read_bytes()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "b644a7ce2033cd67da2f33ed38045eb36124784efe8971456aaf35532408b65b"
+    )
+    cells = json.loads(payload)["cells"]
+    assert [(cell["c"], cell["statistic"]) for cell in cells] == [
+        (1.0, 0.16000000000000003), (0.5, 0.08999999999999997)
+    ]
 
 
 @pytest.mark.parametrize("n_ref", ["10", "2000000"], ids=["in-join", "in-ref-arm"])

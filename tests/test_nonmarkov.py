@@ -81,7 +81,7 @@ def test_pair_marginal_matches_direct_convolution():
                 dataclasses.replace(s, z2=float(mid + half * xi))
             )
 
-    spec = QuadratureSpec(1e-10, 1e-16, 12, min(0.5 * s.delta1, 1.0), min(0.5 * s.delta2, 1.0))
+    spec = QuadratureSpec(1e-10, 12, min(0.5 * s.delta1, 1.0), min(0.5 * s.delta2, 1.0))
     direct = quadrature.integrate(
         lambda x1: np.exp(nonmarkov.log_kernel_a11(s, x1)),
         0.0,
@@ -126,7 +126,7 @@ def _recursive_kernel_logs(s):
     """Pair and triple kernel integrals node by node, as the batched pass's oracle.
 
     Same log-integrands as nonmarkov's one outer pass over x2, but each
-    row's x2 axis runs as its own one-row log-mode quadrature.integrate_rows
+    row's x2 axis runs as its own one-row quadrature.integrate_rows
     call, and so does every g(x2) = int A11 A12 dx1 and h(x2) = int A13 dx3.
     Returns the pair and triple logs and the x1 plus x3 points the batched
     pass spends: g at every x2 node of either row and h at every x2 node of
@@ -143,7 +143,7 @@ def _recursive_kernel_logs(s):
             nodes.extend(x.tolist())
             return log_f(x)
 
-        res = quadrature.integrate_rows(one_row, 1, 0.0, hi, spec, log=True).row(0)
+        res = quadrature.integrate_rows(one_row, 1, 0.0, hi, spec).row(0)
         assert res.converged
         return res.value, res.evaluations, nodes
 
@@ -279,15 +279,6 @@ def test_ratio_error_estimates_do_not_rise(d1, d2, z3):
         pair, _ = nonmarkov._kernel_logs(s_eps)
         assert pair.error_estimate == pair_error
         assert nonmarkov.conditional_ratio_detail(s_eps).rel_error_estimate <= rel_error
-
-
-@pytest.mark.parametrize("d1,d2", [(1.0, 1.0), (3.0, 1.5), (2.0, 3.0), (0.5, 2.0)])
-def test_scenario_abs_tol_never_decides_convergence(d1, d2):
-    # every kernel integral is a log row, whose value is at least 2**-level in
-    # units of its largest weighted node (QuadratureSpec): an abs_tol below
-    # rel_tol * 2**-max_levels leaves convergence to rel_tol alone
-    for axis, spec in nonmarkov._scenario_specs(d1, d2).items():
-        assert spec.abs_tol < spec.rel_tol * 2.0**-spec.max_levels, axis
 
 
 def test_log_integrand_not_finite_on_the_first_level_raises(monkeypatch):
