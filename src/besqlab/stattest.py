@@ -10,18 +10,23 @@ second applies the same machinery to ``c M - X`` for a Brownian motion ``X``
 with running maximum ``M``, where the Markov couplings are ``c in {0, 1, 2}``
 (Brownian motion, reflecting Brownian motion, three-dimensional Bessel).
 
-Sampling is exact for both.  ``Z`` starts from the sum-split law of the
-pair at ``eps`` (a Gamma draw for ``X + Y``, whose sum is the
-BESQ(delta1+delta2) of Shiga-Watanabe additivity, and a Beta split drawn
-only for sums that can still meet the first window) and moves by the
-exact transitions of :func:`besqlab.besq.sample_transitions`: the Gaussian
-split of the noncentral chi-square at a dimension of 1 or more, its
-Poisson-Gamma mixture below.  ``c M - X`` moves by the Brownian endpoint
-plus the exact maximum of the Brownian bridge across each segment, so the
-running maximum carries no discretization bias.  One staged-rejection
-loop, :func:`_staged_sample`, conditions either process, in batches of
-one fixed size; its one stopping rule besides success is the
-acceptance-rate floor, which makes a cell inconclusive.
+Sampling is exact for both, the first stage included.  At ``eps`` each
+observed value is a radius times a factor linear in an independent share:
+``Z = S (1 - (1 - c) B)``, with the sum ``S = X + Y`` a Gamma (the
+BESQ(delta1+delta2) of Shiga-Watanabe additivity) and the share ``B = X/S``
+a Beta, and ``c M - X = R (1 + (c - 2) U)``, with ``R = 2M - X`` a BES(3)
+value and ``U = M/R`` uniform (Pitman 1975).  So the probability ``p1``
+that the value at ``eps`` lies in the first window is known exactly, and
+only the first-window survivors are drawn, from the law conditioned on that
+window.  After ``eps`` ``Z`` moves by the exact transitions of
+:func:`besqlab.besq.sample_transitions`: the Gaussian split of the
+noncentral chi-square at a dimension of 1 or more, its Poisson-Gamma
+mixture below.  ``c M - X`` moves by the Brownian endpoint plus the exact
+maximum of the Brownian bridge across each segment, so the running maximum
+carries no discretization bias.  One staged loop, :func:`_staged_sample`,
+conditions either process and counts proposals in batches of one fixed
+size; its one stopping rule besides success is the acceptance-rate floor,
+which makes a cell inconclusive.
 
 :func:`markov_discrepancy_report` runs the two arms of a cell at the same
 time, the ``alt`` arm on one worker thread.  NumPy releases the GIL inside
@@ -40,9 +45,9 @@ from typing import Callable
 import numpy as np
 import scipy
 
-from . import besq
+from . import besq, quadrature
 from .besq import BesqParams
-from .errors import BudgetExhaustedError, DomainError
+from .errors import BudgetExhaustedError, ConvergenceError, DomainError
 
 
 def _check_coupling(c: float) -> None:
@@ -111,15 +116,22 @@ def ks_two_sample(a, b, alpha: float = 0.001) -> TestReport:
 
 
 # ---------------------------------------------------------------------------
-# Staged rejection and the weighted squared-Bessel sum.
+# Staged sampling.
 
 @dataclass
 class ConditionalSampleResult:
-    """Accepted endpoint samples plus rejection-sampling bookkeeping."""
+    """Accepted endpoint samples plus their bookkeeping.
+
+    ``n_proposed`` counts whole batches of proposals.  ``p1`` is the exact
+    probability that one proposal passes the first window, and
+    ``n_survived`` is the number of first-window survivors in those batches.
+    """
 
     values: np.ndarray
     n_proposed: int
     n_accepted: int
+    p1: float
+    n_survived: int
 
     @property
     def acceptance_rate(self) -> float:
@@ -129,17 +141,34 @@ class ConditionalSampleResult:
 _RATE_FLOOR = 1e-6
 _RATE_PROBE_MIN = 4_000_000
 
-# Proposals per batch, for both processes.  Measured on a 2-core VM, the zc
-# cost per proposal shows no trend from 25k to 400k (42-69 ns, within run
-# noise), while one zc arm's traced peak memory grows from 0.9 MB at 50k to
-# 7.3 MB at 400k, and a cell holds both arms' batches at once.  The cmx
-# first stage advances the whole batch: 48 ns per proposal at 50k, 89 at 400k.
+# Proposals per batch, for both processes.  A batch is a bookkeeping unit:
+# only its first-window survivors, Binomial(_BATCH, p1) of them, are drawn
+# and advanced.  The rate floor and the stop rule act on whole batches.
 _BATCH = 50_000
+
+# Expected first-window survivors per round, and the most proposals the first
+# stage holds at once.  A round's arrays are some ten times this size, and a
+# cell runs two arms at once.  On the bench probe workload (2-core VM) the
+# peak RSS read 62.0-63.6 MB at 10k, as with the rejection stage (62.7-63.2),
+# against 70.8 MB at 50k; 5k ran 13% slower.
+_ROUND = 10_000
+
+
+@dataclass(frozen=True)
+class _FirstStage:
+    """The first window's exact probability and the law conditioned on it.
+
+    ``draw(rng, n)`` returns ``n`` independent hidden states at ``eps`` whose
+    observed value lies in the first window; it is ``None`` when ``p1`` is 0.
+    """
+
+    p1: float
+    draw: Callable[[np.random.Generator, int], tuple] | None
 
 
 def _staged_sample(
     rng: np.random.Generator,
-    start: Callable[[np.random.Generator, float, int], tuple],
+    first_stage: Callable[[float, ConditioningWindow], _FirstStage],
     advance: Callable[[np.random.Generator, tuple, float], tuple],
     observe: Callable[[tuple], np.ndarray],
     eps: float,
@@ -149,45 +178,334 @@ def _staged_sample(
 ) -> ConditionalSampleResult:
     """Window-conditioned draw of a process observed at ``(eps, 1, 2)``.
 
-    The hidden state is a tuple of equal-length arrays.  ``start(rng, eps, n)``
-    draws ``n`` states at time ``eps``, ``advance(rng, state, t)`` moves each
+    The hidden state is a tuple of equal-length arrays.  ``first_stage(eps,
+    w1)`` gives the exact first stage, ``advance(rng, state, t)`` moves each
     state ``t`` forward, and ``observe(state)`` maps states to the observed
-    values.  Each batch of ``_BATCH`` proposals is filtered through ``w1``
-    and then ``w2`` before its survivors are advanced, which is exact
-    whenever the hidden state is Markov.  The rate floor is the one stop:
-    ``BudgetExhaustedError`` once the acceptance rate falls below 1e-6,
-    established over at least a few million proposals.  Above the floor the
-    accepted count grows with the proposals, so the loop ends.
+    values.  A batch of ``_BATCH`` proposals has Binomial(``_BATCH``, p1)
+    first-window survivors; only those are drawn, from the law conditioned
+    on ``w1``.  Each stage then keeps the states whose observed value lies
+    in its window and advances them, which is exact whenever the hidden
+    state is Markov.
+
+    Batches are independent, so one round draws the survivor counts of
+    several and advances their survivors together.  A round holds about
+    ``_ROUND`` expected survivors at most, and no more batches than the
+    acceptance so far says are still needed.  The stop rule and the rate
+    floor then run batch by batch, in order: the first batch whose
+    cumulative acceptance reaches ``n_target`` is the last one kept, and
+    ``BudgetExhaustedError`` is raised once the acceptance rate falls below
+    1e-6, established over at least a few million proposals.  Above the
+    floor the accepted count grows with the proposals, so the loop ends.
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
     if n_target <= 0:
         raise DomainError("n_target must be positive")
+    first = first_stage(eps, w1)
+    # the batches per round that hold about _ROUND expected survivors
+    full = _BATCH if first.p1 == 0.0 else int(min(_BATCH, max(1.0, _ROUND / (_BATCH * first.p1))))
     accepted: list[np.ndarray] = []
-    n_accepted = 0
-    n_proposed = 0
-    while n_accepted < n_target:
-        # at a huge coupling an observed value overflows to inf, which no
-        # window contains: the right outcome, so the overflow is not a defect
-        with np.errstate(over="ignore"):
-            state = start(rng, eps, _BATCH)
-            n_proposed += _BATCH
-            for window, length in ((w1, 1.0 - eps), (w2, 1.0)):
-                keep = window.contains(observe(state))
-                state = tuple(part[keep] for part in state)
-                if not state[0].size:
-                    break
-                state = advance(rng, state, length)
-            else:
-                accepted.append(observe(state))
-                n_accepted += state[0].size
-        rate = n_accepted / n_proposed
-        if n_proposed >= _RATE_PROBE_MIN and rate < _RATE_FLOOR:
+    n_accepted = n_proposed = n_survived = 0
+    k = 1
+    while True:
+        if n_accepted:
+            batches = n_proposed // _BATCH
+            k = min(full, math.ceil(1.2 * (n_target - n_accepted) * batches / n_accepted) + 1)
+        else:
+            k = min(full, 2 * k) if n_proposed else 1
+        counts = rng.binomial(_BATCH, first.p1, k)
+        batch = np.repeat(np.arange(k), counts)
+        values = np.empty(0)
+        if batch.size:
+            # at a huge coupling an observed value overflows to inf, which no
+            # window contains: the right outcome, so the overflow is not a defect
+            with np.errstate(over="ignore"):
+                state = first.draw(rng, batch.size)
+                # w1 is tested again on the observed value, so rounding at
+                # its edges cannot let a value outside it through
+                for window, length in ((w1, 1.0 - eps), (w2, 1.0)):
+                    keep = window.contains(observe(state))
+                    batch = batch[keep]
+                    if not batch.size:
+                        break
+                    state = advance(rng, tuple(part[keep] for part in state), length)
+                else:
+                    values = observe(state)
+        got = n_accepted + np.cumsum(np.bincount(batch, minlength=k))
+        proposed = n_proposed + _BATCH * np.arange(1, k + 1)
+        low = (proposed >= _RATE_PROBE_MIN) & (got / proposed < _RATE_FLOOR)
+        stop = low | (got >= n_target)
+        last = int(np.argmax(stop)) if stop.any() else k - 1
+        n_accepted, n_proposed = int(got[last]), int(proposed[last])
+        n_survived += int(counts[: last + 1].sum())
+        accepted.append(values[: np.searchsorted(batch, last, side="right")])
+        if low[last]:
             raise BudgetExhaustedError(
-                f"acceptance rate {rate:.2e} below feasibility floor {_RATE_FLOOR}"
+                f"acceptance rate {n_accepted / n_proposed:.2e} below feasibility floor {_RATE_FLOOR}"
             )
+        if stop[last]:
+            break
     values = np.concatenate(accepted)[:n_target]
-    return ConditionalSampleResult(values, n_proposed, n_accepted)
+    return ConditionalSampleResult(values, n_proposed, n_accepted, first.p1, n_survived)
+
+
+# ---------------------------------------------------------------------------
+# The exact first stage: a radius times a share.
+#
+# Both processes observe at eps a value V = rho (k0 + (k1 - k0) u), for a
+# radius rho, an independent share u in [0, 1] and a factor running from k0
+# to k1.  For Z = c X + Y the radius is S = X + Y, Gamma((delta1+delta2)/2)
+# with scale 2 eps (the BESQ(delta1+delta2) from zero of Shiga-Watanabe
+# additivity), and Z = S (1 + (c - 1) B) for the share B = X/S,
+# Beta(delta1/2, delta2/2).  For c M - X the radius is R = 2M - X, sqrt(eps)
+# times a chi of 3 degrees of freedom (Pitman 1975: a BES(3)), and
+# c M - X = R (1 + (c - 2) U) for the share U = M/R, uniform given R.  Given
+# rho, {u : V in [a, b]} is an interval with closed-form ends; l(rho) is its
+# share mass.  A radius is drawn from a proposal and kept with a bounded
+# ratio of l, and then its share is drawn from the share law on the interval.
+
+def _gamma_mass(shape: float, lo, hi):
+    """Mass of ``[lo, hi]`` under a unit-scale Gamma(shape), from the side that keeps its digits."""
+    return np.where(
+        np.asarray(lo) > shape,
+        scipy.special.gammaincc(shape, lo) - scipy.special.gammaincc(shape, hi),
+        scipy.special.gammainc(shape, hi) - scipy.special.gammainc(shape, lo),
+    )
+
+
+class _TruncatedGamma:
+    """A unit-scale Gamma(shape) restricted to ``[lo, hi]``, proposed by rejection.
+
+    :meth:`propose` returns draws with the log of their acceptance ratio, so
+    that a caller folds its own ratio into one uniform test; ``efficiency``
+    is the share of draws that ratio keeps.  The envelope of the log density
+    ``h(x) = (shape - 1) log x - x`` is a line: its tangent at the mode
+    clipped into the range where ``h`` is concave (shape >= 1), and its
+    chord where ``h`` is convex (the limiting slope -1 on an unbounded
+    range; none from 0, where ``h`` is infinite).  Plain Gamma draws, kept
+    when they land in the range, serve instead when they keep more.
+    """
+
+    def __init__(self, shape: float, lo: float, hi: float):
+        self.shape, self.lo, self.hi = shape, lo, hi
+        self.mass = float(_gamma_mass(shape, lo, hi))
+        self.slope, self.efficiency = None, self.mass
+        if not self.mass > 0.0 or (shape < 1.0 and lo == 0.0):
+            return
+        width = hi - lo
+        if shape >= 1.0:
+            t = min(max(shape - 1.0, lo), hi)
+            slope = (shape - 1.0) / t - 1.0 if shape > 1.0 else -1.0
+        else:
+            t = lo
+            slope = (self._h(hi) - self._h(lo)) / width if hi < math.inf else -1.0
+        log_envelope = self._h(t) + (
+            math.log(width) if slope == 0.0 else
+            slope * ((lo if slope < 0.0 else hi) - t)
+            + math.log(-math.expm1(-abs(slope) * width) / abs(slope))
+        )
+        gain = float(scipy.special.gammaln(shape)) - log_envelope
+        if gain > 0.0:
+            self.t, self.slope = t, slope
+            self.efficiency = math.exp(math.log(self.mass) + gain)
+
+    def _h(self, x):
+        if self.shape == 1.0:
+            return -x
+        with np.errstate(divide="ignore"):
+            return (self.shape - 1.0) * np.log(x) - x
+
+    def propose(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+        if self.slope is None:
+            x = rng.gamma(self.shape, 1.0, n)
+            return x, np.where((self.lo <= x) & (x <= self.hi), 0.0, -np.inf)
+        width = self.hi - self.lo
+        if self.slope == 0.0:
+            x = self.lo + width * rng.random(n)
+        else:
+            rate = abs(self.slope)
+            y = -np.log1p(rng.random(n) * math.expm1(-rate * width)) / rate
+            x = np.clip(self.lo + y if self.slope < 0.0 else self.hi - y, self.lo, self.hi)
+        return x, self._h(x) - self._h(self.t) - self.slope * (x - self.t)
+
+
+def _radius_range(k0: float, k1: float, a: float, b: float) -> tuple[float, float]:
+    """The radii whose value ``rho (k0 + (k1 - k0) u)`` meets ``[a, b]`` for some share.
+
+    Over the shares the value runs over ``rho [min(k0, k1), max(k0, k1)]``,
+    where the larger factor is positive.
+    """
+    low, high = min(k0, k1), max(k0, k1)
+    lo = max(0.0, a / high, b / low if low < 0.0 else 0.0)
+    if low > 0.0:
+        hi = b / low
+    else:
+        hi = math.inf if b >= 0.0 or low < 0.0 else 0.0
+    return lo, hi
+
+
+def _share_interval(rho: np.ndarray, k0: float, k1: float, a: float, b: float) -> tuple:
+    """Ends of ``{u in [0, 1] : rho (k0 + (k1 - k0) u) in [a, b]}``, equal when it is empty."""
+    if k0 == k1:
+        inside = ((a <= rho * k0) & (rho * k0 <= b)).astype(float)
+        return np.zeros_like(inside), inside
+    # a zero radius meets every window around 0: w / rho is then +-inf, or 0 at w = 0
+    with np.errstate(over="ignore", divide="ignore"):
+        ends = [((w / rho if w else np.zeros_like(rho)) - k0) / (k1 - k0) for w in (a, b)]
+    if k1 < k0:
+        ends.reverse()
+    return np.clip(ends[0], 0.0, 1.0), np.clip(ends[1], 0.0, 1.0)
+
+
+def _radius_share_draws(
+    rng: np.random.Generator,
+    n: int,
+    proposal: _TruncatedGamma,
+    radius: Callable[[np.ndarray], np.ndarray],
+    weight: Callable[[np.ndarray], np.ndarray],
+    share: tuple[Callable, Callable],
+    factor: tuple[float, float],
+    a: float,
+    b: float,
+    acceptance: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` radii and shares whose value lies in ``[a, b]``.
+
+    A proposed ``x`` maps to the radius ``rho = radius(x)`` and is kept with
+    probability (its proposal ratio) x ``l(rho)`` x ``weight(rho)``, which
+    the caller bounds by 1.  The share is then drawn by inversion of
+    ``share = (cdf, ppf)`` on its interval.  ``acceptance``, the known share
+    of proposals kept, only sizes the chunks.
+    """
+    cdf, ppf = share
+    radii, shares, have = [], [], 0
+    while have < n:
+        m = int(min(_ROUND, 1.1 * (n - have) / acceptance + 8.0)) if acceptance > 0.0 else _ROUND
+        x, log_ratio = proposal.propose(rng, m)
+        rho = radius(x)
+        lo, hi = _share_interval(rho, *factor, a, b)
+        base = cdf(lo)
+        mass = cdf(hi) - base
+        keep = rng.random(m) < np.exp(log_ratio) * mass * weight(rho)
+        base, mass = base[keep], mass[keep]
+        radii.append(rho[keep])
+        shares.append(ppf(base + rng.random(base.size) * mass))
+        have += base.size
+    return np.concatenate(radii)[:n], np.concatenate(shares)[:n]
+
+
+def _widest_beta_mass(alpha: float, beta: float, width: float) -> float:
+    """The largest Beta(alpha, beta) mass of an interval of ``width``.
+
+    Where either shape is at most 1 the density is monotone or log-convex,
+    so the mass of a sliding interval is largest at an end of [0, 1].  Where
+    both exceed 1 the density is log-concave and the mass is largest where
+    the density is equal at both ends of the interval, found by bisection.
+    """
+    if width >= 1.0:
+        return 1.0
+    betainc = scipy.special.betainc
+    if alpha > 1.0 and beta > 1.0:
+        lo, hi = 0.0, 1.0 - width
+        for _ in range(64):
+            t = 0.5 * (lo + hi)
+            if (alpha - 1.0) * math.log1p(width / t) > (beta - 1.0) * math.log1p(
+                width / (1.0 - t - width)
+            ):
+                lo = t
+            else:
+                hi = t
+        return float(betainc(alpha, beta, lo + width) - betainc(alpha, beta, lo))
+    return float(max(betainc(alpha, beta, width), betainc(beta, alpha, width)))
+
+
+_LOG_MASS_FLOOR = -1e4
+
+
+def _zc_p1(c, alpha, beta, shape, scale, a, b) -> float:
+    """``P(S (1 + (c - 1) B) in [a, b])``, the Gamma mass of ``[a/k, b/k]`` averaged over B.
+
+    The factor ``k = 1 + (c - 1) u`` is smooth in the share, so the average
+    has no kinks.  It runs as two log rows, one for each half of the share:
+    ``u = t**(1/alpha) / 2`` and ``1 - u = t**(1/beta) / 2`` for ``t`` in
+    (0, 1) absorb the Beta density's power at each end, so no row has a
+    singular endpoint and a tiny shape's mass near 0 is not lost below the
+    smallest double.  The sum is converged when the rows' errors, weighted
+    by their values, meet the spec's ``rel_tol``: a row far below the other
+    need not converge on its own, and neither need a negligible sum.
+    """
+    spec = quadrature.QuadratureSpec()
+
+    def log_integrand(rows, t):
+        out = []
+        with np.errstate(over="ignore", divide="ignore"):
+            for row in rows.tolist():
+                # the share's end power and the other end's factor
+                power, other = (alpha, beta) if row == 0 else (beta, alpha)
+                near = np.exp(np.log(t) / power - math.log(2.0))
+                k = 1.0 + (c - 1.0) * near if row == 0 else c + (1.0 - c) * near
+                # k reaches 0 only at c = 0, where Z = 0 lies in a window from 0
+                mass = _gamma_mass(shape, a / (scale * k) if a else 0.0, b / (scale * k))
+                log_top = -power * math.log(2.0) - math.log(power)
+                out.append(log_top + (other - 1.0) * np.log1p(-near) + np.log(mass))
+        # a mass that underflows is below the smallest double; the finite floor
+        # keeps a row that underflows at every node from stopping the sum, and
+        # adds nothing a double can hold
+        return np.maximum(np.array(out) - scipy.special.betaln(alpha, beta), _LOG_MASS_FLOOR)
+
+    rows = quadrature.integrate_rows(log_integrand, 2, 0.0, 1.0, spec)
+    parts = np.exp(rows.values)
+    p1 = float(parts.sum())
+    spread = np.sum(parts * rows.errors, where=parts > 0.0)
+    # below _RATE_FLOOR / _RATE_PROBE_MIN a window expects under 1e-6
+    # survivors before the floor's first check, whatever its digits
+    if not (spread <= spec.rel_tol * p1 or p1 + spread < _RATE_FLOOR / _RATE_PROBE_MIN):
+        raise ConvergenceError(
+            f"first-window probability did not converge (log rows {rows.values.tolist()},"
+            f" relative errors {rows.errors.tolist()})"
+        )
+    return p1
+
+
+def _zc_first_stage(c, delta1, delta2, eps, w1) -> _FirstStage:
+    # Z = S (1 + (c - 1) B) is never negative, so an edge below 0 is the edge 0
+    a, b = max(w1.center - w1.halfwidth, 0.0), w1.center + w1.halfwidth
+    # the share runs from the smaller factor: Z = S (c + (1 - c) Y/S) below
+    # c = 1 and S (1 + (c - 1) X/S) above, so the shares of a large radius lie
+    # near 0, where doubles keep their digits
+    flip = c < 1.0
+    factor = (c, 1.0) if flip else (1.0, c)
+    lo, hi = _radius_range(*factor, a, b)
+    if not lo < hi:
+        return _FirstStage(0.0, None)
+    scale, shape = 2.0 * eps, 0.5 * (delta1 + delta2)
+    alpha, beta = 0.5 * delta1, 0.5 * delta2
+    first, second = (beta, alpha) if flip else (alpha, beta)
+    radius = _TruncatedGamma(shape, lo / scale, hi / scale)
+    if c == 1.0:
+        p1, bound = radius.mass, 1.0
+    else:
+        p1 = _zc_p1(c, alpha, beta, shape, scale, a, b)
+        # l(s) is the Beta mass of an interval of width (b - a) / (s |c - 1|)
+        width = (b - a) / (lo * abs(c - 1.0)) if lo > 0.0 else math.inf
+        bound = _widest_beta_mass(first, second, width)
+    if not (p1 > 0.0 and radius.mass > 0.0):
+        return _FirstStage(0.0, None)
+    acceptance = radius.efficiency * p1 / (radius.mass * bound)
+    share = (
+        lambda u: scipy.special.betainc(first, second, u),
+        lambda p: scipy.special.betaincinv(first, second, p),
+    )
+
+    def draw(rng, n):
+        s, u = _radius_share_draws(
+            rng, n, radius, lambda x: scale * x, lambda s: 1.0 / bound, share, factor, a, b,
+            acceptance,
+        )
+        part = s * u
+        return (s - part, part) if flip else (part, s - part)
+
+    return _FirstStage(p1, draw)
 
 
 def conditional_sample(
@@ -203,32 +521,31 @@ def conditional_sample(
     """Window-conditioned draw of ``Z(2)`` given ``Z(eps) in w1`` and ``Z(1) in w2``.
 
     Runs :func:`_staged_sample` on the pair ``(X, Y)``, which is Markov,
-    with exact transitions after ``eps``.  The state at ``eps`` is drawn
-    through its sum: ``S = X + Y`` is Gamma with shape ``(delta1+delta2)/2``
-    and scale ``2 eps`` (the law of a BESQ(delta1+delta2) started at zero),
-    and independently of ``S`` the share ``B = X/S`` is
-    Beta(delta1/2, delta2/2).  Since ``Z(eps) = S (1 - (1-c) B)`` lies
-    between ``min(1, c) S`` and ``max(1, c) S``, a proposal whose interval
-    misses ``w1`` is dropped before its ``B`` is drawn; ``n_proposed`` still
-    counts every ``S``, and the ``w1`` test itself still decides acceptance.
+    with exact transitions after ``eps``.  The first stage draws the pair at
+    ``eps`` through its sum ``S`` and share ``B = X/S``, given ``Z(eps) =
+    S (1 - (1 - c) B)`` in ``w1``: ``S`` from its Gamma law restricted to the
+    sums that can meet ``w1``, kept with probability ``l(S) / L`` for the
+    Beta mass ``l(S)`` of the shares that put ``Z(eps)`` in ``w1`` and the
+    largest Beta mass ``L`` of an interval as wide as any of them; then the
+    share from its Beta law on those shares, by ``betaincinv``.  At c = 1
+    every share qualifies and ``S`` is the Gamma restricted to ``w1``.
+    ``p1`` is a Gamma CDF difference at c = 1 and otherwise two log rows of
+    one quadrature over the share.
     """
     _check_coupling(c)
     p1 = BesqParams(delta1)
     p2 = BesqParams(delta2)
-    low, high = min(1.0, c), max(1.0, c)
-    bottom, top = w1.center - w1.halfwidth, w1.center + w1.halfwidth
 
-    def start(rng, t, n):
-        s = rng.gamma(0.5 * (delta1 + delta2), 2.0 * t, n)
-        s = s[(low * s <= top) & (high * s >= bottom)]
-        x = s * rng.beta(0.5 * delta1, 0.5 * delta2, s.size)
-        return x, s - x
+    def first_stage(eps, w1):
+        return _zc_first_stage(c, delta1, delta2, eps, w1)
 
     def advance(rng, state, t):
         x, y = state
         return besq.sample_transitions(rng, p1, t, x), besq.sample_transitions(rng, p2, t, y)
 
-    return _staged_sample(rng, start, advance, lambda s: c * s[0] + s[1], eps, w1, w2, n_target)
+    return _staged_sample(
+        rng, first_stage, advance, lambda s: c * s[0] + s[1], eps, w1, w2, n_target
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +565,74 @@ def _advance_max(
     return end, np.maximum(m, 0.5 * (x + end + gap))
 
 
+def _cmx_p1(kappa: float, eps: float, a: float, b: float, lo: float, hi: float) -> float:
+    """``P(R (1 + (kappa - 1) U) in [a, b])`` in closed form, for ``kappa != 1``.
+
+    Between the radii where an end of the share interval meets 0 or 1, its
+    length is ``l(r) = const + inv / r``.  So each piece adds ``const``
+    times its Maxwell mass plus ``inv`` times ``E[1/R; piece] = sqrt(2 /
+    (pi eps)) (exp(-x1) - exp(-x2))``, with ``x = r^2 / (2 eps)``.
+    """
+    cuts = {w / k for w in (a, b) for k in (1.0, kappa) if k != 0.0}
+    edges = sorted({lo, hi} | {r for r in cuts if lo < r < hi})
+    # the end set by a is the upper one where the factor falls with the share
+    signs = (1.0, -1.0) if kappa < 1.0 else (-1.0, 1.0)
+    total = 0.0
+    for r1, r2 in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (r1 + r2) if r2 < math.inf else r1 + 1.0
+        const = inv = 0.0
+        for w, sign in zip((a, b), signs):
+            end = (w / mid - 1.0) / (kappa - 1.0)
+            if end >= 1.0:
+                const += sign
+            elif end > 0.0:
+                const -= sign / (kappa - 1.0)
+                inv += sign * w / (kappa - 1.0)
+        x1, x2 = r1 * r1 / (2.0 * eps), r2 * r2 / (2.0 * eps)
+        total += const * float(_gamma_mass(1.5, x1, x2))
+        total += inv * math.sqrt(2.0 / (math.pi * eps)) * math.exp(-x1) * -math.expm1(x1 - x2)
+    return max(total, 0.0)
+
+
+def _identity(u):
+    return u
+
+
+def _cmx_first_stage(c, eps, w1) -> _FirstStage:
+    a, b = w1.center - w1.halfwidth, w1.center + w1.halfwidth
+    kappa = c - 1.0
+    lo, hi = _radius_range(1.0, kappa, a, b)
+    if not lo < hi:
+        return _FirstStage(0.0, None)
+    scale = 2.0 * eps
+    x_lo, x_hi = lo * lo / scale, hi * hi / scale
+    # R^2 / (2 eps) is Gamma(3/2); under the density f_R(r) / r it is Gamma(1)
+    maxwell = _TruncatedGamma(1.5, x_lo, x_hi)
+    p1 = maxwell.mass if kappa == 1.0 else _cmx_p1(kappa, eps, a, b, lo, hi)
+    if not (p1 > 0.0 and maxwell.mass > 0.0):
+        return _FirstStage(0.0, None)
+    # two proposals, and the one that keeps more runs: R itself, kept with
+    # probability l(r); or R under f_R(r) / r, kept with l(r) r |c - 2| / (b - a),
+    # at most 1 because l(r) is at most the unclipped length (b - a) / (r |c - 2|)
+    options = [(maxwell.efficiency * p1 / maxwell.mass, maxwell, lambda r: 1.0)]
+    rayleigh = _TruncatedGamma(1.0, x_lo, x_hi)
+    if kappa != 1.0 and rayleigh.mass > 0.0:
+        tilt = abs(c - 2.0) / (b - a)
+        kept = p1 * tilt * math.sqrt(0.5 * math.pi * eps) / rayleigh.mass
+        options.append((rayleigh.efficiency * kept, rayleigh, lambda r: tilt * r))
+    acceptance, proposal, weight = max(options, key=lambda option: option[0])
+
+    def draw(rng, n):
+        r, u = _radius_share_draws(
+            rng, n, proposal, lambda x: np.sqrt(scale * x), weight,
+            (_identity, _identity), (1.0, kappa), a, b, acceptance,
+        )
+        m = u * r
+        return 2.0 * m - r, m
+
+    return _FirstStage(p1, draw)
+
+
 def conditional_sample_cmx(
     rng: np.random.Generator,
     c: float,
@@ -260,19 +645,21 @@ def conditional_sample_cmx(
 
     Runs :func:`_staged_sample` on the pair ``(X, M)``, which is Markov
     whatever the coupling, with the exact segment step of :func:`_advance_max`.
+    The first stage draws the pair at ``eps`` through ``R = 2M - X``,
+    ``sqrt(eps)`` times a chi of 3 degrees of freedom, and ``U = M/R``,
+    uniform given ``R`` (Pitman 1975), given ``(c M - X)(eps) = R (1 + (c -
+    2) U)`` in ``w1``: ``R`` from a proposal kept with a bounded ratio of the
+    length of the shares that qualify, then ``U`` uniform on them.  ``p1``
+    is a closed form, summed between the radii where that length changes
+    form.
     """
     _check_coupling(c)
 
-    def start(rng, t, n):
-        # the step of _advance_max from x = m = 0, spelled out because a call
-        # on zero arrays makes four more passes over every first-stage batch;
-        # the bridge maximum 0.5 (end + gap) is never below 0, as gap >= |end|
-        end = rng.normal(0.0, math.sqrt(t), n)
-        gap = np.sqrt(end * end + 2.0 * t * rng.standard_exponential(n))
-        return end, 0.5 * (end + gap)
+    def first_stage(eps, w1):
+        return _cmx_first_stage(c, eps, w1)
 
     return _staged_sample(
-        rng, start, _advance_max, lambda s: c * s[1] - s[0], eps, w1, w2, n_target
+        rng, first_stage, _advance_max, lambda s: c * s[1] - s[0], eps, w1, w2, n_target
     )
 
 
@@ -407,8 +794,10 @@ def markov_discrepancy_report(config: MarkovTestConfig) -> MarkovReport:
     """Run both conditioning arms of every cell and compare with KS.
 
     Each cell's record holds its params, the config's ``seed``, every
-    finished arm's proposal count and acceptance rate (``proposed_ref``/
-    ``accept_ref`` and the ``_alt`` pair) and the fields of its KS report.
+    finished arm's proposal count, acceptance rate, exact first-window
+    probability and first-window survivor count (``proposed_ref``,
+    ``accept_ref``, ``p1_ref``, ``survived_ref`` and their ``_alt`` twins)
+    and the fields of its KS report.
     An arm that falls below the rate floor yields an "inconclusive" cell
     instead of an exception.  Seeding is hierarchical (one child stream per
     cell and arm), so a fixed config and seed reproduce every report bit for
@@ -418,8 +807,8 @@ def markov_discrepancy_report(config: MarkovTestConfig) -> MarkovReport:
     thread while its ``ref`` arm runs on the calling thread, so a report
     uses at most one extra thread at a time.  The record is the one a
     sequential run gives, whatever the scheduling: a ``ref`` arm below the
-    floor leaves no ``proposed_*`` keys, an ``alt`` arm below it keeps the
-    ``_ref`` pair, and any other exception propagates, ``ref``'s first.
+    floor leaves no per-arm keys, an ``alt`` arm below it keeps the ``_ref``
+    keys, and any other exception propagates, ``ref``'s first.
     """
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(len(config.cells))
@@ -443,9 +832,15 @@ def markov_discrepancy_report(config: MarkovTestConfig) -> MarkovReport:
         ref, alt = _run_arms(config, cell, rng_ref, rng_alt)
         try:
             ref = _result(ref)
-            params.update(proposed_ref=ref.n_proposed, accept_ref=ref.acceptance_rate)
+            params.update(
+                proposed_ref=ref.n_proposed, accept_ref=ref.acceptance_rate,
+                p1_ref=ref.p1, survived_ref=ref.n_survived,
+            )
             alt = _result(alt)
-            params.update(proposed_alt=alt.n_proposed, accept_alt=alt.acceptance_rate)
+            params.update(
+                proposed_alt=alt.n_proposed, accept_alt=alt.acceptance_rate,
+                p1_alt=alt.p1, survived_alt=alt.n_survived,
+            )
         except BudgetExhaustedError:
             report = TestReport(float("nan"), float("nan"), 0, "inconclusive")
         else:
@@ -464,11 +859,11 @@ def markov_discrepancy_report(config: MarkovTestConfig) -> MarkovReport:
 # halfwidth, not with any Markov failure).  Arm sizes below put the c=0.5
 # threshold ~2.8 sigma under the effect and keep every control cell's
 # threshold several times the window bias.  Measured acceptance rates:
-# 3.3e-3 for the z1=1 arm, 9.7e-6 for the z1=8 arm at c=0.5 (3.1e-5 at
-# c=1), so the deep-tail arm dominates the runtime: with the sum-split first
-# stage it took 337 s for 9.2e9 proposals on one core of a 2-core VM, and the
-# whole witness about 380 s (sequential figures, taken while a cell still ran
-# its arms one after the other on one thread).
+# 3.3e-3 for the z1=1 arm, 9.9e-6 for the z1=8 arm at c=0.5 (3.2e-5 at
+# c=1).  The exact first stage draws only the first-window survivors
+# (p1 = 6.7e-2 and 1.8e-4 at c=0.5), so the deep-tail arm costs about 21 us
+# per accepted sample and the 1.08M z1=1 arm sets the cell's time: the
+# whole witness at seed 0 took 12.3 s on a 2-core VM, its arms on two threads.
 
 def zc_witness_config(seed: int) -> MarkovTestConfig:
     """The frozen weighted-sum probe: verdicts (consistent, rejected, consistent).

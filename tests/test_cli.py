@@ -1066,42 +1066,54 @@ def test_cmx_probe_small_run(tmp_path):
     # sampler counts reach the CLI report
     assert payload["cells"][0]["proposed_ref"] >= 200
     assert 0.0 < payload["cells"][0]["accept_alt"] <= 1.0
+    # and so does the first stage: its exact probability, and the survivors
+    # that every accepted sample came through
+    for arm in ("ref", "alt"):
+        cell = payload["cells"][0]
+        assert 0.0 < cell[f"p1_{arm}"] < 1.0
+        assert cell[f"survived_{arm}"] >= cell[f"accept_{arm}"] * cell[f"proposed_{arm}"]
     assert payload["summary"][0]["verdict"] == "consistent"
 
 
 def test_cmx_probe_report_is_frozen(tmp_path):
-    # every byte of a seeded two-cell report: the bridge-maximum start of
-    # the cmx sampler and the draws after it keep their stream
+    # every byte of a seeded two-cell report: the exact first stage of the
+    # cmx sampler (survivor counts, then R = 2M - X and the uniform share)
+    # and the bridge-maximum steps after it keep their stream
     out = tmp_path / "cmx.json"
     assert run_cli(*_CMX_FLAGS[:2], "1,0.5", *_CMX_FLAGS[3:], "--output", str(out)) == 0
     payload = out.read_bytes()
     assert hashlib.sha256(payload).hexdigest() == (
-        "b644a7ce2033cd67da2f33ed38045eb36124784efe8971456aaf35532408b65b"
+        "8a4e7d3e58c662fab1d519729e5916720522651d8e93bfdbb69f86ba84986390"
     )
     cells = json.loads(payload)["cells"]
     assert [(cell["c"], cell["statistic"]) for cell in cells] == [
-        (1.0, 0.16000000000000003), (0.5, 0.08999999999999997)
+        (1.0, 0.14), (0.5, 0.13)
     ]
 
 
-@pytest.mark.parametrize("n_ref", ["10", "2000000"], ids=["in-join", "in-ref-arm"])
+@pytest.mark.parametrize("n_ref", ["10", "4000000"], ids=["in-join", "in-ref-arm"])
 def test_ctrl_c_ends_a_probe_run_at_once(n_ref):
-    # the alt arm, the witness deep tail at acceptance 1e-5, runs for minutes
-    # on its worker thread; an interrupt must not wait for it, whether the ref
-    # arm has finished (the caller waits in the join) or is still running
+    # the alt arm, 4M samples of the witness deep tail (about 6 us each on a
+    # 2-core VM), runs for some 25 s on its worker thread, and so does a 4M
+    # ref arm at the near window; an interrupt must not wait for either,
+    # whether the ref arm has finished (the caller waits in the join) or is
+    # still running
     code = (
         "import sys; from besqlab import cli; print('imported', flush=True); "
         "sys.exit(cli.main(sys.argv[1:]))"
     )
     argv = (
-        "markov-test", "--c-values", "0.5", "--seed", "3", "--n-ref", n_ref, "--n-alt", "90000",
+        "markov-test", "--c-values", "0.5", "--seed", "3", "--n-ref", n_ref, "--n-alt", "4000000",
         "--n-target", "1", "--w1-ref-center", "1.0", "--w1-ref-halfwidth", "0.1",
         "--w1-alt-center", "8.0", "--w1-alt-halfwidth", "0.8",
         "--w2-center", "4.0", "--w2-halfwidth", "0.4",
     )
+    # a background job of a non-interactive shell ignores SIGINT, and a child
+    # that inherits the ignore gets no KeyboardInterrupt handler from Python
     proc = subprocess.Popen(
         [sys.executable, "-c", code, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True, env={**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])},
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     try:
         assert proc.stdout.readline() == "imported\n"

@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from besqlab import besq, nonmarkov, stattest
 from besqlab.errors import BudgetExhaustedError, DomainError
@@ -98,7 +98,7 @@ def test_unit_weight_adds_dimensions():
 @pytest.mark.parametrize("c", [0.0, 0.5, 1.0, 2.0])
 def test_sum_split_interval(c):
     # with X = S B and Y = S - X, Z = c X + Y lies in [min(1,c) S, max(1,c) S],
-    # the interval the first stage tests against w1 before drawing B
+    # the interval that sets the sums the exact first stage draws S from
     r = rng(25)
     s = r.gamma(1.0, 2.0, 100_000) * np.exp(r.uniform(-30.0, 30.0, 100_000))
     b = np.concatenate([r.beta(0.5, 0.5, 99_998), [0.0, 1.0]])
@@ -107,17 +107,28 @@ def test_sum_split_interval(c):
     slack = 4.0 * np.finfo(float).eps * s
     assert np.all(z >= min(1.0, c) * s - slack)
     assert np.all(z <= max(1.0, c) * s + slack)
+    # so the sums that can meet a window [1, 2] run from 1 / max(1, c) to 2 / min(1, c)
+    factor = (c, 1.0) if c < 1.0 else (1.0, c)
+    want = (1.0 / max(1.0, c), 2.0 / min(1.0, c) if c else math.inf)
+    assert stattest._radius_range(*factor, 1.0, 2.0) == want
 
 
-@pytest.mark.parametrize("d1, d2", [(1.0, 1.0), (1.5, 2.5)])
-@pytest.mark.parametrize("c", [0.0, 0.5, 1.0, 2.0])
-def test_sum_split_first_stage_law(c, d1, d2):
-    # oracle: _staged_sample with independent Gamma draws of X(eps) and
-    # Y(eps), the first stage that the sum-split draw replaced
-    eps, n = 0.4, 12_000
-    mean = c * d1 + d2  # E Z(t) = mean * t; both windows sit at the mean
-    w1 = ConditioningWindow(mean * eps, 0.25 * mean * eps)
-    w2 = ConditioningWindow(mean, 0.25 * mean)
+def _brute_force(r, start, advance, observe, eps, w1, w2, n):
+    # the three stages by plain rejection: batches of unconditioned states at
+    # eps, a window test, then the exact steps to 1 and 2
+    values, proposed = [], 0
+    while sum(v.size for v in values) < n:
+        state = start(r, eps, 50_000)
+        proposed += 50_000
+        for window, length in ((w1, 1.0 - eps), (w2, 1.0)):
+            keep = window.contains(observe(state))
+            state = advance(r, tuple(part[keep] for part in state), length)
+        values.append(observe(state))
+    accepted = np.concatenate(values)
+    return accepted[:n], accepted.size / proposed, proposed
+
+
+def _zc_oracle(c, d1, d2):
     p1, p2 = besq.BesqParams(d1), besq.BesqParams(d2)
 
     def start(r, t, size):
@@ -126,16 +137,239 @@ def test_sum_split_first_stage_law(c, d1, d2):
     def advance(r, state, t):
         return besq.sample_transitions(r, p1, t, state[0]), besq.sample_transitions(r, p2, t, state[1])
 
-    oracle = stattest._staged_sample(
-        rng(26), start, advance, lambda st: c * st[0] + st[1], eps, w1, w2, n
-    )
+    return start, advance, lambda st: c * st[0] + st[1]
+
+
+def _cmx_oracle(c):
+    def start(r, t, size):
+        return stattest._advance_max(r, (np.zeros(size), np.zeros(size)), t)
+
+    return start, stattest._advance_max, lambda st: c * st[1] - st[0]
+
+
+def _check_against_oracle(got, oracle_values, p, n_proposed):
+    assert stattest.ks_two_sample(got.values, oracle_values, alpha=0.001).verdict == "consistent"
+    # the survivor counts are Binomial(batch, p1), so both count the same
+    # acceptance rate up to binomial noise; a wrong share law or a wrong p1
+    # moves it
+    assert abs(got.acceptance_rate - p) < 5.0 * math.sqrt(p / got.n_proposed + p / n_proposed)
+
+
+@pytest.mark.parametrize("d1, d2", [(1.0, 1.0), (1.5, 2.5)])
+@pytest.mark.parametrize("c", [0.0, 0.5, 1.0, 2.0])
+def test_sum_split_first_stage_law(c, d1, d2):
+    # oracle: independent Gamma draws of X(eps) and Y(eps), then the window test
+    eps, n = 0.4, 12_000
+    mean = c * d1 + d2  # E Z(t) = mean * t; both windows sit at the mean
+    w1 = ConditioningWindow(mean * eps, 0.25 * mean * eps)
+    w2 = ConditioningWindow(mean, 0.25 * mean)
+    oracle = _brute_force(rng(26), *_zc_oracle(c, d1, d2), eps, w1, w2, n)
     got = stattest.conditional_sample(rng(27), c, d1, d2, eps, w1, w2, n)
-    assert stattest.ks_two_sample(got.values, oracle.values, alpha=0.001).verdict == "consistent"
-    # the interval filter drops only proposals that miss w1, so both count
-    # the same acceptance rate up to binomial noise; a wrong Beta split moves
-    # the rate at c != 1 (swapped shapes read 27 and 6 sigma off at c = 0, 2)
-    p = oracle.acceptance_rate
-    assert abs(got.acceptance_rate - p) < 5.0 * math.sqrt(p / got.n_proposed + p / oracle.n_proposed)
+    _check_against_oracle(got, *oracle)
+
+
+@pytest.mark.parametrize(
+    "c, w1, w2",
+    [
+        (0.0, (-0.6, 0.1), (0.2, 0.06)),
+        (0.5, (-0.6, 0.1), (0.2, 0.06)),
+        (0.5, (1.2, 0.12), (0.2, 0.06)),
+        (1.0, (0.15, 0.05), (0.35, 0.07)),
+        (2.0, (0.5, 0.05), (1.1, 0.11)),
+        (3.0, (0.8, 0.1), (1.5, 0.15)),
+    ],
+)
+def test_pitman_first_stage_law(c, w1, w2):
+    # oracle: the exact bridge-maximum step from zero, then the window test
+    eps, n = 0.5, 8_000
+    w1, w2 = ConditioningWindow(*w1), ConditioningWindow(*w2)
+    oracle = _brute_force(rng(28), *_cmx_oracle(c), eps, w1, w2, n)
+    got = stattest.conditional_sample_cmx(rng(29), c, eps, w1, w2, n)
+    _check_against_oracle(got, *oracle)
+
+
+@pytest.mark.parametrize(
+    "shape, lo, hi",
+    [
+        (1.0, 7.2, 17.6),  # exponential: the tangent is the density
+        (2.5, 0.5, 1.0),  # below the mode: rising tangent at hi
+        (2.5, 1.0, 2.0),  # around the mode: flat tangent
+        (2.5, 3.0, math.inf),  # falling tangent at lo
+        (2.5, 0.0, math.inf),  # no finite flat envelope: plain draws
+        (0.5, 0.4, 0.6),  # convex: chord
+        (0.5, 2.0, math.inf),  # convex, unbounded: slope -1
+        (0.5, 0.0, 3.0),  # convex from 0: plain draws
+    ],
+)
+def test_truncated_gamma_proposals_keep_the_truncated_law(shape, lo, hi):
+    proposal = stattest._TruncatedGamma(shape, lo, hi)
+    r, n = rng(33), 200_000
+    x, log_ratio = proposal.propose(r, n)
+    kept = x[r.random(n) < np.exp(log_ratio)]
+    law = stats.gamma(shape)
+    cut = law.sf(lo) - law.sf(hi)
+    assert stats.kstest(kept, lambda q: (law.sf(lo) - law.sf(q)) / cut).pvalue > 0.001
+    eff = proposal.efficiency
+    assert abs(kept.size / n - eff) < 5.0 * math.sqrt(eff * (1.0 - eff) / n) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "alpha, beta", [(0.5, 0.5), (0.75, 1.25), (3.0, 1.0), (3.0, 2.0), (1.5, 7.0)]
+)
+@pytest.mark.parametrize("width", [0.05, 0.3, 0.9])
+def test_widest_beta_mass_bounds_every_interval(alpha, beta, width):
+    # the bound is the largest mass over a fine grid of interval positions,
+    # which it meets up to the grid's step
+    starts = np.linspace(0.0, 1.0 - width, 20_001)
+    masses = special.betainc(alpha, beta, starts + width) - special.betainc(alpha, beta, starts)
+    bound = stattest._widest_beta_mass(alpha, beta, width)
+    assert bound >= masses.max() - 1e-14
+    assert bound <= masses.max() + 1e-6
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0])
+@pytest.mark.parametrize("w1", [(1.0, 0.1), (0.05, 0.1), (8.0, 0.8)])
+def test_zc_first_window_probability_closed_forms(c, w1):
+    # at c = 1, Z(eps) is the Gamma sum; at c = 0 it is Y(eps) alone
+    d1, d2, eps = 1.5, 2.5, 0.5
+    w1 = ConditioningWindow(*w1)
+    a, b = max(w1.center - w1.halfwidth, 0.0), w1.center + w1.halfwidth
+    shape = 0.5 * (d1 + d2) if c == 1.0 else 0.5 * d2
+    law = stats.gamma(shape, scale=2.0 * eps)
+    want = law.sf(a) - law.sf(b) if a > law.mean() else law.cdf(b) - law.cdf(a)
+    got = stattest._zc_first_stage(c, d1, d2, eps, w1).p1
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "c, law",
+    [
+        (0.0, lambda eps: stats.norm(scale=math.sqrt(eps))),
+        (1.0, lambda eps: stats.halfnorm(scale=math.sqrt(eps))),
+        (2.0, lambda eps: stats.maxwell(scale=math.sqrt(eps))),
+    ],
+    ids=["normal", "reflected", "maxwell"],
+)
+@pytest.mark.parametrize("w1", [(-0.6, 0.1), (0.05, 0.1), (0.5, 0.05), (1.8, 0.18)])
+def test_cmx_first_window_probability_closed_forms(c, law, w1):
+    # c M - X at eps is -X (normal), M - X (|normal|) or 2M - X (Maxwell)
+    eps = 0.5
+    w1 = ConditioningWindow(*w1)
+    a, b = w1.center - w1.halfwidth, w1.center + w1.halfwidth
+    dist = law(eps)
+    want = dist.sf(a) - dist.sf(b) if a > dist.median() else dist.cdf(b) - dist.cdf(a)
+    got = stattest._cmx_first_stage(c, eps, w1).p1
+    if want == 0.0:
+        assert got == 0.0
+    else:
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [0.25, 0.5, 2.0])
+def test_first_window_probability_matches_brute_force(c):
+    # the share of unconditioned states at eps that land in w1, within 5 sd
+    eps, n = 0.5, 2_000_000
+    for w1 in (ConditioningWindow(1.0, 0.1), ConditioningWindow(0.3, 0.1)):
+        r = rng(30)
+        for stage, (start, _, observe) in (
+            (stattest._zc_first_stage(c, 1.0, 3.0, eps, w1), _zc_oracle(c, 1.0, 3.0)),
+            (stattest._cmx_first_stage(c, eps, w1), _cmx_oracle(c)),
+        ):
+            rate = float(np.mean(w1.contains(observe(start(r, eps, n)))))
+            assert abs(stage.p1 - rate) < 5.0 * math.sqrt(stage.p1 * (1.0 - stage.p1) / n)
+
+
+@pytest.mark.parametrize(
+    "process, c", [("zc", 0.0), ("zc", 0.5), ("zc", 2.0), ("cmx", 0.0), ("cmx", 0.5), ("cmx", 3.0)]
+)
+def test_first_stage_states_match_brute_force(process, c):
+    # each coordinate of the hidden state at eps given the first window,
+    # (x, y) or (x, m), against unconditioned states kept by the window test
+    eps, n = 0.5, 20_000
+    w1 = ConditioningWindow(1.0, 0.2)
+    if process == "zc":
+        stage = stattest._zc_first_stage(c, 1.5, 2.5, eps, w1)
+        start, _, observe = _zc_oracle(c, 1.5, 2.5)
+    else:
+        stage = stattest._cmx_first_stage(c, eps, w1)
+        start, _, observe = _cmx_oracle(c)
+    r = rng(34)
+    state = start(r, eps, 1_000_000)
+    oracle = [part[w1.contains(observe(state))] for part in state]
+    for got, want in zip(stage.draw(r, n), oracle):
+        assert stattest.ks_two_sample(got, want, alpha=0.001).verdict == "consistent"
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, 2.0, 1e308])
+def test_first_stage_draws_land_in_the_window(c):
+    w1 = ConditioningWindow(1.0, 0.1)
+    for stage, observe in (
+        (stattest._zc_first_stage(c, 1.0, 1.0, 0.5, w1), lambda st: c * st[0] + st[1]),
+        (stattest._cmx_first_stage(c, 0.5, w1), lambda st: c * st[1] - st[0]),
+    ):
+        if stage.p1 < 1e-12:
+            continue
+        values = observe(stage.draw(rng(31), 20_000))
+        assert values.size == 20_000
+        assert np.all(np.abs(values - w1.center) <= w1.halfwidth * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize(
+    "process, w1",
+    [("zc", (-5.0, 0.1)), ("cmx", (-1.0, 0.1))],
+)
+def test_window_with_no_mass_reaches_the_floor_without_drawing(process, w1):
+    # Z >= 0, and c M - X >= 0 at c = 2: the first window has p1 = 0 exactly,
+    # so no state is ever drawn and the rate floor ends the run
+    w1, w2 = ConditioningWindow(*w1), ConditioningWindow(2.0, 0.2)
+    if process == "zc":
+        stage = stattest._zc_first_stage(0.5, 1.0, 1.0, 0.5, w1)
+        run = lambda: stattest.conditional_sample(rng(32), 0.5, 1.0, 1.0, 0.5, w1, w2, 100)
+    else:
+        stage = stattest._cmx_first_stage(2.0, 0.5, w1)
+        run = lambda: stattest.conditional_sample_cmx(rng(32), 2.0, 0.5, w1, w2, 100)
+    assert stage.p1 == 0.0 and stage.draw is None
+    with pytest.raises(BudgetExhaustedError, match="feasibility floor"):
+        run()
+
+
+class _RecordingRng:
+    # a generator whose survivor counts the test can read back
+    def __init__(self, r):
+        self.r, self.counts = r, []
+
+    def binomial(self, n, p, size):
+        out = self.r.binomial(n, p, size)
+        self.counts.append(out)
+        return out
+
+
+def test_staged_sample_keeps_whole_batches_in_order():
+    # every survivor passes both windows, so the values are the first
+    # n_target survivors in draw order, and the batches counted are exactly
+    # those up to the first one whose cumulative count reaches n_target
+    drawn = []
+
+    def first_stage(eps, w1):
+        def draw(r, n):
+            start = sum(drawn)
+            drawn.append(n)
+            return (np.arange(start, start + n, dtype=float),)
+
+        return stattest._FirstStage(2e-4, draw)
+
+    wide = ConditioningWindow(0.0, 1e300)
+    r = _RecordingRng(rng(35))
+    res = stattest._staged_sample(
+        r, first_stage, lambda r, state, t: state, lambda state: state[0], 0.5, wide, wide, 1_000
+    )
+    assert np.array_equal(res.values, np.arange(1_000.0))
+    assert len(r.counts) > 1  # the stop fell in a later round than the first
+    total = np.cumsum(np.concatenate(r.counts))
+    last = res.n_proposed // stattest._BATCH - 1
+    assert res.n_accepted == res.n_survived == total[last] >= 1_000
+    assert last == 0 or total[last - 1] < 1_000
+    assert res.p1 == 2e-4
 
 
 def test_conditional_sample_deterministic():
@@ -309,7 +543,8 @@ def test_report_deterministic_and_serializable():
     cell = d["cells"][0]
     for key in ("process", "c", "eps_ref", "eps_alt", "w1_ref", "w2", "statistic",
                 "threshold", "verdict", "seed", "pvalue", "n_ref", "n_alt",
-                "proposed_ref", "proposed_alt", "accept_ref", "accept_alt"):
+                "proposed_ref", "proposed_alt", "accept_ref", "accept_alt",
+                "p1_ref", "p1_alt", "survived_ref", "survived_alt"):
         assert key in cell
     assert d["summary"] == [{"c": 1.0, "verdict": a.summary[1.0]}]
 
@@ -349,6 +584,8 @@ def test_report_equals_arms_run_in_order(process, monkeypatch):
         assert {k: record[k] for k in vars(want)} == vars(want)
         assert (record["proposed_ref"], record["accept_ref"]) == (ref.n_proposed, ref.acceptance_rate)
         assert (record["proposed_alt"], record["accept_alt"]) == (alt.n_proposed, alt.acceptance_rate)
+        assert (record["p1_ref"], record["survived_ref"]) == (ref.p1, ref.n_survived)
+        assert (record["p1_alt"], record["survived_alt"]) == (alt.p1, alt.n_survived)
         assert rep.summary[cell.c] == want.verdict
 
 
@@ -403,7 +640,7 @@ def test_both_arms_see_the_callers_numpy_error_state(monkeypatch):
 
     def run(config, rng, cell, arm):
         seen.append(np.geterr()["divide"])
-        return stattest.ConditionalSampleResult(np.arange(3.0), 3, 3)
+        return stattest.ConditionalSampleResult(np.arange(3.0), 3, 3, 1.0, 3)
 
     monkeypatch.setattr(stattest, "_run_arm", run)
     with np.errstate(divide="raise"):
@@ -440,11 +677,19 @@ def test_frozen_probe_configs_shape():
     assert [cell.w2.center for cell in cmx.cells] == [0.2, 0.2, 0.35, 1.1]
 
 
+def test_frozen_zc_witness_verdicts():
+    # the paper's discriminating cell (c = 0.5) between its two past-free
+    # controls, at the seed fixed before the run: (consistent, rejected, consistent)
+    rep = stattest.markov_discrepancy_report(zc_witness_config(seed=0))
+    assert rep.summary == {0.0: "consistent", 0.5: "rejected", 1.0: "consistent"}
+
+
 @pytest.mark.slow
 def test_power_at_frozen_witness():
     # 50 independent repetitions of the rejected cell; each run costs about
-    # 6 minutes single-core (the deep-tail arm acceptance is 9.7e-6), so the
-    # full replication is a multi-hour batch and stays out of the default run
+    # 7 s on a 2-core VM, set by its 1.08M z1=1 arm now that the exact first
+    # stage makes the deep-tail arm cheap, so the replication takes about
+    # 6 minutes and stays out of the default run (50 of 50 rejected once)
     witness = zc_witness_config(seed=0).cells[1]
     rejected = 0
     for seed in range(50):
