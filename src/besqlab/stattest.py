@@ -29,9 +29,12 @@ size; its one stopping rule besides success is the acceptance-rate floor,
 which makes a cell inconclusive.
 
 :func:`markov_discrepancy_report` runs the two arms of a cell at the same
-time, the ``alt`` arm on one worker thread.  NumPy releases the GIL inside
-its random draws and ufuncs, so the arms overlap; each arm draws from its
-own child stream, so no result depends on how the threads are scheduled.
+time, the ``alt`` arm on one worker thread; each arm draws from its own
+child stream, so no result depends on how the threads are scheduled.  The
+arms hardly overlap, though: on a 2-core VM a cell took as long threaded as
+with its arms run one after the other (the bench c = 0 cell 25.6 against
+24.7 ms, the zc witness 7.7 against 7.7-8.0 s), so an arm holds the GIL for
+most of its time.
 """
 
 from __future__ import annotations
@@ -434,7 +437,9 @@ def _zc_p1(c, alpha, beta, shape, scale, a, b) -> float:
     by their values, meet the spec's ``rel_tol``: a row far below the other
     need not converge on its own, and neither need a negligible sum.
     """
-    spec = quadrature.QuadratureSpec()
+    # a row stops once it converges, so the cap reaches only rows still
+    # refining: at c near 1e308 a tiny share's row converges at level 13
+    spec = quadrature.QuadratureSpec(max_levels=13)
 
     def log_integrand(rows, t):
         out = []
@@ -444,7 +449,8 @@ def _zc_p1(c, alpha, beta, shape, scale, a, b) -> float:
                 power, other = (alpha, beta) if row == 0 else (beta, alpha)
                 near = np.exp(np.log(t) / power - math.log(2.0))
                 k = 1.0 + (c - 1.0) * near if row == 0 else c + (1.0 - c) * near
-                # k reaches 0 only at c = 0, where Z = 0 lies in a window from 0
+                # scale k rounds to 0 only at a subnormal c, where Z = 0 lies
+                # in a window from 0
                 mass = _gamma_mass(shape, a / (scale * k) if a else 0.0, b / (scale * k))
                 log_top = -power * math.log(2.0) - math.log(power)
                 out.append(log_top + (other - 1.0) * np.log1p(-near) + np.log(mass))
@@ -467,9 +473,35 @@ def _zc_p1(c, alpha, beta, shape, scale, a, b) -> float:
     return p1
 
 
+def _y_first_stage(alpha, beta, scale, a, b) -> _FirstStage:
+    """The first stage at c = 0, where ``Z = Y``: ``Y`` restricted to ``[a, b]``, ``X`` free.
+
+    ``Y`` is the radius of :func:`_radius_share_draws` under the constant
+    factor ``(1, 1)``, which every share meets, so the shares go unused.
+    ``p1`` is the Gamma(beta) mass of the window.
+    """
+    if not a < b:
+        return _FirstStage(0.0, None)
+    radius = _TruncatedGamma(beta, a / scale, b / scale)
+    if not radius.mass > 0.0:
+        return _FirstStage(0.0, None)
+
+    def draw(rng, n):
+        y, _ = _radius_share_draws(
+            rng, n, radius, lambda v: scale * v, lambda v: 1.0, (_identity, _identity),
+            (1.0, 1.0), a, b, radius.efficiency,
+        )
+        return rng.gamma(alpha, scale, n), y
+
+    return _FirstStage(radius.mass, draw)
+
+
 def _zc_first_stage(c, delta1, delta2, eps, w1) -> _FirstStage:
     # Z = S (1 + (c - 1) B) is never negative, so an edge below 0 is the edge 0
     a, b = max(w1.center - w1.halfwidth, 0.0), w1.center + w1.halfwidth
+    scale, alpha, beta = 2.0 * eps, 0.5 * delta1, 0.5 * delta2
+    if c == 0.0:
+        return _y_first_stage(alpha, beta, scale, a, b)
     # the share runs from the smaller factor: Z = S (c + (1 - c) Y/S) below
     # c = 1 and S (1 + (c - 1) X/S) above, so the shares of a large radius lie
     # near 0, where doubles keep their digits
@@ -478,8 +510,7 @@ def _zc_first_stage(c, delta1, delta2, eps, w1) -> _FirstStage:
     lo, hi = _radius_range(*factor, a, b)
     if not lo < hi:
         return _FirstStage(0.0, None)
-    scale, shape = 2.0 * eps, 0.5 * (delta1 + delta2)
-    alpha, beta = 0.5 * delta1, 0.5 * delta2
+    shape = 0.5 * (delta1 + delta2)
     first, second = (beta, alpha) if flip else (alpha, beta)
     radius = _TruncatedGamma(shape, lo / scale, hi / scale)
     if c == 1.0:
@@ -528,9 +559,10 @@ def conditional_sample(
     Beta mass ``l(S)`` of the shares that put ``Z(eps)`` in ``w1`` and the
     largest Beta mass ``L`` of an interval as wide as any of them; then the
     share from its Beta law on those shares, by ``betaincinv``.  At c = 1
-    every share qualifies and ``S`` is the Gamma restricted to ``w1``.
-    ``p1`` is a Gamma CDF difference at c = 1 and otherwise two log rows of
-    one quadrature over the share.
+    every share qualifies and ``S`` is the Gamma restricted to ``w1``; at
+    c = 0, where ``Z = Y``, ``Y`` is its own Gamma restricted to ``w1`` and
+    ``X`` a free Gamma draw.  ``p1`` is a Gamma CDF difference at c in
+    {0, 1} and otherwise two log rows of one quadrature over the share.
     """
     _check_coupling(c)
     p1 = BesqParams(delta1)
@@ -759,9 +791,11 @@ def _run_arm(
 def _run_arms(config: MarkovTestConfig, cell: MarkovCell, rng_ref, rng_alt) -> tuple:
     """Both arms of one cell, ``ref`` on this thread and ``alt`` on a worker.
 
-    Returns each arm's result, or the exception the arm raised.  The worker
-    runs in a copy of the caller's context, so NumPy's error state carries
-    over.  An interrupt leaves without waiting for the worker, a daemon, so
+    The arms contend for the GIL, so a cell takes about as long as its arms
+    run one after the other (measured in the module docstring).  Returns
+    each arm's result, or the exception the arm raised.  The worker runs in
+    a copy of the caller's context, so NumPy's error state carries over.  An
+    interrupt leaves without waiting for the worker, a daemon, so
     Ctrl-C ends a run at once; any other outcome joins it first.
     """
     alt = []
@@ -861,9 +895,10 @@ def markov_discrepancy_report(config: MarkovTestConfig) -> MarkovReport:
 # threshold several times the window bias.  Measured acceptance rates:
 # 3.3e-3 for the z1=1 arm, 9.9e-6 for the z1=8 arm at c=0.5 (3.2e-5 at
 # c=1).  The exact first stage draws only the first-window survivors
-# (p1 = 6.7e-2 and 1.8e-4 at c=0.5), so the deep-tail arm costs about 21 us
-# per accepted sample and the 1.08M z1=1 arm sets the cell's time: the
-# whole witness at seed 0 took 12.3 s on a 2-core VM, its arms on two threads.
+# (p1 = 6.7e-2 and 1.8e-4 at c=0.5), so the deep-tail arm costs about 5 us
+# per accepted sample (0.43-0.49 s alone) and the 1.08M z1=1 arm, 7.5 s
+# alone, sets the cell's time: the whole witness at seed 0 took 7.7 s on a
+# 2-core VM, its arms on two threads.
 
 def zc_witness_config(seed: int) -> MarkovTestConfig:
     """The frozen weighted-sum probe: verdicts (consistent, rejected, consistent).

@@ -1091,6 +1091,22 @@ def test_cmx_probe_report_is_frozen(tmp_path):
     ]
 
 
+def test_zc_probe_report_is_frozen(tmp_path):
+    # every byte of a seeded two-cell report away from c = 0: the sum and
+    # share first stage, the quadrature p1 at c = 0.5 and the exact
+    # transitions after eps keep their stream
+    out = tmp_path / "zc.json"
+    assert run_cli(*_ZC_FLAGS[:2], "1,0.5", *_ZC_FLAGS[3:], "--output", str(out)) == 0
+    payload = out.read_bytes()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "cdc8eae39e63c02d0f8f41f82de1301d92e5b7168085739f01c3760eb9b542b4"
+    )
+    cells = json.loads(payload)["cells"]
+    assert [(cell["c"], cell["statistic"]) for cell in cells] == [
+        (1.0, 0.10999999999999999), (0.5, 0.09999999999999998)
+    ]
+
+
 @pytest.mark.parametrize("n_ref", ["10", "4000000"], ids=["in-join", "in-ref-arm"])
 def test_ctrl_c_ends_a_probe_run_at_once(n_ref):
     # the alt arm, 4M samples of the witness deep tail (about 6 us each on a

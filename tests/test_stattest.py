@@ -314,6 +314,36 @@ def test_first_stage_draws_land_in_the_window(c):
         assert np.all(np.abs(values - w1.center) <= w1.halfwidth * (1.0 + 1e-12))
 
 
+def test_zero_coupling_first_stage_keeps_most_proposals(monkeypatch):
+    # at c = 0 Z is Y alone, drawn from its Gamma law restricted to the
+    # window, so even a window at 0 keeps most proposals; the sum and share
+    # split keeps only about p1 = 3.8e-5 of them there
+    proposed = []
+    propose = stattest._TruncatedGamma.propose
+
+    def counting(self, r, n):
+        proposed.append(n)
+        return propose(self, r, n)
+
+    monkeypatch.setattr(stattest._TruncatedGamma, "propose", counting)
+    w1 = ConditioningWindow(-0.05, 0.1)
+    stage = stattest._zc_first_stage(0.0, 1.0, 5.0, 0.9, w1)
+    x, y = stage.draw(rng(36), 2_000)
+    assert x.size == y.size == 2_000 and np.all(w1.contains(y))
+    assert 2_000 / sum(proposed) >= 0.5
+
+
+def test_zc_first_window_probability_at_huge_couplings():
+    # a window far above 0 needs X below b / c, whose mass falls as
+    # c**(-delta1 / 2): the small-X asymptote holds p1 c**(delta1 / 2) fixed.
+    # The share row needs 13 tanh-sinh levels at c = 1e300 and 1e308
+    w1 = ConditioningWindow(800.0, 10.0)
+    scaled = [
+        stattest._zc_first_stage(c, 0.02, 5.0, 0.5, w1).p1 * c**0.01 for c in (1e100, 1e300, 1e308)
+    ]
+    assert scaled == pytest.approx([scaled[0]] * 3, rel=1e-7)
+
+
 @pytest.mark.parametrize(
     "process, w1",
     [("zc", (-5.0, 0.1)), ("cmx", (-1.0, 0.1))],
