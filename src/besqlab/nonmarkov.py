@@ -75,7 +75,7 @@ import scipy
 from . import besq, quadrature
 from .besq import BesqParams
 from .errors import ConvergenceError, DomainError
-from .quadrature import QuadratureResult, QuadratureRows, QuadratureSpec
+from .quadrature import QuadratureRows, QuadratureSpec
 
 
 @dataclass(frozen=True)
@@ -226,9 +226,9 @@ def _exact(logs: np.ndarray) -> QuadratureRows:
     return QuadratureRows(logs, np.zeros(n), np.zeros(n, int), np.ones(n, bool))
 
 
-def _kernel_logs(s: ScenarioParams, triple: bool = True) -> list[QuadratureResult]:
-    """The ratio pass: logs of ``pair = int_0^b2 g dx2`` and, with ``triple``,
-    ``triple = int_0^b2 g h dx2``, each with its relative error.
+def _kernel_logs(s: ScenarioParams, triple: bool = True) -> QuadratureRows:
+    """The ratio pass: rows of the logs of ``pair = int_0^b2 g dx2`` and,
+    with ``triple``, ``triple = int_0^b2 g h dx2``, with relative errors.
 
     ``g`` is the x1 rows of A11 A12, or A21 at ``s.eps = None``, and ``h``
     the x3 rows of A13, kept in log space: near ``z3 -> 0`` A13's endpoint
@@ -270,7 +270,7 @@ def _kernel_logs(s: ScenarioParams, triple: bool = True) -> list[QuadratureResul
     outer = _log_rows("x2", log_f, n_rows, _upper_support(s.z2, s.c), spec)
     outer.errors += inner_rel
     outer.evaluations[:] = points
-    return [outer.row(i) for i in range(n_rows)]
+    return outer
 
 
 def _limit_logs(c, delta1, delta2, z1s, z2) -> QuadratureRows:
@@ -295,12 +295,12 @@ def joint_density_pair(s: ScenarioParams) -> float:
 
     At ``s.eps = None`` it is the ``eps -> 0`` limit object.
     """
-    return math.exp(_kernel_logs(s, triple=False)[0].value)
+    return math.exp(_kernel_logs(s, triple=False).values[0])
 
 
 def joint_density_triple(s: ScenarioParams) -> float:
     """Kernel integral for the law of ``(Z(eps), Z(1), Z(2))`` at ``(z1, z2, z3)``."""
-    return math.exp(_kernel_logs(s)[1].value)
+    return math.exp(_kernel_logs(s).values[1])
 
 
 def conditional_ratio_detail(s: ScenarioParams) -> RatioResult:
@@ -320,11 +320,11 @@ def conditional_ratio_detail(s: ScenarioParams) -> RatioResult:
         delta = s.delta2 if s.c == 0.0 else s.delta1 + s.delta2
         ratio = besq.transition_density(BesqParams(delta), 1.0, s.z2, s.z3) * k
         return RatioResult(ratio, 0.0, 0)
-    pair, triple = _kernel_logs(s)
+    logs = _kernel_logs(s)
     return RatioResult(
-        ratio=math.exp(triple.value - pair.value) * k,
-        rel_error_estimate=pair.error_estimate + triple.error_estimate,
-        evaluations=triple.evaluations,
+        ratio=math.exp(logs.values[1] - logs.values[0]) * k,
+        rel_error_estimate=float(logs.errors.sum()),
+        evaluations=int(logs.evaluations[1]),
     )
 
 
@@ -339,9 +339,9 @@ def zero_limit_weighted_triple(s: ScenarioParams) -> float:
     pairs the A21 kernel with the product of weighted zero-limits (A32);
     ``s.z3`` and ``s.eps`` play no role here.
     """
-    qt = _limit_logs(s.c, s.delta1, s.delta2, [s.z1], s.z2).row(0)
+    log_qt = _limit_logs(s.c, s.delta1, s.delta2, [s.z1], s.z2).values[0]
     log_c1 = scipy.special.betaln(0.5 * s.delta1, 0.5 * s.delta2) - 0.5 * s.delta1 * math.log(s.c)
-    return math.exp(log_c1 + qt.value)
+    return math.exp(log_c1 + log_qt)
 
 
 def d_of_r(r: float, c: float) -> float:

@@ -76,6 +76,9 @@ class QuadratureSpec:
 
 @dataclass
 class QuadratureResult:
+    """A linear integral and its absolute error, from :func:`integrate` or
+    :func:`integrate_iterated`; :func:`integrate_rows` gives logs instead."""
+
     value: float
     error_estimate: float
     evaluations: int
@@ -117,14 +120,6 @@ class QuadratureRows:
     errors: np.ndarray
     evaluations: np.ndarray
     converged: np.ndarray
-
-    def row(self, i: int) -> QuadratureResult:
-        return QuadratureResult(
-            float(self.values[i]),
-            float(self.errors[i]),
-            int(self.evaluations[i]),
-            bool(self.converged[i]),
-        )
 
 
 # Convergence compares a level with the one before, and is tested from this
@@ -298,7 +293,8 @@ def integrate_rows(
             if level >= 1:
                 rounding = np.abs(shift) * 2.0**-52 * value
                 err = np.maximum(np.abs(value - prev), np.maximum(rep_floor * value, rounding))
-            stop = ~finite
+            # the last level stops every row still refining, with its value
+            stop = ~finite | (level == spec.max_levels)
             if level >= _FIRST_CONVERGENT_LEVEL:
                 done = finite & (err <= spec.rel_tol * value)
                 # a row whose rounding floor misses rel_tol refines until its
@@ -322,12 +318,6 @@ def integrate_rows(
             if active.size == 0:
                 break
         prev = value
-    else:
-        # the budget ran out: the rows still refining keep their last level
-        values[active] = prev
-        errors[active] = err
-        shifts[active] = shift
-        evaluations[active] = n_evals
 
     # a row that met +inf or nan keeps it as its value, with error inf
     ok = np.isfinite(shifts)
@@ -376,12 +366,14 @@ def integrate(
         with np.errstate(divide="ignore"):
             return np.log(v)
 
-    row = integrate_rows(log_f, 1, a, b, spec).row(0)
+    rows = integrate_rows(log_f, 1, a, b, spec)
+    evaluations = int(rows.evaluations[0])
     with np.errstate(over="ignore"):
-        value = float(np.exp(row.value))
+        value = float(np.exp(rows.values[0]))
     if not math.isfinite(value):
-        return QuadratureResult(value, math.inf, row.evaluations, False)
-    return QuadratureResult(value, value * row.error_estimate, row.evaluations, row.converged)
+        return QuadratureResult(value, math.inf, evaluations, False)
+    error = value * float(rows.errors[0])
+    return QuadratureResult(value, error, evaluations, bool(rows.converged[0]))
 
 
 def integrate_iterated(

@@ -31,10 +31,12 @@ which makes a cell inconclusive.
 :func:`markov_discrepancy_report` runs the two arms of a cell at the same
 time, the ``alt`` arm on one worker thread; each arm draws from its own
 child stream, so no result depends on how the threads are scheduled.  The
-arms hardly overlap, though: on a 2-core VM a cell took as long threaded as
-with its arms run one after the other (the bench c = 0 cell 25.6 against
-24.7 ms, the zc witness 7.7 against 7.7-8.0 s), so an arm holds the GIL for
-most of its time.
+arms overlap in part.  On a 2-core VM, 8 alternating pairs of 20 s
+``probe`` benchmark runs (seeds 30101-30108) all ran faster threaded than
+with the arms one after the other: medians 369k against 315k samples/s,
+``op_p50_ms`` 18.3 against 21.8, for a peak RSS of 63.8 against 61.5 MB.
+The bench c = 0 cell alone took 25.6 ms threaded against 24.7 ms, and the
+zc witness 7.7 against 7.7-8.0 s.
 """
 
 from __future__ import annotations
@@ -470,7 +472,8 @@ def _zc_p1(c, alpha, beta, shape, scale, a, b) -> float:
             f"first-window probability did not converge (log rows {rows.values.tolist()},"
             f" relative errors {rows.errors.tolist()})"
         )
-    return p1
+    # a window that holds all the mass sums its two rows to 1 plus rounding
+    return min(p1, 1.0)
 
 
 def _y_first_stage(alpha, beta, scale, a, b) -> _FirstStage:
@@ -791,8 +794,9 @@ def _run_arm(
 def _run_arms(config: MarkovTestConfig, cell: MarkovCell, rng_ref, rng_alt) -> tuple:
     """Both arms of one cell, ``ref`` on this thread and ``alt`` on a worker.
 
-    The arms contend for the GIL, so a cell takes about as long as its arms
-    run one after the other (measured in the module docstring).  Returns
+    The arms overlap in part: the ``probe`` benchmark ran 17% more samples
+    per second than with the arms one after the other (measured in the
+    module docstring), though the c = 0 cell alone gains nothing.  Returns
     each arm's result, or the exception the arm raised.  The worker runs in
     a copy of the caller's context, so NumPy's error state carries over.  An
     interrupt leaves without waiting for the worker, a daemon, so

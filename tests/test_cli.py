@@ -29,9 +29,19 @@ def test_density_prints_known_value(capsys):
     assert float(out) == pytest.approx(math.exp(-1.0), rel=1e-9)
 
 
-def test_density_missing_flag_is_config_error(capsys):
-    assert run_cli("density", "--delta", "2", "--t", "0.5", "--x", "0") == 2
-    assert "--y" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (("density", "--delta", "2", "--t", "0.5", "--x", "0"), "--y"),
+        (("ratio", "--c", "0.5", "--delta1", "1", "--delta2", "1",
+          "--z1", "1", "--z2", "4", "--z3", "1"), "--eps"),
+    ],
+    ids=["density", "ratio"],
+)
+def test_missing_flag_is_config_error(capsys, argv, missing):
+    # ratio needs --eps unless --limit-eps names the eps -> 0 kernel
+    assert run_cli(*argv) == 2
+    assert missing in capsys.readouterr().err
 
 
 def test_unit_coupling_ratio_equals_density(capsys):
@@ -506,6 +516,9 @@ def test_config_list_key_takes_a_number_or_a_list(tmp_path, capsys, argv, key, v
         cfg.write_text(json.dumps({key: bad}))
         assert run_cli(*argv, "--config", str(cfg)) == 2
         assert "not a number or a list of numbers" in capsys.readouterr().err
+    # the flag's own text, refused as argparse converts it
+    assert exit_code(*argv, "--" + key.replace("_", "-"), f"{value!r},x") == 2
+    assert "not a number or a list of numbers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -752,8 +765,8 @@ def test_ratio_at_a_huge_order_rounds_to_zero(capsys, monkeypatch):
     kernel_logs = nonmarkov._kernel_logs
 
     def recorded(*args, **kwargs):
-        logs.extend(kernel_logs(*args, **kwargs))
-        return logs
+        logs.append(kernel_logs(*args, **kwargs))
+        return logs[-1]
 
     monkeypatch.setattr(nonmarkov, "_kernel_logs", recorded)
     assert run_cli_within(
@@ -761,10 +774,11 @@ def test_ratio_at_a_huge_order_rounds_to_zero(capsys, monkeypatch):
         "--eps", "0.5", "--z1", "1", "--z2", "4", "--z3", "1",
     ) == 0
     assert capsys.readouterr().out == "0\n"
-    pair, triple = logs
-    assert math.isfinite(pair.value) and math.isfinite(triple.value)
-    assert triple.value - pair.value == pytest.approx(-6.06e6, rel=1e-3)
-    assert triple.value - pair.value < -746.0
+    (rows,) = logs
+    pair, triple = rows.values
+    assert math.isfinite(pair) and math.isfinite(triple)
+    assert triple - pair == pytest.approx(-6.06e6, rel=1e-3)
+    assert triple - pair < -746.0
 
 
 @pytest.mark.parametrize(
@@ -1050,6 +1064,19 @@ def test_markov_probe_inconclusive_exit(tmp_path):
     ) == 4
     payload = json.loads(out.read_text())
     assert payload["summary"] == [{"c": 0.5, "verdict": "inconclusive"}]
+
+
+def test_markov_probe_window_holding_all_the_mass(capsys):
+    # the ref window holds all the mass of Z(eps): p1 is 1, and a p1 summed
+    # to 1 plus rounding once made the survivor count's binomial raise
+    assert run_cli(
+        "markov-test", "--c-values", "0.5,2", "--n-target", "50", "--seed", "1",
+        "--w1-ref-center", "50", "--w1-ref-halfwidth", "50",
+        "--w1-alt-center", "2", "--w1-alt-halfwidth", "0.2",
+        "--w2-center", "4", "--w2-halfwidth", "0.4",
+    ) == 0
+    cells = json.loads(capsys.readouterr().out)["cells"]
+    assert [cell["p1_ref"] for cell in cells] == [1.0, 1.0]
 
 
 def test_cmx_probe_small_run(tmp_path):

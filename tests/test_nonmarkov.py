@@ -143,9 +143,9 @@ def _recursive_kernel_logs(s):
             nodes.extend(x.tolist())
             return log_f(x)
 
-        res = quadrature.integrate_rows(one_row, 1, 0.0, hi, spec).row(0)
-        assert res.converged
-        return res.value, res.evaluations, nodes
+        res = quadrature.integrate_rows(one_row, 1, 0.0, hi, spec)
+        assert res.converged[0]
+        return res.values[0], res.evaluations[0], nodes
 
     memo = {}
 
@@ -189,12 +189,12 @@ def _recursive_kernel_logs(s):
 )
 def test_batched_kernel_integrals_match_recursive_oracle(s):
     for scenario in (s, dataclasses.replace(s, eps=None)):
-        pair, triple = nonmarkov._kernel_logs(scenario)
+        logs = nonmarkov._kernel_logs(scenario)
         want_pair, want_triple, points = _recursive_kernel_logs(scenario)
-        for batched, log_value in ((pair, want_pair), (triple, want_triple)):
-            assert batched.converged
-            assert math.exp(batched.value - log_value) == pytest.approx(1.0, abs=1e-12)
-            assert batched.evaluations == points
+        for row, log_value in enumerate((want_pair, want_triple)):
+            assert logs.converged[row]
+            assert math.exp(logs.values[row] - log_value) == pytest.approx(1.0, abs=1e-12)
+            assert logs.evaluations[row] == points
 
 
 # Points of the twelve conditional ratios at c=0.5, eps=0.5, z1=1, z2=4 (x1
@@ -276,8 +276,7 @@ def test_ratio_error_estimates_do_not_rise(d1, d2, z3):
     s = ScenarioParams(c=0.5, delta1=d1, delta2=d2, eps=0.5, z1=1.0, z2=4.0, z3=z3)
     for eps, (pair_error, rel_error) in zip((0.5, None), RATIO_ERRORS[(d1, d2, z3)]):
         s_eps = dataclasses.replace(s, eps=eps)
-        pair, _ = nonmarkov._kernel_logs(s_eps)
-        assert pair.error_estimate == pair_error
+        assert nonmarkov._kernel_logs(s_eps).errors[0] == pair_error
         assert nonmarkov.conditional_ratio_detail(s_eps).rel_error_estimate <= rel_error
 
 
@@ -344,9 +343,9 @@ def test_unit_coupling_ratio_forgets_the_past(d1, d2, eps, z1, z2, z3):
     s = ScenarioParams(c=1.0, delta1=d1, delta2=d2, eps=eps, z1=z1, z2=z2, z3=z3)
     want = besq.transition_density(BesqParams(d1 + d2), 1.0, z2, z3)
     for scenario in (s, dataclasses.replace(s, eps=None)):
-        pair, triple = nonmarkov._kernel_logs(scenario)
-        got = math.exp(triple.value - pair.value)
-        rel_error = pair.error_estimate + triple.error_estimate
+        logs = nonmarkov._kernel_logs(scenario)
+        got = math.exp(logs.values[1] - logs.values[0])
+        rel_error = logs.errors[0] + logs.errors[1]
         assert got == pytest.approx(want, rel=1e-5)
         assert abs(got - want) <= rel_error * want
         assert rel_error <= 1e-6

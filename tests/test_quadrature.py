@@ -102,11 +102,13 @@ def test_integrand_warnings_reach_the_caller(log):
 
     with pytest.warns(RuntimeWarning, match="overflow"):
         if log:
-            r = integrate_rows(lambda rows, x: f(x), 1, 0.0, 1.0, TIGHT).row(0)
+            r = integrate_rows(lambda rows, x: f(x), 1, 0.0, 1.0, TIGHT)
+            value, error, converged = r.values[0], r.errors[0], r.converged[0]
         else:
             r = integrate(f, 0.0, 1.0, TIGHT)
-    assert math.isinf(r.value) and math.isinf(r.error_estimate)
-    assert not r.converged
+            value, error, converged = r.value, r.error_estimate, r.converged
+    assert math.isinf(value) and math.isinf(error)
+    assert not converged
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -160,14 +162,16 @@ def test_rows_match_scalar_integrate(monkeypatch, budget):
         warnings.simplefilter("error")
         got = integrate_rows(f, len(MIXED_ROWS), 0.0, 1.0, MIXED_SPEC)
         wants = [
-            integrate_rows(lambda rows, xs: g(xs), 1, 0.0, 1.0, MIXED_SPEC).row(0)
+            integrate_rows(lambda rows, xs: g(xs), 1, 0.0, 1.0, MIXED_SPEC)
             for g in MIXED_ROWS
         ]
     if budget is not None:
         assert all(rows == 1 or rows * n <= budget for rows, n in sizes)
     # every point f was called with counts, also past the level a row stopped at
     assert got.evaluations.tolist() == received.tolist()
-    assert [got.row(i) for i in range(len(MIXED_ROWS))] == wants
+    for field in ("values", "errors", "evaluations", "converged"):
+        want = np.concatenate([getattr(w, field) for w in wants])
+        assert getattr(got, field).tolist() == want.tolist()
     assert got.converged.tolist() == [True, False, False, False]
     assert math.isinf(got.values[2]) and math.isinf(got.errors[2])
     assert got.evaluations[3] > got.evaluations[0]
@@ -203,14 +207,14 @@ def test_levels_up_to_two_share_the_first_call(g, spec, level):
     if level > 2:
         short = QuadratureSpec(spec.rel_tol, level - 1)
         assert not integrate(g, 0.0, 1.0, short).converged
-    r = integrate_rows(f, 1, 0.0, 1.0, spec).row(0)
-    assert r.converged
+    r = integrate_rows(f, 1, 0.0, 1.0, spec)
+    assert r.converged[0]
     assert len(calls) == level - 1
     first = np.sort(np.concatenate([_level_abscissae(k) for k in range(3)]))
     assert np.array_equal(calls[0], first)
     for k, xs in enumerate(calls[1:], start=3):
         assert np.array_equal(xs, _level_abscissae(k))
-    assert r.evaluations == sum(xs.size for xs in calls)
+    assert r.evaluations[0] == sum(xs.size for xs in calls)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -228,10 +232,10 @@ def test_log_rows_past_the_overflow_of_exp():
         peaks.append(float(v.max()))
         return v
 
-    r = integrate_rows(log_f, 1, 0.0, 1.0, spec).row(0)
+    r = integrate_rows(log_f, 1, 0.0, 1.0, spec)
     assert peaks[0] > math.log(np.finfo(float).max)
-    assert r.converged
-    assert math.exp(r.value - 100.0) == pytest.approx(1.0 / alpha, rel=spec.rel_tol)
+    assert r.converged[0]
+    assert math.exp(r.values[0] - 100.0) == pytest.approx(1.0 / alpha, rel=spec.rel_tol)
 
 
 def test_log_row_counts_the_mass_below_its_smallest_node_at_zero():
@@ -239,13 +243,11 @@ def test_log_row_counts_the_mass_below_its_smallest_node_at_zero():
     # of it lies below the smallest subnormal node, past any refinement
     alpha = 0.02
     spec = QuadratureSpec(1e-9, 12, left_exponent=alpha)
-    r = integrate_rows(
-        lambda rows, x: (alpha - 1.0) * np.log(x), 1, 0.0, 1.0, spec
-    ).row(0)
-    true_error = abs(math.expm1(r.value + math.log(alpha)))
+    r = integrate_rows(lambda rows, x: (alpha - 1.0) * np.log(x), 1, 0.0, 1.0, spec)
+    true_error = abs(math.expm1(r.values[0] + math.log(alpha)))
     assert true_error > 1e-7
-    assert not r.converged
-    assert r.error_estimate >= true_error
+    assert not r.converged[0]
+    assert r.errors[0] >= true_error
 
 
 def test_log_rows_raise_their_shift_at_a_later_level():
@@ -265,10 +267,10 @@ def test_log_rows_raise_their_shift_at_a_later_level():
         peaks.append(float(v.max()))
         return v
 
-    r = integrate_rows(log_f, 1, 0.0, 1.0, TIGHT).row(0)
+    r = integrate_rows(log_f, 1, 0.0, 1.0, TIGHT)
     assert peaks[0] < off - 100.0 < off - 1.0 < max(peaks)
-    assert r.converged
-    assert abs(math.expm1(r.value - truth)) <= r.error_estimate
+    assert r.converged[0]
+    assert abs(math.expm1(r.values[0] - truth)) <= r.errors[0]
 
 
 def test_log_row_below_its_rounding_floor_stops_on_the_first_level():
@@ -281,10 +283,10 @@ def test_log_row_below_its_rounding_floor_stops_on_the_first_level():
         calls.append(x.size)
         return np.full((rows.size, x.size), -1e300)
 
-    r = integrate_rows(log_f, 1, 0.0, 1.0, TIGHT).row(0)
-    assert len(calls) == 1 and r.evaluations == calls[0]
-    assert not r.converged
-    assert r.error_estimate == pytest.approx(1e300 * 2.0**-52, rel=1e-6)
+    r = integrate_rows(log_f, 1, 0.0, 1.0, TIGHT)
+    assert len(calls) == 1 and r.evaluations[0] == calls[0]
+    assert not r.converged[0]
+    assert r.errors[0] == pytest.approx(1e300 * 2.0**-52, rel=1e-6)
 
 
 def test_log_row_near_its_rounding_floor_reports_the_floor():
@@ -297,13 +299,13 @@ def test_log_row_near_its_rounding_floor_reports_the_floor():
         def log_f(rows, x):
             return np.broadcast_to(-1e6 - x, (rows.size, x.size))
 
-        return integrate_rows(log_f, 1, 0.0, 1.0, QuadratureSpec(rel_tol)).row(0)
+        return integrate_rows(log_f, 1, 0.0, 1.0, QuadratureSpec(rel_tol))
 
     floored, resolved = row_at(1e-10), row_at(1e-9)
-    assert not floored.converged and resolved.converged
-    assert floored.error_estimate == pytest.approx(1e6 * 2.0**-52, rel=1e-6)
-    assert (floored.value, floored.error_estimate) == (resolved.value, resolved.error_estimate)
-    assert abs(math.expm1(floored.value - truth)) <= floored.error_estimate
+    assert not floored.converged[0] and resolved.converged[0]
+    assert floored.errors[0] == pytest.approx(1e6 * 2.0**-52, rel=1e-6)
+    assert (floored.values[0], floored.errors[0]) == (resolved.values[0], resolved.errors[0])
+    assert abs(math.expm1(floored.values[0] - truth)) <= floored.errors[0]
 
 
 def test_log_row_whose_shift_rises_past_its_rounding_floor_keeps_refining():
@@ -317,10 +319,10 @@ def test_log_row_whose_shift_rises_past_its_rounding_floor_keeps_refining():
         calls.append(x.size)
         return 1e8 * np.exp(-0.5 * ((x - mu) / sigma) ** 2) - 10.0 * np.abs(x - 0.3)
 
-    r = integrate_rows(log_f, 1, 0.0, 1.0, QuadratureSpec(1e-9, 5)).row(0)
+    r = integrate_rows(log_f, 1, 0.0, 1.0, QuadratureSpec(1e-9, 5))
     assert len(calls) == 4
-    assert not r.converged
-    assert r.error_estimate == pytest.approx(1.0)
+    assert not r.converged[0]
+    assert r.errors[0] == pytest.approx(1.0)
 
 
 def test_singular_interval_not_at_origin():

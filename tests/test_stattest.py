@@ -333,6 +333,17 @@ def test_zero_coupling_first_stage_keeps_most_proposals(monkeypatch):
     assert 2_000 / sum(proposed) >= 0.5
 
 
+@pytest.mark.parametrize(
+    "c, w1", [(0.5, (50.0, 50.0)), (0.5, (1.0, math.inf)), (2.0, (1.0, math.inf))]
+)
+def test_zc_window_holding_all_the_mass_has_p1_at_most_one(c, w1):
+    # the two share rows of the first-window probability sum to 1 plus
+    # rounding here, and the survivor count's binomial refuses a p1 past 1
+    p1 = stattest._zc_first_stage(c, 1.0, 1.0, 0.5, ConditioningWindow(*w1)).p1
+    assert p1 <= 1.0
+    assert p1 == pytest.approx(1.0, rel=1e-12)
+
+
 def test_zc_first_window_probability_at_huge_couplings():
     # a window far above 0 needs X below b / c, whose mass falls as
     # c**(-delta1 / 2): the small-X asymptote holds p1 c**(delta1 / 2) fixed.
@@ -345,19 +356,26 @@ def test_zc_first_window_probability_at_huge_couplings():
 
 
 @pytest.mark.parametrize(
-    "process, w1",
-    [("zc", (-5.0, 0.1)), ("cmx", (-1.0, 0.1))],
+    "process, c, w1",
+    [
+        ("zc", 0.5, (-5.0, 0.1)),
+        ("cmx", 2.0, (-1.0, 0.1)),
+        ("zc", 0.0, (-5.0, 0.1)),
+        ("zc", 0.0, (1e4, 1.0)),
+    ],
+    ids=["zc-w10", "cmx-w11", "zc-c0-below-0", "zc-c0-underflow"],
 )
-def test_window_with_no_mass_reaches_the_floor_without_drawing(process, w1):
+def test_window_with_no_mass_reaches_the_floor_without_drawing(process, c, w1):
     # Z >= 0, and c M - X >= 0 at c = 2: the first window has p1 = 0 exactly,
-    # so no state is ever drawn and the rate floor ends the run
+    # so no state is ever drawn and the rate floor ends the run.  At c = 0
+    # Z = Y, whose Gamma mass at 1e4 also underflows to 0
     w1, w2 = ConditioningWindow(*w1), ConditioningWindow(2.0, 0.2)
     if process == "zc":
-        stage = stattest._zc_first_stage(0.5, 1.0, 1.0, 0.5, w1)
-        run = lambda: stattest.conditional_sample(rng(32), 0.5, 1.0, 1.0, 0.5, w1, w2, 100)
+        stage = stattest._zc_first_stage(c, 1.0, 1.0, 0.5, w1)
+        run = lambda: stattest.conditional_sample(rng(32), c, 1.0, 1.0, 0.5, w1, w2, 100)
     else:
-        stage = stattest._cmx_first_stage(2.0, 0.5, w1)
-        run = lambda: stattest.conditional_sample_cmx(rng(32), 2.0, 0.5, w1, w2, 100)
+        stage = stattest._cmx_first_stage(c, 0.5, w1)
+        run = lambda: stattest.conditional_sample_cmx(rng(32), c, 0.5, w1, w2, 100)
     assert stage.p1 == 0.0 and stage.draw is None
     with pytest.raises(BudgetExhaustedError, match="feasibility floor"):
         run()
