@@ -35,8 +35,9 @@ arms overlap in part.  On a 2-core VM, 8 alternating pairs of 20 s
 ``probe`` benchmark runs (seeds 30101-30108) all ran faster threaded than
 with the arms one after the other: medians 369k against 315k samples/s,
 ``op_p50_ms`` 18.3 against 21.8, for a peak RSS of 63.8 against 61.5 MB.
-The bench c = 0 cell alone took 25.6 ms threaded against 24.7 ms, and the
-zc witness 7.7 against 7.7-8.0 s.
+A zc cell alone gains nothing: with the arms threaded, the bench c = 0 and
+c = 1 cells took 12.2 and 16.8 ms against 11.8 and 15.8 ms (medians of
+15), and the zc witness 9.5-10.0 against 9.5 s.
 """
 
 from __future__ import annotations
@@ -287,31 +288,37 @@ class _TruncatedGamma:
     ``h(x) = (shape - 1) log x - x`` is a line: its tangent at the mode
     clipped into the range where ``h`` is concave (shape >= 1), and its
     chord where ``h`` is convex (the limiting slope -1 on an unbounded
-    range; none from 0, where ``h`` is infinite).  Plain Gamma draws, kept
-    when they land in the range, serve instead when they keep more.
+    range).  From 0, where a convex ``h`` is infinite, the envelope is the
+    power ``x**(shape - 1)`` itself, and a draw is kept with ``exp(-x)``.
+    Plain Gamma draws, kept when they land in the range, serve instead when
+    they keep more, and wherever no envelope of finite mass exists.
     """
 
     def __init__(self, shape: float, lo: float, hi: float):
         self.shape, self.lo, self.hi = shape, lo, hi
         self.mass = float(_gamma_mass(shape, lo, hi))
-        self.slope, self.efficiency = None, self.mass
-        if not self.mass > 0.0 or (shape < 1.0 and lo == 0.0):
+        # None for plain draws, "power", or the line's (t, slope)
+        self.envelope, self.efficiency = None, self.mass
+        if not self.mass > 0.0 or (shape < 1.0 and lo == 0.0 and hi == math.inf):
             return
         width = hi - lo
-        if shape >= 1.0:
-            t = min(max(shape - 1.0, lo), hi)
-            slope = (shape - 1.0) / t - 1.0 if shape > 1.0 else -1.0
+        if shape < 1.0 and lo == 0.0:
+            envelope, log_envelope = "power", shape * math.log(hi) - math.log(shape)
         else:
-            t = lo
-            slope = (self._h(hi) - self._h(lo)) / width if hi < math.inf else -1.0
-        log_envelope = self._h(t) + (
-            math.log(width) if slope == 0.0 else
-            slope * ((lo if slope < 0.0 else hi) - t)
-            + math.log(-math.expm1(-abs(slope) * width) / abs(slope))
-        )
+            if shape >= 1.0:
+                t = min(max(shape - 1.0, lo), hi)
+                slope = (shape - 1.0) / t - 1.0 if shape > 1.0 else -1.0
+            else:
+                t = lo
+                slope = (self._h(hi) - self._h(lo)) / width if hi < math.inf else -1.0
+            envelope, log_envelope = (t, slope), self._h(t) + (
+                math.log(width) if slope == 0.0 else
+                slope * ((lo if slope < 0.0 else hi) - t)
+                + math.log(-math.expm1(-abs(slope) * width) / abs(slope))
+            )
         gain = float(scipy.special.gammaln(shape)) - log_envelope
         if gain > 0.0:
-            self.t, self.slope = t, slope
+            self.envelope = envelope
             self.efficiency = math.exp(math.log(self.mass) + gain)
 
     def _h(self, x):
@@ -321,17 +328,21 @@ class _TruncatedGamma:
             return (self.shape - 1.0) * np.log(x) - x
 
     def propose(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if self.slope is None:
+        if self.envelope is None:
             x = rng.gamma(self.shape, 1.0, n)
             return x, np.where((self.lo <= x) & (x <= self.hi), 0.0, -np.inf)
+        if self.envelope == "power":
+            x = self.hi * rng.random(n) ** (1.0 / self.shape)
+            return x, -x
+        t, slope = self.envelope
         width = self.hi - self.lo
-        if self.slope == 0.0:
+        if slope == 0.0:
             x = self.lo + width * rng.random(n)
         else:
-            rate = abs(self.slope)
+            rate = abs(slope)
             y = -np.log1p(rng.random(n) * math.expm1(-rate * width)) / rate
-            x = np.clip(self.lo + y if self.slope < 0.0 else self.hi - y, self.lo, self.hi)
-        return x, self._h(x) - self._h(self.t) - self.slope * (x - self.t)
+            x = np.clip(self.lo + y if slope < 0.0 else self.hi - y, self.lo, self.hi)
+        return x, self._h(x) - self._h(t) - slope * (x - t)
 
 
 def _radius_range(k0: float, k1: float, a: float, b: float) -> tuple[float, float]:
@@ -476,25 +487,29 @@ def _zc_p1(c, alpha, beta, shape, scale, a, b) -> float:
     return min(p1, 1.0)
 
 
-def _y_first_stage(alpha, beta, scale, a, b) -> _FirstStage:
-    """The first stage at c = 0, where ``Z = Y``: ``Y`` restricted to ``[a, b]``, ``X`` free.
+def _gamma_first_stage(shape, scale, a, b, split) -> _FirstStage:
+    """The first stage at c in {0, 1}, where ``Z(eps)`` is a Gamma(shape) of ``scale``.
 
-    ``Y`` is the radius of :func:`_radius_share_draws` under the constant
-    factor ``(1, 1)``, which every share meets, so the shares go unused.
-    ``p1`` is the Gamma(beta) mass of the window.
+    ``Z`` is drawn from its Gamma law restricted to ``[a, b]``, with no
+    share, and ``split(rng, z)`` maps the values to the hidden states.
+    ``p1`` is the Gamma mass of the window.
     """
     if not a < b:
         return _FirstStage(0.0, None)
-    radius = _TruncatedGamma(beta, a / scale, b / scale)
+    radius = _TruncatedGamma(shape, a / scale, b / scale)
     if not radius.mass > 0.0:
         return _FirstStage(0.0, None)
 
     def draw(rng, n):
-        y, _ = _radius_share_draws(
-            rng, n, radius, lambda v: scale * v, lambda v: 1.0, (_identity, _identity),
-            (1.0, 1.0), a, b, radius.efficiency,
-        )
-        return rng.gamma(alpha, scale, n), y
+        values, have = [], 0
+        while have < n:
+            m = int(min(_ROUND, 1.1 * (n - have) / radius.efficiency + 8.0))
+            x, log_ratio = radius.propose(rng, m)
+            z = scale * x[rng.random(m) < np.exp(log_ratio)]
+            # a draw at an edge of the range can round out of the window
+            values.append(z[(a <= z) & (z <= b)])
+            have += values[-1].size
+        return split(rng, np.concatenate(values)[:n])
 
     return _FirstStage(radius.mass, draw)
 
@@ -504,7 +519,15 @@ def _zc_first_stage(c, delta1, delta2, eps, w1) -> _FirstStage:
     a, b = max(w1.center - w1.halfwidth, 0.0), w1.center + w1.halfwidth
     scale, alpha, beta = 2.0 * eps, 0.5 * delta1, 0.5 * delta2
     if c == 0.0:
-        return _y_first_stage(alpha, beta, scale, a, b)
+        # Z = Y never reads X, so the state is Y alone
+        return _gamma_first_stage(beta, scale, a, b, lambda rng, y: (y,))
+    if c == 1.0:
+        # Z = S, and the share B, independent of S, is Beta wherever S lies
+        def split(rng, s):
+            x = s * rng.beta(alpha, beta, s.size)
+            return x, s - x
+
+        return _gamma_first_stage(alpha + beta, scale, a, b, split)
     # the share runs from the smaller factor: Z = S (c + (1 - c) Y/S) below
     # c = 1 and S (1 + (c - 1) X/S) above, so the shares of a large radius lie
     # near 0, where doubles keep their digits
@@ -516,13 +539,10 @@ def _zc_first_stage(c, delta1, delta2, eps, w1) -> _FirstStage:
     shape = 0.5 * (delta1 + delta2)
     first, second = (beta, alpha) if flip else (alpha, beta)
     radius = _TruncatedGamma(shape, lo / scale, hi / scale)
-    if c == 1.0:
-        p1, bound = radius.mass, 1.0
-    else:
-        p1 = _zc_p1(c, alpha, beta, shape, scale, a, b)
-        # l(s) is the Beta mass of an interval of width (b - a) / (s |c - 1|)
-        width = (b - a) / (lo * abs(c - 1.0)) if lo > 0.0 else math.inf
-        bound = _widest_beta_mass(first, second, width)
+    p1 = _zc_p1(c, alpha, beta, shape, scale, a, b)
+    # l(s) is the Beta mass of an interval of width (b - a) / (s |c - 1|)
+    width = (b - a) / (lo * abs(c - 1.0)) if lo > 0.0 else math.inf
+    bound = _widest_beta_mass(first, second, width)
     if not (p1 > 0.0 and radius.mass > 0.0):
         return _FirstStage(0.0, None)
     acceptance = radius.efficiency * p1 / (radius.mass * bound)
@@ -562,25 +582,27 @@ def conditional_sample(
     Beta mass ``l(S)`` of the shares that put ``Z(eps)`` in ``w1`` and the
     largest Beta mass ``L`` of an interval as wide as any of them; then the
     share from its Beta law on those shares, by ``betaincinv``.  At c = 1
-    every share qualifies and ``S`` is the Gamma restricted to ``w1``; at
-    c = 0, where ``Z = Y``, ``Y`` is its own Gamma restricted to ``w1`` and
-    ``X`` a free Gamma draw.  ``p1`` is a Gamma CDF difference at c in
-    {0, 1} and otherwise two log rows of one quadrature over the share.
+    every share qualifies: ``S`` is the Gamma restricted to ``w1`` and ``B``
+    a free Beta draw, and the pair moves on after ``eps``.  At c = 0, where
+    ``Z = Y`` never reads ``X``, the state is ``Y`` alone, from its Gamma
+    restricted to ``w1``.  ``p1`` is a Gamma CDF difference at c in {0, 1}
+    and otherwise two log rows of one quadrature over the share.
     """
     _check_coupling(c)
-    p1 = BesqParams(delta1)
-    p2 = BesqParams(delta2)
+    p1, p2 = BesqParams(delta1), BesqParams(delta2)
+    # at c = 0, Z = Y never reads X, so the state is Y alone
+    params = (p2,) if c == 0.0 else (p1, p2)
 
     def first_stage(eps, w1):
         return _zc_first_stage(c, delta1, delta2, eps, w1)
 
     def advance(rng, state, t):
-        x, y = state
-        return besq.sample_transitions(rng, p1, t, x), besq.sample_transitions(rng, p2, t, y)
+        return tuple(besq.sample_transitions(rng, p, t, part) for p, part in zip(params, state))
 
-    return _staged_sample(
-        rng, first_stage, advance, lambda s: c * s[0] + s[1], eps, w1, w2, n_target
-    )
+    def observe(state):
+        return state[0] if c == 0.0 else c * state[0] + state[1]
+
+    return _staged_sample(rng, first_stage, advance, observe, eps, w1, w2, n_target)
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +818,7 @@ def _run_arms(config: MarkovTestConfig, cell: MarkovCell, rng_ref, rng_alt) -> t
 
     The arms overlap in part: the ``probe`` benchmark ran 17% more samples
     per second than with the arms one after the other (measured in the
-    module docstring), though the c = 0 cell alone gains nothing.  Returns
+    module docstring), though a zc cell alone gains nothing.  Returns
     each arm's result, or the exception the arm raised.  The worker runs in
     a copy of the caller's context, so NumPy's error state carries over.  An
     interrupt leaves without waiting for the worker, a daemon, so

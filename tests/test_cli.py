@@ -1119,19 +1119,33 @@ def test_cmx_probe_report_is_frozen(tmp_path):
 
 
 def test_zc_probe_report_is_frozen(tmp_path):
-    # every byte of a seeded two-cell report away from c = 0: the sum and
-    # share first stage, the quadrature p1 at c = 0.5 and the exact
-    # transitions after eps keep their stream
+    # every byte of a seeded two-cell report away from c = 0: the Gamma sum
+    # and free Beta share at c = 1, the sum and share first stage and the
+    # quadrature p1 at c = 0.5, and the exact transitions after eps keep
+    # their stream
     out = tmp_path / "zc.json"
     assert run_cli(*_ZC_FLAGS[:2], "1,0.5", *_ZC_FLAGS[3:], "--output", str(out)) == 0
     payload = out.read_bytes()
     assert hashlib.sha256(payload).hexdigest() == (
-        "cdc8eae39e63c02d0f8f41f82de1301d92e5b7168085739f01c3760eb9b542b4"
+        "53fd6b7c8291aebd11a6b15ce4cc89fd63dae1ca9b5a171ce86987f4f0d63ae5"
     )
     cells = json.loads(payload)["cells"]
     assert [(cell["c"], cell["statistic"]) for cell in cells] == [
-        (1.0, 0.10999999999999999), (0.5, 0.09999999999999998)
+        (1.0, 0.13), (0.5, 0.09999999999999998)
     ]
+
+
+def test_zc_zero_coupling_report_is_frozen(tmp_path):
+    # every byte of a seeded c = 0 report: Y alone, from its Gamma law
+    # restricted to w1 and then by its own exact transitions
+    out = tmp_path / "zc.json"
+    assert run_cli(*_ZC_FLAGS[:2], "0", *_ZC_FLAGS[3:], "--output", str(out)) == 0
+    payload = out.read_bytes()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "a384e810ce3867b05bc2fff6f534b6447e0635581b7bb98a0f23c72bb06794e6"
+    )
+    (cell,) = json.loads(payload)["cells"]
+    assert (cell["c"], cell["statistic"], cell["survived_ref"]) == (0.0, 0.10999999999999999, 2407)
 
 
 @pytest.mark.parametrize("n_ref", ["10", "4000000"], ids=["in-join", "in-ref-arm"])

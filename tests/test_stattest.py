@@ -10,6 +10,7 @@ import pytest
 from scipy import special, stats
 
 from besqlab import besq, nonmarkov, stattest
+from oracles import window_pair_probability
 from besqlab.errors import BudgetExhaustedError, DomainError
 from besqlab.stattest import (
     ArmSpec,
@@ -198,7 +199,8 @@ def test_pitman_first_stage_law(c, w1, w2):
         (2.5, 0.0, math.inf),  # no finite flat envelope: plain draws
         (0.5, 0.4, 0.6),  # convex: chord
         (0.5, 2.0, math.inf),  # convex, unbounded: slope -1
-        (0.5, 0.0, 3.0),  # convex from 0: plain draws
+        (0.5, 0.0, 3.0),  # convex from 0: plain draws keep more than the power law
+        (0.5, 0.0, 0.3),  # convex from 0, narrow: the power law
     ],
 )
 def test_truncated_gamma_proposals_keep_the_truncated_law(shape, lo, hi):
@@ -280,11 +282,13 @@ def test_first_window_probability_matches_brute_force(c):
 
 
 @pytest.mark.parametrize(
-    "process, c", [("zc", 0.0), ("zc", 0.5), ("zc", 2.0), ("cmx", 0.0), ("cmx", 0.5), ("cmx", 3.0)]
+    "process, c",
+    [("zc", 0.0), ("zc", 0.5), ("zc", 1.0), ("zc", 2.0), ("cmx", 0.0), ("cmx", 0.5), ("cmx", 3.0)],
 )
 def test_first_stage_states_match_brute_force(process, c):
     # each coordinate of the hidden state at eps given the first window,
-    # (x, y) or (x, m), against unconditioned states kept by the window test
+    # (x, y) or (x, m), against unconditioned states kept by the window test;
+    # at c = 0 the zc state is y alone
     eps, n = 0.5, 20_000
     w1 = ConditioningWindow(1.0, 0.2)
     if process == "zc":
@@ -296,7 +300,9 @@ def test_first_stage_states_match_brute_force(process, c):
     r = rng(34)
     state = start(r, eps, 1_000_000)
     oracle = [part[w1.contains(observe(state))] for part in state]
-    for got, want in zip(stage.draw(r, n), oracle):
+    if (process, c) == ("zc", 0.0):
+        oracle = oracle[1:]
+    for got, want in zip(stage.draw(r, n), oracle, strict=True):
         assert stattest.ks_two_sample(got, want, alpha=0.001).verdict == "consistent"
 
 
@@ -304,7 +310,10 @@ def test_first_stage_states_match_brute_force(process, c):
 def test_first_stage_draws_land_in_the_window(c):
     w1 = ConditioningWindow(1.0, 0.1)
     for stage, observe in (
-        (stattest._zc_first_stage(c, 1.0, 1.0, 0.5, w1), lambda st: c * st[0] + st[1]),
+        (
+            stattest._zc_first_stage(c, 1.0, 1.0, 0.5, w1),
+            lambda st: st[0] if c == 0.0 else c * st[0] + st[1],
+        ),
         (stattest._cmx_first_stage(c, 0.5, w1), lambda st: c * st[1] - st[0]),
     ):
         if stage.p1 < 1e-12:
@@ -316,8 +325,9 @@ def test_first_stage_draws_land_in_the_window(c):
 
 def test_zero_coupling_first_stage_keeps_most_proposals(monkeypatch):
     # at c = 0 Z is Y alone, drawn from its Gamma law restricted to the
-    # window, so even a window at 0 keeps most proposals; the sum and share
-    # split keeps only about p1 = 3.8e-5 of them there
+    # window, so even a window at 0 keeps most proposals: the sum and share
+    # split keeps only about p1 = 3.8e-5 of them at d2 = 5, and plain Gamma
+    # draws, in place of the power law below shape 1, 0.033 at d2 = 1.9
     proposed = []
     propose = stattest._TruncatedGamma.propose
 
@@ -327,10 +337,42 @@ def test_zero_coupling_first_stage_keeps_most_proposals(monkeypatch):
 
     monkeypatch.setattr(stattest._TruncatedGamma, "propose", counting)
     w1 = ConditioningWindow(-0.05, 0.1)
-    stage = stattest._zc_first_stage(0.0, 1.0, 5.0, 0.9, w1)
-    x, y = stage.draw(rng(36), 2_000)
-    assert x.size == y.size == 2_000 and np.all(w1.contains(y))
-    assert 2_000 / sum(proposed) >= 0.5
+    for d2 in (5.0, 1.9):
+        proposed.clear()
+        stage = stattest._zc_first_stage(0.0, 1.0, d2, 0.9, w1)
+        (y,) = stage.draw(rng(36), 2_000)
+        assert y.size == 2_000 and np.all(w1.contains(y))
+        assert 2_000 / sum(proposed) >= 0.5
+
+
+@pytest.mark.parametrize(
+    "c, d1, d2, eps, w1, w2, n",
+    [
+        (1.0, 1.0, 1.0, 0.3, (0.6, 0.06), (2.0, 0.2), 4_000),
+        (1.0, 1.0, 1.0, 0.7, (1.4, 0.14), (2.0, 0.2), 4_000),
+        (0.0, 1.0, 1.0, 0.5, (1.0, 0.1), (4.0, 0.4), 5_000),
+        (0.0, 1.0, 1.0, 0.5, (2.0, 0.2), (4.0, 0.4), 5_000),
+        (1.0, 1.5, 2.5, 0.3, (1.2, 0.12), (4.0, 0.4), 4_000),
+        (1.0, 1.5, 2.5, 0.7, (2.8, 0.28), (4.0, 0.4), 4_000),
+    ],
+    ids=["bench-c1-ref", "bench-c1-alt", "bench-c0-ref", "bench-c0-alt", "d4-ref", "d4-alt"],
+)
+def test_zc_acceptance_matches_the_window_pair_probability(c, d1, d2, eps, w1, w2, n):
+    # at c in {0, 1} Z is itself a BESQ, of dimension d2 or d1 + d2, so the
+    # share of proposals that pass both windows is a Gamma law at eps and one
+    # transition; the rule over w1 has converged at 8 nodes.  The share of
+    # first-window survivors that pass w2 checks the steps after eps alone
+    ends = [(w[0] - w[1], w[0] + w[1]) for w in (w1, w2)]
+    delta = d2 if c == 0.0 else d1 + d2
+    want = window_pair_probability(delta, eps, *ends)
+    assert window_pair_probability(delta, eps, *ends, nodes=8) == pytest.approx(want, rel=1e-12)
+    got = stattest.conditional_sample(
+        rng(37), c, d1, d2, eps, ConditioningWindow(*w1), ConditioningWindow(*w2), n
+    )
+    assert abs(got.acceptance_rate - want) < 4.0 * math.sqrt(want * (1.0 - want) / got.n_proposed)
+    q = want / got.p1
+    rate = got.n_accepted / got.n_survived
+    assert abs(rate - q) < 4.0 * math.sqrt(q * (1.0 - q) / got.n_survived)
 
 
 @pytest.mark.parametrize(
