@@ -53,9 +53,10 @@ pass holds ``q_tilde`` and ``q`` (A21 with and without A32) at a column of
 one A21 row.  A21 restarts X from zero, so its X factor is the closed-form
 Gamma density of :func:`besq.log_zero_start` and only its Y factor is a
 transition density.  A batch makes one array call of the kernels for its
-refinement levels 0, 1 and 2 together, before any row can converge, and
-one per later level, so the cost is set by the number of points rather
-than by Python calls per node.
+refinement levels 0 to 3 together, and one per later level, so the cost is
+set by the number of points rather than by Python calls per node.  Most x2
+rows stop at level 3, so one x1 batch and one x3 batch of rows, at every
+x2 node of levels 0 to 3, serve the whole outer axis.
 
 Every x1, x3, x2 and limit row goes through one convergence gate,
 :func:`_log_rows`: a row that ends unconverged raises ConvergenceError
@@ -221,9 +222,10 @@ def _log_rows(axis: str, f, n_rows: int, b: float, spec: QuadratureSpec) -> Quad
 
 
 def _exact(logs: np.ndarray) -> QuadratureRows:
-    # a closed-form inner factor, as integrate_rows gives one: exact, and no points
+    # a closed-form inner factor, as integrate_rows gives one: exact, no
+    # points, and no refinement level past 0
     n = logs.shape
-    return QuadratureRows(logs, np.zeros(n), np.zeros(n, int), np.ones(n, bool))
+    return QuadratureRows(logs, np.zeros(n), np.zeros(n, int), np.ones(n, bool), np.zeros(n, int))
 
 
 def _kernel_logs(s: ScenarioParams, triple: bool = True) -> QuadratureRows:

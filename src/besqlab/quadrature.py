@@ -10,8 +10,10 @@ One level loop, :func:`integrate_rows`, drives every integral.  It
 integrates a batch of rows that share the interval and the spec: the
 integrand receives the indices of the rows still refining and a 1-D array of
 abscissae, and returns one rows x nodes grid of log values in a single call.
-The first call holds the nodes of levels 0, 1 and 2 for every row, since no
-row can converge before level 2; each later level is one call for the rows
+The first call holds the nodes of levels 0 to 3 for every row: no row can
+converge before level 2, and most rows go on to level 3.  Only where an
+endpoint floor stops every row at level 2, or the budget ends there, does
+the first call end at level 2.  Each later level is one call for the rows
 still refining.  Each row keeps the scalar rule (its own error estimate and
 stopping level), and its evaluations count every point it was called with.
 The loop holds its running state only for the rows still refining, writes
@@ -114,17 +116,29 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class QuadratureRows:
-    """Results of :func:`integrate_rows`, one array entry per row."""
+    """Results of :func:`integrate_rows`, one array entry per row.
+
+    ``levels`` is the refinement level each row stopped at: the level whose
+    value it reports.
+    """
 
     values: np.ndarray
     errors: np.ndarray
     evaluations: np.ndarray
     converged: np.ndarray
+    levels: np.ndarray
 
 
 # Convergence compares a level with the one before, and is tested from this
-# level on; it is also the last level of every row's first integrand call.
+# level on.
 _FIRST_CONVERGENT_LEVEL = 2
+
+# The last level of a batch's first integrand call.  The kernel integrals'
+# rows stop at level 3 or later, so an outer axis whose first call ends here
+# often needs no second call, and with it no second batch of inner rows; a
+# first call through level 4 would double the points of every row that stops
+# at level 3.
+_FIRST_CALL_LEVEL = 3
 
 # Largest rows x nodes grid handed to an integrand in one call.  A deep level
 # has ~25k nodes, so an axis with many unconverged rows would otherwise
@@ -162,10 +176,11 @@ def integrate_rows(
         ``f(rows, xs)`` receives the integer indices of the rows still
         refining and 1-D abscissae, and returns their ``(rows.size,
         xs.size)`` grid of the logs of a nonnegative integrand.  The first
-        call takes every row at the nodes of levels 0, 1 and 2 together;
-        each later call takes one level.  The abscissae lie inside ``(a,
-        b)``, never on an endpoint, so an integrable endpoint singularity is
-        fine.
+        call takes every row at the nodes of levels 0 to 3 together, or of
+        levels 0 to 2 where the representability floor misses ``rel_tol``
+        or ``max_levels`` is 2; each later call takes one level.  The
+        abscissae lie inside ``(a, b)``, never on an endpoint, so an
+        integrable endpoint singularity is fine.
     n_rows : int
         Number of integrands; they share the limits and ``spec``.
     a, b : float
@@ -185,9 +200,10 @@ def integrate_rows(
         with the floor as its error.  A row whose representability floor
         alone misses ``rel_tol`` stops unconverged, with its last level's
         value and error, at the first level that tests convergence; so does
-        a row still refining when ``max_levels`` runs out.  ``evaluations``
-        counts the points ``f`` was called with for each row, so a row that
-        stops at level 0 or 1 still counts the whole first call.
+        a row still refining when ``max_levels`` runs out.  ``levels`` is
+        the level each row stopped at.  ``evaluations`` counts the points
+        ``f`` was called with for each row, so a row that stops before the
+        first call's last level still counts the whole first call.
 
     Raises
     ------
@@ -244,6 +260,7 @@ def integrate_rows(
     shifts = np.full(n_rows, -math.inf)
     evaluations = np.zeros(n_rows, dtype=np.int64)
     converged = np.zeros(n_rows, dtype=bool)
+    levels = np.zeros(n_rows, dtype=np.int64)
     # the state of the rows still refining, one entry per row of active:
     # running sum, shift, and the previous level's value and error
     active = np.arange(n_rows)
@@ -253,10 +270,17 @@ def integrate_rows(
     err = errors.copy()
 
     # No row can converge before _FIRST_CONVERGENT_LEVEL, so every row
-    # evaluates all the levels up to it unless it stops as non-finite: their
-    # nodes go to f in one call, and each of those levels reads its columns.
-    # Every later level is one call of its own
-    first = [level_nodes(level) for level in range(_FIRST_CONVERGENT_LEVEL + 1)]
+    # evaluates all the levels up to it unless it stops as non-finite, and
+    # most rows go on to _FIRST_CALL_LEVEL: the nodes of the levels up to it
+    # go to f in one call, and each of those levels reads its own columns.
+    # A representability floor that misses rel_tol stops every row at the
+    # first convergent level, so then the first call ends there.  Every later
+    # level is one call of its own
+    if rep_floor > spec.rel_tol:
+        last = _FIRST_CONVERGENT_LEVEL
+    else:
+        last = min(_FIRST_CALL_LEVEL, spec.max_levels)
+    first = [level_nodes(level) for level in range(last + 1)]
     grid = _evaluate(f, active, np.concatenate([xs for xs, _ in first]))
     n_evals = grid.shape[1]
     start = 0
@@ -309,11 +333,12 @@ def integrate_rows(
             errors[rows] = np.where(finite, err, math.inf)[stop]
             shifts[rows] = shift[stop]
             evaluations[rows] = n_evals
+            levels[rows] = level
             if level >= _FIRST_CONVERGENT_LEVEL:
                 converged[rows] = done[stop]
             keep = ~stop
             active, acc, shift, value, err = active[keep], acc[keep], shift[keep], value[keep], err[keep]
-            if level < _FIRST_CONVERGENT_LEVEL:
+            if level < last:
                 grid = grid[keep]
             if active.size == 0:
                 break
@@ -323,7 +348,7 @@ def integrate_rows(
     ok = np.isfinite(shifts)
     errors = np.where(ok, errors / values, math.inf)
     values = np.where(ok, shifts + math.log(r) + np.log(values), shifts)
-    return QuadratureRows(values, errors, evaluations, converged)
+    return QuadratureRows(values, errors, evaluations, converged, levels)
 
 
 def integrate(

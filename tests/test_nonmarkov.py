@@ -1,6 +1,7 @@
 """Kernel integrals, their limit regimes, and the conditional-ratio probe."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -219,17 +220,18 @@ def test_ratio_evaluation_counts_frozen(d1, d2, z3):
 
 
 # Kernel density calls of the same twelve ratios, (finite eps, eps -> 0).
-# Each integral's levels 0-2 share one integrand call, on the outer x2 axis
-# as on the inner x1 and x3 rows, so a ratio makes a few dozen array calls
-# whatever its point count.  The eps -> 0 kernel A21 takes its restarted X
-# factor from the closed-form Gamma density, with no density call.
+# Each integral's levels 0-3 share one integrand call, on the outer x2 axis
+# as on the inner x1 and x3 rows, so a ratio makes a few array calls
+# whatever its point count: one x1 and one x3 batch for each x2 call.  The
+# eps -> 0 kernel A21 takes its restarted X factor from the closed-form
+# Gamma density, with no density call.
 RATIO_DENSITY_CALLS = {
-    (1.0, 1.0, 1.0): (16, 10),
-    (1.0, 1.0, 4.0): (16, 10),
-    (1.0, 1.0, 8.0): (16, 10),
-    (2.0, 3.0, 1.0): (20, 15),
-    (2.0, 3.0, 4.0): (24, 15),
-    (2.0, 3.0, 8.0): (24, 21),
+    (1.0, 1.0, 1.0): (4, 3),
+    (1.0, 1.0, 4.0): (4, 3),
+    (1.0, 1.0, 8.0): (4, 3),
+    (2.0, 3.0, 1.0): (6, 6),
+    (2.0, 3.0, 4.0): (8, 6),
+    (2.0, 3.0, 8.0): (8, 10),
 }
 
 
@@ -278,6 +280,88 @@ def test_ratio_error_estimates_do_not_rise(d1, d2, z3):
         s_eps = dataclasses.replace(s, eps=eps)
         assert nonmarkov._kernel_logs(s_eps).errors[0] == pair_error
         assert nonmarkov.conditional_ratio_detail(s_eps).rel_error_estimate <= rel_error
+
+
+def _levels_by_axis(monkeypatch, call):
+    # {axis: {level: rows}} over every batch of rows that call runs
+    levels = {}
+    log_rows = nonmarkov._log_rows
+
+    def recorded(axis, *args):
+        rows = log_rows(axis, *args)
+        counts = levels.setdefault(axis, {})
+        for level in rows.levels.tolist():
+            counts[level] = counts.get(level, 0) + 1
+        return rows
+
+    monkeypatch.setattr(nonmarkov, "_log_rows", recorded)
+    call()
+    monkeypatch.undo()
+    return levels
+
+
+# Levels at which the rows of the twelve ratio passes above stop, recorded
+# when the first integrand call ended at level 2: (delta1, delta2, z3, eps)
+# -> {axis: {level: rows}}, over every batch of the pass.  How levels are
+# grouped into integrand calls must not move them.
+RATIO_LEVELS = {
+    (1.0, 1.0, 1.0, 0.5): {"x1": {3: 75}, "x3": {3: 75}, "x2": {3: 2}},
+    (1.0, 1.0, 1.0, None): {"x3": {3: 75}, "x2": {3: 2}},
+    (1.0, 1.0, 4.0, 0.5): {"x1": {3: 75}, "x3": {3: 75}, "x2": {3: 2}},
+    (1.0, 1.0, 4.0, None): {"x3": {3: 75}, "x2": {3: 2}},
+    (1.0, 1.0, 8.0, 0.5): {"x1": {3: 75}, "x3": {3: 75}, "x2": {3: 2}},
+    (1.0, 1.0, 8.0, None): {"x3": {3: 75}, "x2": {3: 2}},
+    (2.0, 3.0, 1.0, 0.5): {"x1": {3: 26, 4: 49}, "x3": {3: 75}, "x2": {3: 2}},
+    (2.0, 3.0, 1.0, None): {"x3": {3: 149}, "x2": {4: 2}},
+    (2.0, 3.0, 4.0, 0.5): {"x1": {3: 26, 4: 49}, "x3": {4: 75}, "x2": {3: 2}},
+    (2.0, 3.0, 4.0, None): {"x3": {4: 75}, "x2": {3: 1, 4: 1}},
+    (2.0, 3.0, 8.0, 0.5): {"x1": {3: 26, 4: 49}, "x3": {4: 75}, "x2": {3: 2}},
+    (2.0, 3.0, 8.0, None): {"x3": {4: 149}, "x2": {4: 2}},
+}
+
+
+@pytest.mark.parametrize("d1,d2,z3,eps", list(RATIO_LEVELS))
+def test_ratio_levels_frozen(monkeypatch, d1, d2, z3, eps):
+    s = ScenarioParams(c=0.5, delta1=d1, delta2=d2, eps=eps, z1=1.0, z2=4.0, z3=z3)
+    levels = _levels_by_axis(monkeypatch, lambda: nonmarkov.conditional_ratio_detail(s))
+    assert levels == RATIO_LEVELS[(d1, d2, z3, eps)]
+
+
+# Levels of the limit rows of lemma3 at c = 0.5, delta1 = delta2 = delta, on
+# the same record: (delta, z2) -> the four rows at r = (0.5, 2), then at
+# r = (0.25, 1.5)
+LEMMA3_LEVELS = {
+    (1.0, 10.0): ((4, 3, 4, 4), (4, 3, 3, 3)),
+    (1.0, 100.0): ((4, 4, 4, 4), (4, 4, 4, 4)),
+    (1.0, 1000.0): ((5, 5, 5, 5), (5, 5, 5, 5)),
+    (1.0, 3000.0): ((5, 5, 5, 5), (5, 5, 5, 5)),
+    (3.0, 10.0): ((4, 4, 4, 4), (4, 4, 4, 4)),
+    (3.0, 100.0): ((5, 5, 5, 5), (5, 5, 5, 5)),
+    (3.0, 1000.0): ((5, 5, 5, 5), (5, 5, 5, 5)),
+    (3.0, 3000.0): ((6, 6, 6, 6), (6, 6, 6, 6)),
+    (8.0, 10.0): ((4, 4, 4, 4), (4, 4, 4, 4)),
+    (8.0, 100.0): ((5, 5, 5, 5), (5, 5, 5, 5)),
+    (8.0, 1000.0): ((6, 6, 6, 6), (6, 5, 6, 6)),
+    (8.0, 3000.0): ((6, 6, 6, 6), (6, 6, 6, 6)),
+    (20.0, 10.0): ((5, 5, 5, 5), (5, 5, 5, 5)),
+    (20.0, 100.0): ((5, 5, 5, 5), (5, 5, 5, 5)),
+    (20.0, 1000.0): ((6, 6, 6, 6), (6, 6, 6, 6)),
+    (20.0, 3000.0): ((6, 6, 6, 6), (6, 6, 6, 6)),
+    (60.0, 10.0): ((5, 5, 5, 5), (5, 5, 5, 5)),
+    (60.0, 100.0): ((6, 6, 6, 6), (6, 5, 6, 6)),
+}
+
+
+def test_lemma3_levels_frozen():
+    for (delta, z2), want in LEMMA3_LEVELS.items():
+        for (r1, r2), levels in zip(((0.5, 2.0), (0.25, 1.5)), want):
+            rows = nonmarkov._limit_logs(0.5, delta, delta, z2 * np.array([r1, r2]), z2)
+            assert rows.levels.tolist() == list(levels), (delta, z2, r1, r2)
+
+
+def test_exact_factor_reports_level_zero():
+    rows = nonmarkov._exact(np.zeros(3))
+    assert rows.levels.tolist() == [0, 0, 0] and rows.evaluations.tolist() == [0, 0, 0]
 
 
 def test_log_integrand_not_finite_on_the_first_level_raises(monkeypatch):
@@ -392,6 +476,64 @@ def test_ratio_depends_on_conditioning_below_unit_coupling():
     assert abs(near - far) / max(near, far) > 1e-2
 
 
+def _richardson_to_zero(hs, values):
+    # weights of the polynomial through (h, value) at h = 0 (Lagrange)
+    weights = [
+        math.prod(hj / (hj - hi) for j, hj in enumerate(hs) if j != i)
+        for i, hi in enumerate(hs)
+    ]
+    return np.array(weights) @ np.asarray(values), np.abs(weights)
+
+
+# The Markov defect Delta = ratio(z1 = 8) - ratio(z1 = 1), at eps = 0.5,
+# z2 = 4, vanishes to second order at c = 1: the h -> 0 limits of Delta/h**2
+# at c = 1 + side * h, frozen as (delta1, delta2, z3, side) -> limit
+DEFECT_STEPS = (0.1, 0.03, 0.01)
+DEFECT_LIMITS = {
+    (2.0, 3.0, 1.0, 1): 0.0036158017,
+    (2.0, 3.0, 1.0, -1): 0.0036149878,
+    (2.0, 3.0, 8.0, 1): -0.0040966618,
+    (2.0, 3.0, 8.0, -1): -0.0040954838,
+    (3.0, 2.0, 1.0, 1): 0.0036149835,
+    (3.0, 2.0, 1.0, -1): 0.0036157278,
+    (3.0, 2.0, 8.0, 1): -0.0040957371,
+    (3.0, 2.0, 8.0, -1): -0.0040962237,
+}
+
+
+def test_markov_defect_vanishes_to_second_order_at_unit_coupling():
+    # Each side's three Delta/h**2 values are extrapolated by the quadratic
+    # through them; the line through the two smallest steps bounds the
+    # remainder, and the reported ratio errors propagate with the weights.
+    # Swapping the dimensions maps c = 1 + h onto 1/c = 1 - h + O(h**2), so
+    # both sides and both orders of the dimensions share one limit per z3
+    limits = {}
+    for d1, d2, z3, side in DEFECT_LIMITS:
+        scaled, errors = [], []
+        for h in DEFECT_STEPS:
+            details = [
+                nonmarkov.conditional_ratio_detail(
+                    ScenarioParams(c=1.0 + side * h, delta1=d1, delta2=d2, eps=0.5,
+                                   z1=z1, z2=4.0, z3=z3)
+                )
+                for z1 in (1.0, 8.0)
+            ]
+            scaled.append((details[1].ratio - details[0].ratio) / h**2)
+            errors.append(sum(d.ratio * d.rel_error_estimate for d in details) / h**2)
+        limit, weights = _richardson_to_zero(DEFECT_STEPS, scaled)
+        remainder = abs(limit - _richardson_to_zero(DEFECT_STEPS[1:], scaled[1:])[0])
+        tol = weights @ errors + remainder
+        assert tol < 1e-5
+        assert abs(limit - DEFECT_LIMITS[(d1, d2, z3, side)]) <= tol
+        limits.setdefault(z3, []).append((limit, tol))
+    for z3, sides in limits.items():
+        for (a, tol_a), (b, tol_b) in itertools.combinations(sides, 2):
+            assert abs(a - b) <= tol_a + tol_b, z3
+    # the defect changes sign between z3 = 1 and z3 = 8
+    assert all(limit > 3e-3 for limit, _ in limits[1.0])
+    assert all(limit < -4e-3 for limit, _ in limits[8.0])
+
+
 def test_small_eps_sweep_approaches_limit_kernel():
     # the limit object is its own code path; the finite-eps quadrature must
     # walk into it.  The O(eps) coefficient varies with the scenario; these
@@ -488,7 +630,7 @@ def test_lemma3_residuals_frozen(delta, z2):
 # Integrand calls of lemma3 at c = 0.5, delta1 = delta2, r = (0.5, 2):
 # (delta, z2) -> calls.  Each call takes one A21 row per r, whose restarted
 # X factor is the closed-form Gamma density, so it makes one density call
-LEMMA3_INTEGRAND_CALLS = {(1.0, 10.0): 3, (8.0, 100.0): 4, (60.0, 1000.0): 5}
+LEMMA3_INTEGRAND_CALLS = {(1.0, 10.0): 2, (8.0, 100.0): 3, (60.0, 1000.0): 4}
 
 
 @pytest.mark.parametrize("delta,z2", list(LEMMA3_INTEGRAND_CALLS))

@@ -57,6 +57,29 @@ def test_right_endpoint_floor_is_honest():
     assert abs(r.value - 2.0) <= 2.0 * r.error_estimate
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # the floor at b=1, about 1.5e-8, misses rel_tol before any call
+        pytest.param(QuadratureSpec(1e-9, 12, right_exponent=0.5), id="floor"),
+        pytest.param(QuadratureSpec(1e-13, 2), id="budget"),
+    ],
+)
+def test_rows_that_stop_at_level_two_make_one_call_through_it(spec):
+    # no row can go past level 2, and this is known before any call: the
+    # first call holds levels 0 to 2 only, and every row stops on it
+    calls = []
+
+    def f(rows, xs):
+        calls.append(xs.size)
+        return np.log(np.add.outer(rows + 1.0, -xs) ** -0.5)
+
+    r = integrate_rows(f, 3, 0.0, 1.0, spec)
+    assert calls == [sum(_level_abscissae(k).size for k in range(3))]
+    assert r.levels.tolist() == [2, 2, 2]
+    assert not r.converged.any()
+
+
 def test_both_endpoints_singular():
     # beta(1/2, 1/2) = pi
     spec = QuadratureSpec(1e-7, 12, left_exponent=0.5, right_exponent=0.5)
@@ -169,7 +192,7 @@ def test_rows_match_scalar_integrate(monkeypatch, budget):
         assert all(rows == 1 or rows * n <= budget for rows, n in sizes)
     # every point f was called with counts, also past the level a row stopped at
     assert got.evaluations.tolist() == received.tolist()
-    for field in ("values", "errors", "evaluations", "converged"):
+    for field in ("values", "errors", "evaluations", "converged", "levels"):
         want = np.concatenate([getattr(w, field) for w in wants])
         assert getattr(got, field).tolist() == want.tolist()
     assert got.converged.tolist() == [True, False, False, False]
@@ -193,10 +216,11 @@ def _level_abscissae(level):
         pytest.param(lambda x: np.exp(-(((x - 0.3) / 0.02) ** 2)), TIGHT, 7, id="peak"),
     ],
 )
-def test_levels_up_to_two_share_the_first_call(g, spec, level):
+def test_levels_up_to_three_share_the_first_call(g, spec, level):
     # a smooth row that converges at `level` (and not with one level less)
-    # makes level - 1 integrand calls: levels 0, 1 and 2 in the first, then
-    # one per level, and it counts exactly the points it was given
+    # makes max(1, level - 2) integrand calls: levels 0 to 3 in the first,
+    # then one per level.  It counts exactly the points it was given, level
+    # 3's too when it stops at level 2, and reports the level it stopped at
     calls = []
 
     def f(rows, xs):
@@ -208,11 +232,11 @@ def test_levels_up_to_two_share_the_first_call(g, spec, level):
         short = QuadratureSpec(spec.rel_tol, level - 1)
         assert not integrate(g, 0.0, 1.0, short).converged
     r = integrate_rows(f, 1, 0.0, 1.0, spec)
-    assert r.converged[0]
-    assert len(calls) == level - 1
-    first = np.sort(np.concatenate([_level_abscissae(k) for k in range(3)]))
+    assert r.converged[0] and r.levels[0] == level
+    assert len(calls) == max(1, level - 2)
+    first = np.sort(np.concatenate([_level_abscissae(k) for k in range(4)]))
     assert np.array_equal(calls[0], first)
-    for k, xs in enumerate(calls[1:], start=3):
+    for k, xs in enumerate(calls[1:], start=4):
         assert np.array_equal(xs, _level_abscissae(k))
     assert r.evaluations[0] == sum(xs.size for xs in calls)
 
@@ -251,11 +275,11 @@ def test_log_row_counts_the_mass_below_its_smallest_node_at_zero():
 
 
 def test_log_rows_raise_their_shift_at_a_later_level():
-    # a narrow peak, 1000 nats down, between the nodes 0.5 and 0.689 of the
-    # first call (levels 0-2), which see at most off - 175; the level-3 node
-    # 0.597 meets it.  Its log integral in closed form is
+    # a narrow peak, 1000 nats down, between the nodes 0.5 and 0.597 of the
+    # first call (levels 0-3), which see at most off - 129; the level-4 node
+    # 0.54896 meets it.  Its log integral in closed form is
     # off + log(sigma sqrt(pi/2) (erf + erf))
-    mu, sigma, off = 0.595, 0.005, -1000.0
+    mu, sigma, off = 0.549, 0.003, -1000.0
     s2 = sigma * math.sqrt(2.0)
     truth = off + math.log(
         sigma * math.sqrt(0.5 * math.pi) * (math.erf((1.0 - mu) / s2) + math.erf(mu / s2))
@@ -309,8 +333,9 @@ def test_log_row_near_its_rounding_floor_reports_the_floor():
 
 
 def test_log_row_whose_shift_rises_past_its_rounding_floor_keeps_refining():
-    # a peak of log height 1e8 first met by the level-3 node 0.597 lifts the
-    # shift there past the rounding floor of rel_tol.  The row refines on,
+    # a peak of log height 1e8 first met by the level-3 node 0.597, the last
+    # level of the first call, lifts the shift there past the rounding floor
+    # of rel_tol.  The row refines on through levels 4 and 5, one call each,
     # too narrow a peak to resolve, and reports its last level difference
     mu, sigma = 0.595, 0.005
     calls = []
@@ -320,7 +345,7 @@ def test_log_row_whose_shift_rises_past_its_rounding_floor_keeps_refining():
         return 1e8 * np.exp(-0.5 * ((x - mu) / sigma) ** 2) - 10.0 * np.abs(x - 0.3)
 
     r = integrate_rows(log_f, 1, 0.0, 1.0, QuadratureSpec(1e-9, 5))
-    assert len(calls) == 4
+    assert calls == [75, 74, 150]
     assert not r.converged[0]
     assert r.errors[0] == pytest.approx(1.0)
 
